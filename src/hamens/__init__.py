@@ -15,11 +15,11 @@ from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMoments,
                       DumbbellAngular, KneadedCardioidAngular, SphereAngular,
                       TabulatedAngular, directional_moments,
-                      directional_moments_quadrature, principal_frame)
-from .ensemble import (RadialExpectations, SeparableEnsemble, load_angular_table,
-                       load_radial_table)
+                      directional_moments_quadrature)
+from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
 from .dynmap import (BlochAffineMap, MapFamily, apply, bloch_trajectory, choi_check,
-                     choi_matrix, f_component, map_at, purity_trajectory)
+                     choi_matrix, f_component, map_at, map_matrices,
+                     purity_trajectory)
 from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropic_rates,
                         azimuthal_generator, divisibility_flags, extract_generator,
                         isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory,
@@ -38,8 +38,8 @@ __all__ = [
     "expectation_quadrature", "AngularModel", "SphereAngular", "BagelAngular",
     "DumbbellAngular", "CardioidAngular", "KneadedCardioidAngular", "TabulatedAngular",
     "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
-    "principal_frame", "SeparableEnsemble", "RadialExpectations", "load_radial_table",
-    "load_angular_table", "BlochAffineMap", "MapFamily", "map_at", "apply",
+    "SeparableEnsemble", "load_radial_table", "load_angular_table", "BlochAffineMap",
+    "MapFamily", "map_at", "map_matrices", "apply",
     "f_component", "purity_trajectory", "bloch_trajectory", "choi_matrix", "choi_check",
     "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",

@@ -1,4 +1,4 @@
-"""Solid-angle distributions, their directional moments, and the principal frame.
+"""Solid-angle distributions and their directional moments.
 
 The geometry of the angular density Theta(theta, phi) encodes the symmetry
 class of the ensemble.  Built-ins, ordered by decreasing symmetry:
@@ -57,10 +57,6 @@ class DirectionalMoments:
     @property
     def xi(self) -> float:
         return float(np.trace(self.second))
-
-    def is_diagonal(self, tol: float = 1e-10) -> bool:
-        off = self.second - np.diag(np.diag(self.second))
-        return bool(np.max(np.abs(off)) <= tol)
 
 
 class AngularModel:
@@ -304,56 +300,3 @@ def directional_moments_quadrature(model: AngularModel) -> DirectionalMoments:
             second[i, j] = second[j, i] = sphere_integral(
                 lambda th, ph, i=i, j=j: model.density(th, ph) * comps[i](th, ph) * comps[j](th, ph))
     return DirectionalMoments(first, second)
-
-
-def principal_frame(m: DirectionalMoments) -> tuple[np.ndarray, DirectionalMoments]:
-    """Rotation u that diagonalizes the second-moment matrix, and the rotated moments.
-
-    u^T @ second @ u is diagonal with eigenvalues sorted descending;
-    det(u) = +1.  Within degenerate eigenspaces the basis with maximal
-    overlap on the input axes is chosen, and each eigenvector's largest
-    component is made positive, so the output is deterministic.  The first
-    moments co-rotate as u^T @ first.
-    """
-    second = m.second
-    scale = max(1.0, float(np.max(np.abs(second))))
-    vals, vecs = np.linalg.eigh(second)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    # re-pick bases inside degenerate groups: project the coordinate axes
-    # with the largest footprint onto the eigenspace and orthonormalize
-    u = np.array(vecs)
-    start = 0
-    while start < 3:
-        stop = start + 1
-        while stop < 3 and abs(vals[stop] - vals[start]) <= 1e-10 * scale:
-            stop += 1
-        if stop - start > 1:
-            basis = u[:, start:stop]
-            proj = basis @ basis.T
-            footprint = np.diag(proj)
-            axes = np.argsort(footprint)[::-1][: stop - start]
-            cols = []
-            for ax in sorted(axes):
-                v = proj[:, ax]
-                for c in cols:
-                    v = v - (c @ v) * c
-                norm = np.linalg.norm(v)
-                if norm < 1e-12:
-                    continue
-                cols.append(v / norm)
-            if len(cols) == stop - start:
-                u[:, start:stop] = np.column_stack(cols)
-        start = stop
-
-    for j in range(3):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
-    if np.linalg.det(u) < 0.0:
-        u[:, 2] = -u[:, 2]
-
-    rotated = DirectionalMoments(u.T @ m.first, u.T @ second @ u)
-    return u, rotated

@@ -44,6 +44,13 @@ _SCHEMA = {
 _ANGLE_RE = re.compile(r"^\s*([0-9.]+)?\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"must be a finite number, got {text.strip()!r}")
+    return value
+
+
 def parse_angle(text: str) -> float:
     """Angles as plain radians or in terms of pi: '0.25pi', 'pi/4', 'pi'."""
     m = _ANGLE_RE.match(text)
@@ -52,7 +59,7 @@ def parse_angle(text: str) -> float:
         den = float(m.group(2)) if m.group(2) else 1.0
         return num * math.pi / den
     try:
-        return float(text)
+        return _finite(text)
     except ValueError:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
@@ -153,7 +160,7 @@ def _float_list(text: str):
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty list")
-    return [float(p) for p in parts]
+    return [_finite(p) for p in parts]
 
 
 def load_config(path) -> RunConfig:
@@ -181,11 +188,11 @@ def load_config(path) -> RunConfig:
 
     if parser.has_section("radial"):
         cfg.radial_kind = _get(parser, "radial", "kind", str.strip, cfg.radial_kind, errors)
-        cfg.omega_c = _get(parser, "radial", "omega_c", float, cfg.omega_c, errors)
+        cfg.omega_c = _get(parser, "radial", "omega_c", _finite, cfg.omega_c, errors)
         cfg.radial_table = _get(parser, "radial", "table", str.strip, None, errors)
     if parser.has_section("angular"):
         cfg.angular_kind = _get(parser, "angular", "kind", str.strip, cfg.angular_kind, errors)
-        cfg.asymmetry = _get(parser, "angular", "a", float, None, errors)
+        cfg.asymmetry = _get(parser, "angular", "a", _finite, None, errors)
         cfg.angular_table = _get(parser, "angular", "table", str.strip, None, errors)
     if parser.has_section("state"):
         cfg.theta0 = _get(parser, "state", "theta0", parse_angle, cfg.theta0, errors)
@@ -195,10 +202,12 @@ def load_config(path) -> RunConfig:
                 errors.append("[state] bloch: need exactly three components")
             elif parser.has_option("state", "theta0"):
                 errors.append("[state] give either theta0 or bloch, not both")
+            elif math.hypot(*bloch) > 1.0 + 1e-12:
+                errors.append("[state] bloch: the vector lies outside the unit ball")
             else:
                 cfg.bloch = tuple(bloch)
     if parser.has_section("grid"):
-        cfg.t_max = _get(parser, "grid", "t_max", float, cfg.t_max, errors)
+        cfg.t_max = _get(parser, "grid", "t_max", _finite, cfg.t_max, errors)
         cfg.n_points = _get(parser, "grid", "n_points", int, cfg.n_points, errors)
     if parser.has_section("mc"):
         cfg.seed = _get(parser, "mc", "seed", int, cfg.seed, errors)

@@ -3,26 +3,27 @@
 Averaging the unitary realizations of a separable ensemble gives a unital
 qubit channel whose action on Bloch vectors is the 3x3 matrix
 
-    M(t) = diag(f_x, f_y, f_z) + <sin omega t>_P [<n>_Theta]_x ,
+    M(t) = <cos omega t>_P (xi I - S) + S / xi + <sin omega t>_P [<n>_Theta]_x ,
 
-where [v]_x is the cross-product matrix and the diagonal components combine
-the cosine expectation with the second directional moments,
+where S = <n n^T>_Theta is the second-moment matrix, <n>_Theta the first
+moment and [v]_x the cross-product matrix.  The formula holds in any frame,
+so the moments are used as the angular model gives them, in the lab frame.
+Its diagonal entries for axis-aligned moments,
 
-    f_j(t) = <cos omega t>_P (xi - <n_j^2>) + <n_j^2> / xi .
+    f_j(t) = <cos omega t>_P (xi - S_jj) + S_jj / xi ,
 
-The map works in the frame where the second-moment matrix is diagonal
-(crossing terms eliminated); results can be rotated back to the lab frame.
+feed the per-symmetry-class closed forms that serve as oracles.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import DirectionalMoments, directional_moments, principal_frame
-from .ensemble import RadialExpectations, SeparableEnsemble
+from .angular import DirectionalMoments, directional_moments
+from .ensemble import SeparableEnsemble
 from .su2 import DensityMatrix
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
@@ -52,49 +53,51 @@ class BlochAffineMap:
 
 @dataclass(frozen=True, eq=False)
 class MapFamily:
-    """Everything needed to evaluate the exact channel at any time.
-
-    ``moments`` live in the principal frame (diagonal second moments);
-    ``frame`` is the rotation from that frame back to the lab frame and is
-    the identity for every built-in geometry.
-    """
+    """Everything needed to evaluate the exact channel at any time: the
+    ensemble (for its radial expectations) and lab-frame directional moments."""
 
     ensemble: SeparableEnsemble
     moments: DirectionalMoments
-    expectations: RadialExpectations
-    frame: np.ndarray = field(default_factory=lambda: np.eye(3))
-
-    def __post_init__(self):
-        if not self.moments.is_diagonal(tol=1e-10):
-            raise ValueError("map family requires diagonal second moments; "
-                             "rotate through the principal frame first")
-        frame = np.array(self.frame, dtype=float).reshape(3, 3)
-        frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
 
     @classmethod
     def from_ensemble(cls, ensemble: SeparableEnsemble) -> "MapFamily":
-        moments = directional_moments(ensemble.angular)
-        if moments.is_diagonal(tol=1e-12):
-            frame = np.eye(3)
-        else:
-            frame, moments = principal_frame(moments)
         if abs(ensemble.xi - 1.0) > 1e-9:
             warnings.warn("normalization split xi != 1: this code path follows the "
                           "general formulas literally but has no validated reference values",
                           stacklevel=2)
-        return cls(ensemble=ensemble, moments=moments,
-                   expectations=RadialExpectations.from_radial(ensemble.radial),
-                   frame=frame)
+        return cls(ensemble=ensemble, moments=directional_moments(ensemble.angular))
 
     @property
     def xi(self) -> float:
         return self.ensemble.xi
 
 
+def map_matrices(fam: MapFamily, t, derivative: bool = False):
+    """Stacked map matrices M(t), shape t.shape + (3, 3); with ``derivative``
+    also the exact time derivatives, as the pair (M, Mdot)."""
+    radial = fam.ensemble.radial
+    second = fam.moments.second
+    xi = fam.xi
+    cross = _cross_matrix(fam.moments.first)
+    spread = xi * np.eye(3) - second
+    c = np.asarray(radial.cos_expectation(t))[..., None, None]
+    s = np.asarray(radial.sin_expectation(t))[..., None, None]
+    m = c * spread + second / xi + s * cross
+    if not derivative:
+        return m
+    dc = np.asarray(radial.dcos_expectation(t))[..., None, None]
+    ds = np.asarray(radial.dsin_expectation(t))[..., None, None]
+    return m, dc * spread + ds * cross
+
+
+def map_at(fam: MapFamily, t: float) -> BlochAffineMap:
+    """The exact channel at time t as a matrix on Bloch vectors."""
+    return BlochAffineMap(m=map_matrices(fam, float(t)), time=float(t))
+
+
 def diagonal_components(fam: MapFamily, t) -> np.ndarray:
-    """All three diagonal map components f_j(t); vectorized over t."""
-    c = np.asarray(fam.expectations.cos_t(t))
+    """The three f_j(t) built from the diagonal of S; vectorized over t."""
+    c = np.asarray(fam.ensemble.radial.cos_expectation(t))
     m2 = np.diag(fam.moments.second)
     xi = fam.xi
     return c[..., None] * (xi - m2) + m2 / xi
@@ -102,7 +105,7 @@ def diagonal_components(fam: MapFamily, t) -> np.ndarray:
 
 def diagonal_derivatives(fam: MapFamily, t) -> np.ndarray:
     """Exact time derivatives of the diagonal components."""
-    dc = np.asarray(fam.expectations.dcos_t(t))
+    dc = np.asarray(fam.ensemble.radial.dcos_expectation(t))
     m2 = np.diag(fam.moments.second)
     return dc[..., None] * (fam.xi - m2)
 
@@ -114,52 +117,20 @@ def f_component(fam: MapFamily, axis, t):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def map_at(fam: MapFamily, t: float, frame: str = "principal") -> BlochAffineMap:
-    """The exact channel at time t as a matrix on Bloch vectors.
-
-    ``frame='lab'`` rotates the principal-frame matrix back to the original
-    axes (identical for built-in geometries).
-    """
-    f = diagonal_components(fam, t)
-    s = float(fam.expectations.sin_t(t))
-    m = np.diag(f) + s * _cross_matrix(fam.moments.first)
-    if frame == "lab":
-        m = fam.frame @ m @ fam.frame.T
-    elif frame != "principal":
-        raise ValueError(f"unknown frame {frame!r}")
-    return BlochAffineMap(m=m, time=float(t))
-
-
-def map_derivative(fam: MapFamily, t: float) -> np.ndarray:
-    """Exact time derivative of the map matrix (principal frame)."""
-    df = diagonal_derivatives(fam, t)
-    ds = float(fam.expectations.dsin_t(t))
-    return np.diag(df) + ds * _cross_matrix(fam.moments.first)
-
-
 def apply(m: BlochAffineMap, rho: DensityMatrix) -> DensityMatrix:
     """Act with the channel on a state."""
     return m.apply(rho)
 
 
-def purity_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:
-    """Tr[rho(t)^2] = (1 + |M(t) r0|^2)/2 on a time grid (rotation terms included)."""
-    grid = np.asarray(grid, dtype=float)
-    f = diagonal_components(fam, grid)
-    s = np.asarray(fam.expectations.sin_t(grid))
-    cross = _cross_matrix(fam.moments.first)
-    r0 = rho0.bloch
-    r_t = f * r0 + s[..., None] * (cross @ r0)
-    return 0.5 * (1.0 + np.sum(r_t * r_t, axis=-1))
-
-
 def bloch_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:
     """Bloch vectors M(t) r0 on a time grid, shape (len(grid), 3)."""
-    grid = np.asarray(grid, dtype=float)
-    f = diagonal_components(fam, grid)
-    s = np.asarray(fam.expectations.sin_t(grid))
-    cross = _cross_matrix(fam.moments.first)
-    return f * rho0.bloch + s[..., None] * (cross @ rho0.bloch)
+    return map_matrices(fam, np.asarray(grid, dtype=float)) @ rho0.bloch
+
+
+def purity_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:
+    """Tr[rho(t)^2] = (1 + |M(t) r0|^2)/2 on a time grid."""
+    r_t = bloch_trajectory(fam, rho0, grid)
+    return 0.5 * (1.0 + np.sum(r_t * r_t, axis=-1))
 
 
 def choi_matrix(m: BlochAffineMap) -> np.ndarray:

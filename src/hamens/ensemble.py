@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -37,25 +36,6 @@ class SeparableEnsemble:
             raise ValueError(
                 f"joint normalization violated: radial mass * angular mass = {joint!r}")
         object.__setattr__(self, "xi", xi)
-
-
-@dataclass(frozen=True)
-class RadialExpectations:
-    """Time-dependent radial expectations and their exact derivatives.
-
-    cos_t(t) = <cos omega t>, sin_t(t) = <sin omega t>; dcos_t/dsin_t are the
-    closed-form time derivatives (quadrature-backed for tabulated models).
-    """
-
-    cos_t: Callable
-    sin_t: Callable
-    dcos_t: Callable
-    dsin_t: Callable
-
-    @classmethod
-    def from_radial(cls, radial: RadialModel) -> "RadialExpectations":
-        return cls(cos_t=radial.cos_expectation, sin_t=radial.sin_expectation,
-                   dcos_t=radial.dcos_expectation, dsin_t=radial.dsin_expectation)
 
 
 def _read_csv(path, expected_headers):

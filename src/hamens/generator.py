@@ -1,25 +1,27 @@
 """Time-local generators of the ensemble-averaged dynamics.
 
 Between poles the exact channel M(t) defines a generator L(t) = Mdot M^-1 on
-Bloch vectors.  For a unital qubit channel with real symmetric Kossakowski
-matrix the split is unique:
+Bloch vectors.  For a unital qubit channel the split into antisymmetric and
+symmetric parts is unique:
 
-    L = hz [z]_x + K - tr(K) I ,
+    L = [h]_x + K - tr(K) I ,
 
-with [z]_x the rotation generator about z (the effective level spacing) and
-K = [gamma_jk] the Kossakowski matrix in the convention
+with [h]_x the cross-product matrix of the level-spacing vector h (the
+effective Hamiltonian is h . sigma / 2) and K = [gamma_jk] the Kossakowski
+matrix in the convention
 
-    drho/dt = -i [hz sigma_z / 2, rho]
+    drho/dt = -i [h . sigma / 2, rho]
               + sum_jk (gamma_jk / 2)(sigma_j rho sigma_k - {sigma_k sigma_j, rho}/2).
 
 Note the explicit factor 1/2 on the dissipator: rates here are twice as
-small as in conventions that absorb it.
+small as in conventions that absorb it.  The reported level spacing
+omega_bar is h_z, the lab z-component of h.
 
-Closed forms are provided per symmetry class (isotropic, anisotropic
-diagonal, azimuthal with level spacing, off-diagonal xy rate); the general
-extraction route reproduces them and supplies the rates no closed form
-exists for.  All time derivatives are closed-form; denominators close to
-zero raise PoleError rather than extrapolating."""
+The split is evaluated over a whole time grid at once, in any frame.
+Closed forms per symmetry class (isotropic, anisotropic diagonal, azimuthal
+with level spacing, off-diagonal xy rate) are kept as oracles for it.  All
+time derivatives are closed-form; points where |det M| falls below
+POLE_THRESHOLD count as poles rather than being extrapolated."""
 
 from __future__ import annotations
 
@@ -28,16 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynmap import MapFamily, diagonal_components, diagonal_derivatives, map_at, map_derivative
+from .dynmap import (MapFamily, _cross_matrix, diagonal_components, diagonal_derivatives,
+                     map_matrices)
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
 #: ``_require`` and ``extract_generator`` raise PoleError when |value| < it
 POLE_THRESHOLD = 1e-8
-
-_Z_CROSS = np.array([[0.0, -1.0, 0.0],
-                     [1.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0]])
 
 
 class PoleError(ValueError):
@@ -51,13 +50,16 @@ class PoleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LindbladGenerator:
-    """Effective level spacing plus Kossakowski matrix at one time."""
+    """Level-spacing vector plus Kossakowski matrix at one time."""
 
-    hz: float
+    h: np.ndarray
     kossakowski: np.ndarray
     time: float
 
     def __post_init__(self):
+        h = np.array(self.h, dtype=float).reshape(3)
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
         k = np.array(self.kossakowski, dtype=float).reshape(3, 3)
         if np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
             raise ValueError("Kossakowski matrix must be symmetric")
@@ -74,7 +76,7 @@ class LindbladGenerator:
     def bloch_generator(self) -> np.ndarray:
         """The 3x3 generator acting on Bloch vectors, drdt = G r."""
         k = self.kossakowski
-        return self.hz * _Z_CROSS + k - np.trace(k) * np.eye(3)
+        return _cross_matrix(self.h) + k - np.trace(k) * np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +126,7 @@ def azimuthal_generator(fam: MapFamily, t: float) -> LindbladGenerator:
     """Generator for azimuthally symmetric geometries (f_x = f_y).
 
     The broken xy-reflection shows up as a first z-moment, which adds the
-    effective level spacing hz and reshapes gamma_z; gamma_x = gamma_y stay
+    effective level spacing h_z and reshapes gamma_z; gamma_x = gamma_y stay
     locked to f_z.
     """
     f = diagonal_components(fam, t)
@@ -132,14 +134,14 @@ def azimuthal_generator(fam: MapFamily, t: float) -> LindbladGenerator:
     if abs(f[0] - f[1]) > 1e-10 * max(1.0, abs(f[0])):
         raise ValueError("azimuthal closed form requires equal x/y second moments")
     nz = float(fam.moments.first[2])
-    s = float(fam.expectations.sin_t(t))
-    ds = float(fam.expectations.dsin_t(t))
+    s = float(fam.ensemble.radial.sin_expectation(t))
+    ds = float(fam.ensemble.radial.dsin_expectation(t))
     _require(f[2], t, "f_z")
     d = _require(f[0] * f[0] + nz * nz * s * s, t, "level-spacing denominator")
     gx = -df[2] / (2.0 * f[2])
     hz = nz * (f[0] * ds - df[0] * s) / d
     gz = -f[0] * df[0] / d - gx - nz * nz * s * ds / d
-    return LindbladGenerator(hz=hz, kossakowski=np.diag([gx, gx, gz]), time=float(t))
+    return LindbladGenerator(h=[0.0, 0.0, hz], kossakowski=np.diag([gx, gx, gz]), time=float(t))
 
 
 def offdiagonal_rate(fam: MapFamily, t: float) -> float:
@@ -151,39 +153,49 @@ def offdiagonal_rate(fam: MapFamily, t: float) -> float:
     f = diagonal_components(fam, t)
     df = diagonal_derivatives(fam, t)
     nz = float(fam.moments.first[2])
-    s = float(fam.expectations.sin_t(t))
-    ds = float(fam.expectations.dsin_t(t))
+    s = float(fam.ensemble.radial.sin_expectation(t))
+    ds = float(fam.ensemble.radial.dsin_expectation(t))
     d = _require(f[0] * f[1] + nz * nz * s * s, t, "off-diagonal denominator")
     return nz * ((df[0] - df[1]) * s - (f[0] - f[1]) * ds) / (2.0 * d)
+
+
+def _split(m, dm):
+    """Level-spacing vectors h and Kossakowski matrices K of L = Mdot M^-1 (stacked)."""
+    ell = dm @ np.linalg.inv(m)
+    ell_t = np.swapaxes(ell, -1, -2)
+    sym = 0.5 * (ell + ell_t)
+    anti = 0.5 * (ell - ell_t)
+    h = np.stack([anti[..., 2, 1], anti[..., 0, 2], anti[..., 1, 0]], axis=-1)
+    k = sym - 0.5 * np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+    return h, k
 
 
 def extract_generator(fam: MapFamily, t: float) -> LindbladGenerator:
     """General route: L = Mdot M^-1, split into level spacing and Kossakowski matrix.
 
-    Works for every symmetry class (it is the defining construction); the
-    closed-form routes above are its per-class reductions.  Requires the
-    precession axis to be z, which holds whenever the first moments point
-    along z (all built-ins).
+    Works for every symmetry class and frame (it is the defining
+    construction); the closed-form routes above are its per-class reductions.
     """
-    m = map_at(fam, t).m
+    m, dm = map_matrices(fam, float(t), derivative=True)
     det = np.linalg.det(m)
     if abs(det) < POLE_THRESHOLD:
         raise PoleError(f"map not invertible at t={t!r} (|det|={abs(det):.3e})",
                         time=t, denominator=det)
-    ell = map_derivative(fam, t) @ np.linalg.inv(m)
-    sym = 0.5 * (ell + ell.T)
-    anti = 0.5 * (ell - ell.T)
-    h = np.array([anti[2, 1], anti[0, 2], anti[1, 0]])
-    scale = max(1.0, abs(h[2]))
-    if max(abs(h[0]), abs(h[1])) > 1e-10 * scale:
-        raise ValueError("precession axis is not z; generator form unsupported "
-                         "(first moments must point along z)")
-    k = sym - 0.5 * np.trace(sym) * np.eye(3)
-    return LindbladGenerator(hz=float(h[2]), kossakowski=k, time=float(t))
+    h, k = _split(m, dm)
+    return LindbladGenerator(h=h, kossakowski=k, time=float(t))
+
+
+def _generators(fam: MapFamily, grid: np.ndarray):
+    """Regular-point mask (|det M| >= POLE_THRESHOLD) and the split at those points."""
+    m, dm = map_matrices(fam, grid, derivative=True)
+    ok = np.abs(np.linalg.det(m)) >= POLE_THRESHOLD
+    h, k = _split(m[ok], dm[ok])
+    return ok, h, k
 
 
 def _denominators(fam: MapFamily):
-    """Named denominator functions whose roots make the generator singular."""
+    """Named denominators of the axis-aligned closed forms; their roots are the
+    candidate generator singularities when the moments are axis-aligned."""
     nz = float(fam.moments.first[2])
 
     def fx(t):
@@ -197,10 +209,19 @@ def _denominators(fam: MapFamily):
 
     def dxy(t):
         f = diagonal_components(fam, t)
-        s = np.asarray(fam.expectations.sin_t(t))
+        s = np.asarray(fam.ensemble.radial.sin_expectation(t))
         return f[..., 0] * f[..., 1] + nz * nz * s * s
 
     return {"fx": fx, "fy": fy, "fz": fz, "D": dxy}
+
+
+def _determinant(fam: MapFamily, c, s, f):
+    """det M = prod_j f_j + s^2 n^T P n for the symmetric part P = c (xi I - S) + S / xi,
+    from det(P + s [n]_x) = det P + s^2 n^T P n; no 3x3 stacks."""
+    n = fam.moments.first
+    nsn = float(n @ fam.moments.second @ n)
+    xi = fam.xi
+    return np.prod(f, axis=-1) + s * s * (c * (xi * float(n @ n) - nsn) + nsn / xi)
 
 
 def _bisect(func, lo, hi, iterations=100):
@@ -219,39 +240,57 @@ def _bisect(func, lo, hi, iterations=100):
     return 0.5 * (lo + hi)
 
 
+def _sign_change_roots(func, grid, values):
+    """Bisected roots of func in every grid cell where its sampled values flip sign."""
+    signs = np.sign(values)
+    flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0))[0]
+    return [_bisect(func, grid[i], grid[i + 1]) for i in flips]
+
+
 def pole_scan(fam: MapFamily, window, denominators: Sequence[str] | None = None):
     """Generator singularities in a time window, by sign-change bracketing + bisection.
 
-    By default every candidate denominator root (f_x, f_y, f_z, D) is located
-    and then kept only where the map determinant f_z * D actually vanishes:
-    with a first z-moment present, an isolated f_x or f_y root leaves the map
-    invertible, since D = <n_z>^2 <sin omega t>^2 there, which vanishes only if
-    <sin omega t> vanishes too; in the reflection-symmetric case D = f_x^2
-    only touches zero and the f_x scan is what catches the pole.  Passing an
-    explicit ``denominators`` tuple returns the raw roots of those functions
+    By default the candidates are the sign changes of det M and of the three
+    eigen-branches f_j of the symmetric part of M, and a candidate is kept
+    only where |det M| < POLE_THRESHOLD.  The branches catch the double roots
+    of det M (f_x = f_y with no first moment, as in bagel and dumbbell), where
+    det M touches zero without changing sign; a branch root where the first
+    moment keeps the map invertible (det M = s^2 n^T P n there) is dropped.
+    Passing an explicit ``denominators`` tuple of "fx", "fy", "fz", "D"
+    returns the raw roots of those axis-aligned closed-form denominators
     instead.  Sorted, deduplicated; empty when the generator is regular.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive length")
-    explicit = denominators is not None
-    names = denominators if explicit else ("fx", "fy", "fz", "D")
     omega_c = getattr(fam.ensemble.radial, "omega_c", 1.0)
     n = int(min(200001, max(2001, 400 * (hi - lo) * omega_c)))
     grid = np.linspace(lo, hi, n)
-    funcs = _denominators(fam)
     roots = []
-    for name in names:
-        func = funcs[name]
-        vals = np.asarray(func(grid))
-        signs = np.sign(vals)
-        flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0))[0]
-        for i in flips:
-            roots.append(_bisect(lambda t, f=func: float(f(t)), grid[i], grid[i + 1]))
-    if not explicit:
-        fz, dxy = funcs["fz"], funcs["D"]
-        roots = [r for r in roots
-                 if min(abs(float(fz(r))), abs(float(dxy(r)))) < 1e-9]
+    if denominators is not None:
+        funcs = _denominators(fam)
+        for name in denominators:
+            func = funcs[name]
+            roots += _sign_change_roots(lambda t, f=func: float(f(t)), grid, func(grid))
+    else:
+        radial = fam.ensemble.radial
+        sigma = np.linalg.eigvalsh(fam.moments.second)
+
+        def branches(c):
+            # eigenvalues f_j of the symmetric part of M; c = <cos omega t>
+            return np.asarray(c)[..., None] * (fam.xi - sigma) + sigma / fam.xi
+
+        def det_at(t):
+            c = radial.cos_expectation(t)
+            return float(_determinant(fam, c, radial.sin_expectation(t), branches(c)))
+
+        c, s = np.asarray(radial.cos_expectation(grid)), np.asarray(radial.sin_expectation(grid))
+        f = branches(c)
+        roots += _sign_change_roots(det_at, grid, _determinant(fam, c, s, f))
+        for j in range(3):
+            roots += _sign_change_roots(
+                lambda t, j=j: float(branches(radial.cos_expectation(t))[j]), grid, f[:, j])
+        roots = [r for r in roots if abs(det_at(r)) < POLE_THRESHOLD]
     roots.sort()
     merged = []
     for r in roots:
@@ -261,22 +300,16 @@ def pole_scan(fam: MapFamily, window, denominators: Sequence[str] | None = None)
 
 
 def rate_trajectory(fam: MapFamily, grid) -> RateTrajectory:
-    """Evaluate the extracted generator on a grid; NaN inside pole windows."""
+    """Evaluate the generator on a whole grid at once; NaN inside pole windows."""
     grid = np.asarray(grid, dtype=float)
-    names = ("gamma_x", "gamma_y", "gamma_z", "gamma_xy", "omega_bar", "kossakowski_min")
-    rates = {name: np.full(grid.shape, np.nan) for name in names}
-    for i, t in enumerate(grid):
-        try:
-            gen = extract_generator(fam, float(t))
-        except PoleError:
-            continue
-        k = gen.kossakowski
-        rates["gamma_x"][i] = k[0, 0]
-        rates["gamma_y"][i] = k[1, 1]
-        rates["gamma_z"][i] = k[2, 2]
-        rates["gamma_xy"][i] = k[0, 1]
-        rates["omega_bar"][i] = gen.hz
-        rates["kossakowski_min"][i] = gen.kossakowski_eigenvalues()[0]
+    ok, h, k = _generators(fam, grid)
+    values = {"gamma_x": k[:, 0, 0], "gamma_y": k[:, 1, 1], "gamma_z": k[:, 2, 2],
+              "gamma_xy": k[:, 0, 1], "omega_bar": h[:, 2],
+              "kossakowski_min": np.linalg.eigvalsh(k)[:, 0]}
+    rates = {}
+    for name, value in values.items():
+        rates[name] = np.full(grid.shape, np.nan)
+        rates[name][ok] = value
     poles = pole_scan(fam, (float(grid[0]), float(grid[-1]))) if grid.size > 1 else []
     return RateTrajectory(grid=grid, rates=rates, poles=poles)
 
@@ -320,18 +353,18 @@ def short_time_positive_window(fam: MapFamily, t_probe=None) -> float:
     """First sign change of the smallest Kossakowski eigenvalue.
 
     The eigenvalues rise to positive values at the beginning; the returned
-    time bounds the window on which the matrix stays positive semidefinite.
+    time bounds the window on which the matrix stays positive semidefinite
+    (the last probe time before a negative eigenvalue or a pole, 0.0 if the
+    first probe already fails).
     """
     omega_c = getattr(fam.ensemble.radial, "omega_c", 1.0)
     if t_probe is None:
         t_probe = np.concatenate([np.geomspace(1e-6, 0.1, 60), np.linspace(0.1, 8.0, 1600)]) / omega_c
-    prev_t = None
-    for t in t_probe:
-        try:
-            lam = extract_generator(fam, float(t)).kossakowski_eigenvalues()[0]
-        except PoleError:
-            return prev_t if prev_t is not None else 0.0
-        if lam < 0.0:
-            return prev_t if prev_t is not None else 0.0
-        prev_t = t
-    return prev_t
+    t_probe = np.asarray(t_probe, dtype=float)
+    ok, _, k = _generators(fam, t_probe)
+    lam = np.full(t_probe.shape, np.nan)
+    lam[ok] = np.linalg.eigvalsh(k)[:, 0]
+    bad = np.flatnonzero(~(lam >= 0.0))
+    if bad.size == 0:
+        return t_probe[-1]
+    return t_probe[bad[0] - 1] if bad[0] > 0 else 0.0

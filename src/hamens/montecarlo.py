@@ -3,8 +3,7 @@
 Every estimate is assembled from fixed-size chunks, each driven by its own
 counter-based random stream (Philox keyed by (seed, chunk index)), and the
 chunk partials are reduced in index order.  The result is therefore
-bit-identical for a given SamplerConfig regardless of how many worker
-threads evaluate the chunks.
+bit-identical for a given SamplerConfig.
 
 Samplers invert exact CDFs (closed form or bisection); no rejection steps,
 so the draw count per sample is fixed.
@@ -13,7 +12,6 @@ so the draw count per sample is fixed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,11 +194,11 @@ def _chunk_partial(ensemble, r0, t, seed, index, count):
 
 
 def mc_average(ensemble: SeparableEnsemble, rho0: DensityMatrix, t: float,
-               cfg: SamplerConfig, workers: int = 1) -> MCEstimate:
+               cfg: SamplerConfig) -> MCEstimate:
     """Ensemble average of the evolved Bloch vector over cfg.n_samples draws.
 
-    Deterministic for a fixed config: the chunk decomposition, per-chunk
-    streams, and reduction order do not depend on ``workers``.
+    Deterministic for a fixed config: chunk i draws from the stream keyed by
+    (seed, i), and the chunk partials are summed in index order.
     """
     n = cfg.n_samples
     r0 = rho0.bloch
@@ -208,21 +206,10 @@ def mc_average(ensemble: SeparableEnsemble, rho0: DensityMatrix, t: float,
         # every realization is the identity; the estimator is r0 with no spread
         return MCEstimate(bloch_mean=r0.copy(), bloch_stderr=np.zeros(3), n=n)
     counts = [min(cfg.chunk, n - i * cfg.chunk) for i in range((n + cfg.chunk - 1) // cfg.chunk)]
-
-    def job(args):
-        index, count = args
-        return _chunk_partial(ensemble, r0, float(t), cfg.seed, index, count)
-
-    jobs = list(enumerate(counts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, jobs))
-    else:
-        partials = [job(j) for j in jobs]
-
     total = np.zeros(3)
     total_sq = np.zeros(3)
-    for part_sum, part_sq in partials:
+    for index, count in enumerate(counts):
+        part_sum, part_sq = _chunk_partial(ensemble, r0, float(t), cfg.seed, index, count)
         total += part_sum
         total_sq += part_sq
     mean = total / n

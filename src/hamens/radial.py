@@ -34,6 +34,11 @@ _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _NORMALIZATION_CHECKED: set = set()
 
 
+# libm pow on arrays as on scalars: `**` on float arrays takes a SIMD power
+# that rounds differently, so a batched grid would not match pointwise calls
+_pow = np.float_power
+
+
 def _scalarize(t, value):
     return float(value) if np.ndim(t) == 0 else value
 
@@ -193,22 +198,22 @@ class ExponentialCutoffRadial(RadialModel):
     def cos_expectation(self, t):
         x = self.omega_c * np.asarray(t, dtype=float)
         u = x * x
-        return _scalarize(t, (1.0 - 6.0 * u + u * u) / (1.0 + u) ** 4)
+        return _scalarize(t, (1.0 - 6.0 * u + u * u) / _pow(1.0 + u, 4))
 
     def sin_expectation(self, t):
         x = self.omega_c * np.asarray(t, dtype=float)
         u = x * x
-        return _scalarize(t, 4.0 * x * (1.0 - u) / (1.0 + u) ** 4)
+        return _scalarize(t, 4.0 * x * (1.0 - u) / _pow(1.0 + u, 4))
 
     def dcos_expectation(self, t):
         x = self.omega_c * np.asarray(t, dtype=float)
         u = x * x
-        return _scalarize(t, -4.0 * self.omega_c * x * (5.0 - 10.0 * u + u * u) / (1.0 + u) ** 5)
+        return _scalarize(t, -4.0 * self.omega_c * x * (5.0 - 10.0 * u + u * u) / _pow(1.0 + u, 5))
 
     def dsin_expectation(self, t):
         x = self.omega_c * np.asarray(t, dtype=float)
         u = x * x
-        return _scalarize(t, 4.0 * self.omega_c * (5.0 * u * u - 10.0 * u + 1.0) / (1.0 + u) ** 5)
+        return _scalarize(t, 4.0 * self.omega_c * (5.0 * u * u - 10.0 * u + 1.0) / _pow(1.0 + u, 5))
 
     def mean_omega(self):
         return 4.0 * self.omega_c

@@ -84,6 +84,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         r = np.array(self.bloch, dtype=float).reshape(3)
+        if not np.all(np.isfinite(r)):
+            raise ValueError(f"Bloch vector components must be finite, got {r}")
         if np.linalg.norm(r) > 1.0 + 1e-12:
             raise ValueError(f"Bloch vector outside the unit ball: |r|={np.linalg.norm(r)}")
         r.setflags(write=False)

@@ -84,13 +84,13 @@ def check_radial_quadrature(omega_c: float = 1.0, threshold: float = 1e-9):
 
 
 def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
-                    threshold: float = 4.0, workers: int = 1):
+                    threshold: float = 4.0):
     """Componentwise |MC - exact| in units of the MC standard error."""
     worst = 0.0
     times = np.array([0.2, 1.0, 3.0, 8.0]) / omega_c
     for _, fam in builtin_families(omega_c, asymmetry):
         for t in times:
-            est = mc_average(fam.ensemble, rho0, t, cfg, workers=workers)
+            est = mc_average(fam.ensemble, rho0, t, cfg)
             exact = map_at(fam, t).apply(rho0).bloch
             stderr = np.maximum(est.bloch_stderr, 1e-300)
             worst = max(worst, float(np.max(np.abs(est.bloch_mean - exact) / stderr)))
@@ -111,13 +111,13 @@ def check_extraction(omega_c: float = 1.0, asymmetry: float = 0.3, threshold: fl
             k = gen.kossakowski
             if angular == "sphere":
                 rate = isotropic_rate(fam.ensemble.radial, t)
-                diff = max(np.max(np.abs(k - rate * np.eye(3))), abs(gen.hz))
+                diff = max(np.max(np.abs(k - rate * np.eye(3))), np.max(np.abs(gen.h)))
             elif angular in ("bagel", "dumbbell"):
                 rates = anisotropic_rates(fam, t)
-                diff = max(np.max(np.abs(k - np.diag(rates))), abs(gen.hz))
+                diff = max(np.max(np.abs(k - np.diag(rates))), np.max(np.abs(gen.h)))
             elif angular == "cardioid":
                 ref = azimuthal_generator(fam, t)
-                diff = max(np.max(np.abs(k - ref.kossakowski)), abs(gen.hz - ref.hz))
+                diff = max(np.max(np.abs(k - ref.kossakowski)), np.max(np.abs(gen.h - ref.h)))
             else:  # kneaded: the off-diagonal rate is the closed form on record
                 diff = abs(k[0, 1] - offdiagonal_rate(fam, t))
             worst = max(worst, float(diff))
@@ -140,11 +140,11 @@ def check_roundtrip(rho0, omega_c: float = 1.0, asymmetry: float = 0.3,
     return [_result("integrator-roundtrip-trace-distance", worst, threshold)]
 
 
-def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3, workers: int = 1):
+def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3):
     """Run all four suites; returns the combined list of results."""
     results = []
     results += check_radial_quadrature(omega_c)
-    results += check_mc_vs_map(rho0, cfg, omega_c, asymmetry, workers=workers)
+    results += check_mc_vs_map(rho0, cfg, omega_c, asymmetry)
     results += check_extraction(omega_c, asymmetry)
     results += check_roundtrip(rho0, omega_c, asymmetry)
     return results

@@ -1,0 +1,29 @@
+"""Inputs shared by several test modules."""
+
+import math
+
+import numpy as np
+import pytest
+
+from hamens import TabulatedAngular
+
+#: polar angle and azimuth of the tilted symmetry axis m
+TILT = (0.7, 0.4)
+
+
+@pytest.fixture(scope="session")
+def tilted_table():
+    """37 x 49 table of 3 (n.m)^2 (1 + n.m/2) / 4pi about a tilted axis m, scaled to xi = 1.
+
+    Its first moment is tilted and its second-moment matrix has off-diagonal
+    entries, so no axis-aligned shortcut applies.
+    """
+    theta = np.linspace(0.0, math.pi, 37)
+    phi = np.linspace(0.0, 2.0 * math.pi, 49)
+    m = np.array([math.sin(TILT[0]) * math.cos(TILT[1]),
+                  math.sin(TILT[0]) * math.sin(TILT[1]),
+                  math.cos(TILT[0])])
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    nm = np.sin(th) * np.cos(ph) * m[0] + np.sin(th) * np.sin(ph) * m[1] + np.cos(th) * m[2]
+    values = 3.0 * nm * nm * (1.0 + 0.5 * nm) / (4.0 * math.pi)
+    return TabulatedAngular(theta, phi, values / TabulatedAngular(theta, phi, values).xi())

@@ -1,4 +1,4 @@
-"""Angular geometries: moment values, quadrature oracle, principal frame."""
+"""Angular geometries: moment values, quadrature oracle, tabulated tables."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     KneadedCardioidAngular, SphereAngular, TabulatedAngular,
-                    directional_moments, directional_moments_quadrature, principal_frame)
+                    directional_moments, directional_moments_quadrature)
 
 BUILTINS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
             KneadedCardioidAngular(0.3)]
@@ -83,71 +83,6 @@ def test_directional_moments_validation():
     with pytest.raises(ValueError):
         DirectionalMoments(np.array([2.0, 0, 0]), np.eye(3) / 3)
 
-
-def test_principal_frame_identity_on_sorted_diagonal():
-    m = directional_moments(BagelAngular())
-    u, rotated = principal_frame(m)
-    assert np.allclose(u, np.eye(3), atol=1e-14)
-    assert np.allclose(rotated.second, m.second, atol=1e-14)
-
-
-def test_principal_frame_sorts_permuted_axes():
-    # bagel moments with x and z swapped: expect the permutation back
-    m = DirectionalMoments(np.zeros(3), np.diag([1 / 4, 3 / 8, 3 / 8]))
-    u, rotated = principal_frame(m)
-    assert np.allclose(np.abs(u), np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0.0]]), atol=1e-14)
-    assert np.allclose(np.diag(rotated.second), [3 / 8, 3 / 8, 1 / 4])
-    assert np.linalg.det(u) == pytest.approx(1.0)
-
-
-def _jacobi_eigenvalues(a, sweeps=30):
-    # independent Jacobi-rotation eigenvalue oracle
-    a = np.array(a, dtype=float)
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(2):
-            for q in range(p + 1, 3):
-                off = max(off, abs(a[p, q]))
-                if abs(a[p, q]) < 1e-15:
-                    continue
-                theta = 0.5 * math.atan2(2 * a[p, q], a[q, q] - a[p, p])
-                c, s = math.cos(theta), math.sin(theta)
-                rot = np.eye(3)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off < 1e-15:
-            break
-    return np.sort(np.diag(a))[::-1]
-
-
-def test_principal_frame_random_psd():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        b = rng.normal(size=(3, 3))
-        sec = b @ b.T
-        sec /= np.trace(sec)
-        m = DirectionalMoments(np.zeros(3), sec)
-        u, rotated = principal_frame(m)
-        assert np.max(np.abs(u.T @ sec @ u - np.diag(np.diag(u.T @ sec @ u)))) < 1e-12
-        assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
-        diag = np.diag(rotated.second)
-        assert np.all(np.diff(diag) <= 1e-12)
-        assert np.allclose(diag, _jacobi_eigenvalues(sec), atol=1e-12)
-
-
-def test_principal_frame_co_rotates_first_moments():
-    rng = np.random.default_rng(11)
-    b = rng.normal(size=(3, 3))
-    sec = b @ b.T
-    sec /= np.trace(sec)
-    first = np.array([0.05, -0.1, 0.2])
-    u, rotated = principal_frame(DirectionalMoments(first, sec))
-    assert np.allclose(rotated.first, u.T @ first, atol=1e-14)
-    # rotating a direction sample the same way preserves the quadratic form
-    v = rng.normal(size=3)
-    assert v @ sec @ v == pytest.approx((u.T @ v) @ rotated.second @ (u.T @ v), rel=1e-10)
 
 
 def cardioid_table(n_theta=241, n_phi=121):

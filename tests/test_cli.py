@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +165,29 @@ def test_rates_kneaded_gaussian_pole_flags(tmp_path):
     assert len(comments[0].split()[2:]) == 2
 
 
+def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
+    from hamens.dynmap import map_at
+    from hamens.generator import POLE_THRESHOLD
+    th, ph = np.meshgrid(tilted_table.theta, tilted_table.phi, indexing="ij")
+    rows = zip(th.ravel(), ph.ravel(), tilted_table.values.ravel())
+    (tmp_path / "tilted.csv").write_text(
+        "theta,phi,Theta\n" + "".join(f"{a:.17g},{b:.17g},{v:.17g}\n" for a, b, v in rows))
+    body = SPHERE_CFG.replace("kind = sphere", "kind = tabulated\ntable = tilted.csv").replace(
+        "theta0 = 0", "bloch = 0.3 -0.5 0.6").replace("t_max = 10", "t_max = 4")
+    cfg = write_config(tmp_path, body)
+    run = load_config(cfg)
+    fam = run.build_family()
+    regular = np.array([abs(np.linalg.det(map_at(fam, t).m)) >= POLE_THRESHOLD
+                        for t in run.time_grid()])
+    for command in ("simulate", "rates"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        values = np.array([[float(v) for v in row] for row in rows])
+        assert values.shape[0] == 201
+        assert np.all(np.isfinite(values[regular]))
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -271,6 +297,22 @@ def test_missing_config_file(tmp_path):
     assert main(["moments", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+@pytest.mark.parametrize("old,new", [
+    ("theta0 = 0", "bloch = nan 0 0"),
+    ("theta0 = 0", "bloch = 1 1 1"),
+    ("t_max = 10", "t_max = inf"),
+    ("omega_c = 1.0", "omega_c = inf"),
+])
+def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
+    cfg = write_config(tmp_path, SPHERE_CFG.replace(old, new))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_parse_angle_forms():
     assert parse_angle("0.25pi") == pytest.approx(math.pi / 4)
     assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
@@ -297,3 +339,16 @@ def test_checked_in_figure_configs_load():
     assert len(paths) >= 20
     for path in paths:
         load_config(path)
+
+
+def test_python_dash_m_writes_the_same_bytes_as_main(tmp_path, capsys):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    config = os.path.join(root, "configs", "fig6_cardioid_gaussian.cfg")
+    assert main(["simulate", "--config", config]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hamens", "simulate", "--config", config],
+                          capture_output=True, env=env, check=True)
+    assert proc.stdout == expected.encode()

@@ -8,7 +8,8 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
                     SeparableEnsemble, SphereAngular, apply, choi_check, choi_matrix,
-                    f_component, map_at, mc_average, pole_scan, purity_trajectory)
+                    directional_moments, f_component, map_at, mc_average, pole_scan,
+                    purity_trajectory)
 from hamens.dynmap import bloch_trajectory
 from hamens.validation import builtin_families
 
@@ -210,6 +211,15 @@ def test_map_agrees_with_monte_carlo():
         assert np.max(z) < 3.0
 
 
-def test_map_lab_frame_requires_known_name():
-    with pytest.raises(ValueError):
-        map_at(SPHERE_G, 1.0, frame="galactic")
+
+def test_map_agrees_with_monte_carlo_on_tilted_table(tilted_table):
+    # tilted first moment and off-diagonal second moments, in the lab frame
+    ens = SeparableEnsemble(GaussianRadial(), tilted_table)
+    fam = MapFamily.from_ensemble(ens)
+    second = directional_moments(tilted_table).second
+    assert np.max(np.abs(second - np.diag(np.diag(second)))) > 0.05
+    rho0 = DensityMatrix([0.3, -0.5, 0.6])
+    est = mc_average(ens, rho0, 1.0, SamplerConfig(seed=5, n_samples=40000))
+    exact = bloch_trajectory(fam, rho0, [1.0])[0]
+    assert np.allclose(exact, map_at(fam, 1.0).apply(rho0).bloch, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(est.bloch_mean - exact) / est.bloch_stderr) < 4.0

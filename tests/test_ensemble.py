@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hamens import (CardioidAngular, GaussianRadial, MapFamily, RadialExpectations,
+from hamens import (CardioidAngular, GaussianRadial, MapFamily,
                     SeparableEnsemble, SphereAngular, TabulatedAngular, TabulatedRadial,
                     load_angular_table, load_radial_table)
 
@@ -42,13 +42,6 @@ def test_split_normalization_accepted_and_flagged():
     # the map is still the identity at t = 0: cos expectation starts at 1/xi
     from hamens import map_at
     assert np.allclose(map_at(fam, 0.0).m, np.eye(3), atol=1e-9)
-
-
-def test_radial_expectations_bundle():
-    r = GaussianRadial(1.0)
-    exp = RadialExpectations.from_radial(r)
-    assert exp.cos_t(0.0) == pytest.approx(1.0)
-    assert exp.dsin_t(0.0) == pytest.approx(r.mean_omega())
 
 
 def test_load_radial_table(tmp_path):

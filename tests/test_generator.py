@@ -13,7 +13,6 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     offdiagonal_rate, pole_scan, rate_trajectory,
                     short_time_positive_window)
 from hamens.dynmap import f_component, map_at
-from hamens.ensemble import RadialExpectations
 from hamens.generator import POLE_THRESHOLD
 from hamens.radial import RadialModel
 from hamens.validation import builtin_families, pole_free_times
@@ -136,14 +135,14 @@ def test_bagel_reciprocal_square_amplitude_ordering():
 
 
 def test_azimuthal_generator_initial_level_spacing():
-    # hz(0+) = <n_z> <omega>; the mean frequency is the quadrature oracle
+    # h_z(0+) = <n_z> <omega>; the mean frequency is the quadrature oracle
     for radial_cls, mean in [(GaussianRadial, 2 * math.sqrt(2 / math.pi)),
                              (ExponentialCutoffRadial, 4.0)]:
         fam = family(radial_cls(1.0), CardioidAngular())
         gen = azimuthal_generator(fam, 1e-12)
         oracle = RadialModel.mean_omega(fam.ensemble.radial)
-        assert gen.hz == pytest.approx(-mean / 3, rel=1e-9)
-        assert gen.hz == pytest.approx(-oracle / 3, rel=1e-9)
+        assert gen.h[2] == pytest.approx(-mean / 3, rel=1e-9)
+        assert gen.h[2] == pytest.approx(-oracle / 3, rel=1e-9)
 
 
 def test_azimuthal_generator_reduces_when_reflection_symmetric():
@@ -151,7 +150,7 @@ def test_azimuthal_generator_reduces_when_reflection_symmetric():
         fam = family(GaussianRadial(), angular)
         for t in (0.4, 1.0):
             gen = azimuthal_generator(fam, t)
-            assert gen.hz == 0.0
+            assert np.all(gen.h == 0.0)
             assert np.allclose(np.diag(gen.kossakowski), anisotropic_rates(fam, t), atol=1e-12)
 
 
@@ -199,13 +198,13 @@ def test_extract_generator_matches_closed_forms_everywhere():
             assert np.max(np.abs(k - k.T)) < 1e-12
             if angular == "sphere":
                 assert np.allclose(k, isotropic_rate(fam.ensemble.radial, t) * np.eye(3), atol=1e-8)
-                assert gen.hz == pytest.approx(0.0, abs=1e-10)
+                assert np.allclose(gen.h, 0.0, atol=1e-10)
             elif angular in ("bagel", "dumbbell"):
                 assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-8)
             elif angular == "cardioid":
                 ref = azimuthal_generator(fam, t)
                 assert np.allclose(k, ref.kossakowski, atol=1e-8)
-                assert gen.hz == pytest.approx(ref.hz, abs=1e-8)
+                assert np.allclose(gen.h, ref.h, atol=1e-8)
             else:
                 assert k[0, 1] == pytest.approx(offdiagonal_rate(fam, t), abs=1e-8)
 
@@ -229,18 +228,17 @@ def test_reduction_kneaded_to_cardioid():
         g_eps = extract_generator(fam_eps, t)
         g_card = extract_generator(fam_card, t)
         assert np.max(np.abs(g_eps.kossakowski - g_card.kossakowski)) < 1e-4
-        assert abs(g_eps.hz - g_card.hz) < 1e-4
+        assert np.max(np.abs(g_eps.h - g_card.h)) < 1e-4
 
 
 def test_reduction_zeroed_first_moment_gives_diagonal_rates():
     # cardioid second moments with the first moment forced to zero
     base = family(GaussianRadial(), CardioidAngular())
     fam = MapFamily(ensemble=base.ensemble,
-                    moments=DirectionalMoments(np.zeros(3), base.moments.second),
-                    expectations=RadialExpectations.from_radial(base.ensemble.radial))
+                    moments=DirectionalMoments(np.zeros(3), base.moments.second))
     for t in (0.3, 1.2):
         gen = extract_generator(fam, t)
-        assert gen.hz == 0.0
+        assert np.all(gen.h == 0.0)
         assert np.allclose(gen.kossakowski, np.diag(anisotropic_rates(fam, t)), atol=1e-12)
         # balanced moments: this is the fully symmetric rate again
         assert np.allclose(np.diag(gen.kossakowski),
@@ -252,8 +250,7 @@ def test_reduction_nearly_equal_moments_to_isotropic():
     base = family(GaussianRadial(), SphereAngular())
     second = np.diag([1 / 3 + eps, 1 / 3 - eps, 1 / 3])
     fam = MapFamily(ensemble=base.ensemble,
-                    moments=DirectionalMoments(np.zeros(3), second),
-                    expectations=RadialExpectations.from_radial(base.ensemble.radial))
+                    moments=DirectionalMoments(np.zeros(3), second))
     for t in (0.4, 1.0):
         rates = anisotropic_rates(fam, t)
         assert np.max(np.abs(rates - isotropic_rate(base.ensemble.radial, t))) < 1e-4
@@ -267,6 +264,48 @@ def test_map_derivatives_match_finite_differences():
         df = diagonal_derivatives(fam, ts)
         fd = (diagonal_components(fam, ts + h) - diagonal_components(fam, ts - h)) / (2 * h)
         assert np.max(np.abs(df - fd) / np.maximum(np.abs(df), 1e-2)) < 1e-6
+
+
+def _rotation(axis, angle):
+    k = np.cross(np.eye(3), np.asarray(axis, dtype=float) / np.linalg.norm(axis))
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+ROTATION = _rotation([1.0, -2.0, 0.5], 1.1)
+
+
+@pytest.mark.parametrize("angular,n_poles", [(DumbbellAngular(), 2), (CardioidAngular(), 0),
+                                             (KneadedCardioidAngular(0.3), 2)],
+                         ids=["dumbbell", "cardioid", "kneaded"])
+def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
+    # rotating the moments by R must give R M R^T, R K R^T, R h and the same poles
+    fam = family(GaussianRadial(), angular)
+    r = ROTATION
+    rotated = MapFamily(ensemble=fam.ensemble,
+                        moments=DirectionalMoments(r @ fam.moments.first,
+                                                   r @ fam.moments.second @ r.T))
+    second = rotated.moments.second
+    assert max(np.max(np.abs(second - np.diag(np.diag(second)))),
+               np.max(np.abs(rotated.moments.first[:2]))) > 1e-2  # not axis-aligned
+    for t in (0.0, 0.3, 1.1, 2.6, 4.0):
+        assert np.max(np.abs(map_at(rotated, t).m - r @ map_at(fam, t).m @ r.T)) < 1e-14
+
+    poles = pole_scan(fam, (1e-6, 4.0))
+    assert len(poles) == n_poles  # the dumbbell's are double roots of det M (f_x = f_y)
+    poles_rotated = pole_scan(rotated, (1e-6, 4.0))
+    assert len(poles_rotated) == len(poles)
+    assert np.allclose(poles_rotated, poles, rtol=0.0, atol=1e-9)
+
+    grid = np.sort(np.concatenate([np.linspace(0.05, 4.0, 80), poles]))
+    for t in pole_free_times(fam, grid, margin=0.1):
+        gen, gen_r = extract_generator(fam, t), extract_generator(rotated, t)
+        assert np.max(np.abs(gen_r.kossakowski - r @ gen.kossakowski @ r.T)) < 1e-9
+        assert np.max(np.abs(gen_r.h - r @ gen.h)) < 1e-9
+
+    nan_rows = np.isnan(rate_trajectory(fam, grid).rates["gamma_x"])
+    assert nan_rows.sum() >= len(poles)
+    for rates in rate_trajectory(rotated, grid).rates.values():
+        assert np.array_equal(np.isnan(rates), nan_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +391,11 @@ def test_pole_scan_kneaded_ignores_harmless_fy_roots():
     for r in fy_roots:
         assert all(abs(r - p) > 1e-9 for p in true_poles)
         det = np.linalg.det(map_at(fam, r).m)
-        harmless = nz * nz * float(fam.expectations.sin_t(r)) ** 2
+        harmless = nz * nz * float(fam.ensemble.radial.sin_expectation(r)) ** 2
         assert det / f_component(fam, "z", r) == pytest.approx(harmless, rel=1e-9)
         assert abs(det) > POLE_THRESHOLD
         gen = extract_generator(fam, r)
-        assert math.isfinite(gen.hz)
+        assert np.all(np.isfinite(gen.h))
         assert np.all(np.isfinite(gen.kossakowski))
         assert gen.kossakowski[0, 1] == pytest.approx(offdiagonal_rate(fam, r), rel=1e-9)
 
@@ -381,6 +420,27 @@ def test_rate_trajectory_marks_pole_window_and_lists_poles():
         assert not np.isfinite(traj.rates["gamma_x"][i])
     finite = np.isfinite(traj.rates["gamma_x"])
     assert finite.sum() >= 100
+
+
+def test_batched_generator_equals_one_point_route():
+    # the batched split must reproduce extract_generator point by point,
+    # with NaN exactly where it raises PoleError
+    for _, fam in builtin_families():
+        poles = pole_scan(fam, (1e-6, 6.0))
+        grid = np.sort(np.concatenate([np.linspace(0.0, 6.0, 121), poles]))
+        traj = rate_trajectory(fam, grid)
+        for i, t in enumerate(grid):
+            try:
+                gen = extract_generator(fam, t)
+            except PoleError:
+                assert all(np.isnan(v[i]) for v in traj.rates.values())
+                continue
+            k = gen.kossakowski
+            expected = {"gamma_x": k[0, 0], "gamma_y": k[1, 1], "gamma_z": k[2, 2],
+                        "gamma_xy": k[0, 1], "omega_bar": gen.h[2],
+                        "kossakowski_min": gen.kossakowski_eigenvalues()[0]}
+            for name, value in expected.items():
+                assert traj.rates[name][i] == value, (name, t)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +472,22 @@ def test_divisibility_reciprocal_square_alternates():
     assert all(a != b for a, b in zip(labels, labels[1:]))
 
 
+def _positive_window_reference(fam, t_probe):
+    # point-by-point scan: the last probe time before a negative eigenvalue or a pole
+    last = 0.0
+    for t in t_probe:
+        try:
+            if extract_generator(fam, t).kossakowski_eigenvalues()[0] < 0.0:
+                return last
+        except PoleError:
+            return last
+        last = t
+    return last
+
+
 def test_short_time_positive_window_all_pairs():
+    t_probe = np.concatenate([np.geomspace(1e-6, 0.1, 60), np.linspace(0.1, 8.0, 1600)])
     for name, fam in builtin_families():
         t1 = short_time_positive_window(fam)
         assert t1 > 0.3, name
+        assert t1 == _positive_window_reference(fam, t_probe), name

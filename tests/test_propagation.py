@@ -22,7 +22,7 @@ def test_trace_distance_values():
 
 
 def test_zero_generator_keeps_state_constant():
-    still = LindbladGenerator(hz=0.0, kossakowski=np.zeros((3, 3)), time=0.0)
+    still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
     rho0 = DensityMatrix([0.2, -0.5, 0.1])
     traj = integrate_master(lambda t: still, rho0, (0.0, 5.0), t_eval=np.linspace(0, 5, 7))
     assert np.max(np.abs(traj.bloch - rho0.bloch)) < 1e-12
@@ -88,7 +88,7 @@ def test_pole_window_hit_becomes_integration_error():
 
 
 def test_states_accessor():
-    still = LindbladGenerator(hz=0.0, kossakowski=np.zeros((3, 3)), time=0.0)
+    still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
     traj = integrate_master(lambda t: still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
                             t_eval=[0.0, 1.0])
     states = traj.states()
