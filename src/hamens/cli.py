@@ -3,7 +3,9 @@
 Every command reads a configuration file (see `config`) and emits CSV with a
 single header row, '#'-prefixed comment lines, 17-significant-digit floats
 and '\\n' line endings, so output is byte-stable for a fixed configuration.
-Exit codes: 0 success, 1 failed validation check, 2 configuration error.
+Exit codes: 0 success, 1 failed validation check, 2 configuration error or
+any other error the library reports (a ValueError, such as a pole or a bad
+table, or a QuadratureError), printed as one 'error:' line.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .angular import directional_moments, directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
 from .generator import PoleError, offdiagonal_rate, pole_scan, rate_trajectory
+from .quadrature import QuadratureError
 from .validation import run_checks
 
 _MOMENT_ROWS = ("first_x", "first_y", "first_z",
@@ -173,7 +176,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg, args.out, seed=args.seed, samples=args.samples)
         return cmd_scan(cfg, args.out)
-    except ConfigError as err:
+    except (ConfigError, QuadratureError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

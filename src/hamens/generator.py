@@ -241,9 +241,16 @@ def _bisect(func, lo, hi, iterations=100):
 
 
 def _sign_change_roots(func, grid, values):
-    """Bisected roots of func in every grid cell where its sampled values flip sign."""
+    """Bisected roots of func in every grid cell where its sampled values flip sign.
+
+    A cell is bracketed only when both end values are finite and the left one
+    is nonzero (a zero at the right end is a root on the node); a NaN or
+    infinite sample brackets nothing.
+    """
     signs = np.sign(values)
-    flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0))[0]
+    finite = np.isfinite(values)
+    flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0)
+                       & finite[:-1] & finite[1:])[0]
     return [_bisect(func, grid[i], grid[i + 1]) for i in flips]
 
 

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hamens import PoleError, QuadratureError, TabulatedAngular, directional_moments
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
 
@@ -352,3 +353,129 @@ def test_python_dash_m_writes_the_same_bytes_as_main(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "hamens", "simulate", "--config", config],
                           capture_output=True, env=env, check=True)
     assert proc.stdout == expected.encode()
+
+
+# ---------------------------------------------------------------------------
+# library errors and extreme inputs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("error", [
+    QuadratureError("panel refinement stalled after 2000 splits"),
+    PoleError("map not invertible at t=1.0"),
+    np.linalg.LinAlgError("Singular matrix"),
+])
+def test_library_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, error):
+    import hamens.cli as cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "rate_trajectory", fail)
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    assert main(["rates", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: {error}"
+    assert captured.out == ""
+
+
+def test_rates_at_huge_finite_time_ends_quickly(tmp_path):
+    # t_max = 1e300 passes config validation; the pole bracketing used to
+    # bisect every NaN cell, and the Gaussian forms returned inf * 0
+    root = os.path.join(os.path.dirname(__file__), "..")
+    body = SPHERE_CFG.replace("kind = sphere", "kind = bagel").replace("t_max = 10", "t_max = 1e300")
+    cfg = write_config(tmp_path, body)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "hamens", "rates", "--config", cfg],
+                          capture_output=True, env=env, text=True, timeout=60)
+    if proc.returncode == 2:
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    else:
+        assert proc.returncode == 0
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]
+                if not line.startswith("#")]
+        assert len(rows) == 201
+        assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def write_tabulated_inputs(tmp_path):
+    """A 62-row radial table on [0, 3] and a 19 x 25 angular table with a z first
+    moment and diagonal second moments, both seeded and scaled to xi = 1."""
+    rng = np.random.default_rng([20210427, 0])
+    omega = np.linspace(0.0, 3.0, 62)
+    density = (0.5 + rng.random(omega.size)) * np.exp(-(omega / (3.0 * rng.uniform(0.3, 0.5))) ** 2)
+    a, b, pa, pb = omega[:-1], omega[1:], density[:-1], density[1:]
+    slope = (pb - pa) / (b - a)
+    mass = np.sum((pa - slope * a) * (b ** 3 - a ** 3) / 3.0 + slope * (b ** 4 - a ** 4) / 4.0)
+    density = density / mass
+    theta, phi = np.linspace(0.0, math.pi, 19), np.linspace(0.0, 2.0 * math.pi, 25)
+    g = (0.6 + 0.4 * rng.random(theta.size)) * (1.0 - rng.uniform(0.3, 0.9) * np.cos(theta))
+    values = g[:, None] * (1.0 + rng.uniform(0.1, 0.6) * np.cos(2.0 * phi))[None, :]
+    values = values / TabulatedAngular(theta, phi, values).xi()
+    (tmp_path / "radial.csv").write_text(
+        "omega,P\n" + "".join(f"{o:.17g},{p:.17g}\n" for o, p in zip(omega, density)))
+    th, ph = np.meshgrid(theta, phi, indexing="ij")
+    (tmp_path / "aligned.csv").write_text("theta,phi,Theta\n" + "".join(
+        f"{x:.17g},{y:.17g},{v:.17g}\n" for x, y, v in zip(th.ravel(), ph.ravel(), values.ravel())))
+    return omega, density
+
+
+def gauss_legendre_expectations(omega, density, t):
+    """<cos>, <sin> and their t-derivatives by 24-point Gauss-Legendre on pieces
+    of each table segment at most 0.5 rad of omega t wide."""
+    x, w = np.polynomial.legendre.leggauss(24)
+    edges = [np.linspace(a, b, 2 + int(t * (b - a) / 0.5)) for a, b in zip(omega[:-1], omega[1:])]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    nodes = (0.5 * (lo + hi))[:, None] + (0.5 * (hi - lo))[:, None] * x[None, :]
+    weights = (0.5 * (hi - lo))[:, None] * w[None, :] * np.interp(nodes, omega, density) * nodes ** 2
+    c, s = np.cos(nodes * t), np.sin(nodes * t)
+    return (np.sum(weights * c), np.sum(weights * s),
+            -np.sum(weights * nodes * s), np.sum(weights * nodes * c))
+
+
+def test_tabulated_rates_at_long_times(tmp_path):
+    # t_max = 2000 used to end in a QuadratureError traceback with exit 1
+    omega, density = write_tabulated_inputs(tmp_path)
+    cfg = write_config(tmp_path, """
+[radial]
+kind = tabulated
+table = radial.csv
+
+[angular]
+kind = tabulated
+table = aligned.csv
+
+[state]
+bloch = 0.3 -0.5 0.6
+
+[grid]
+t_max = 2000
+n_points = 201
+""")
+    outs = {}
+    for command in ("simulate", "rates"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        outs[command] = np.array(rows, dtype=float)
+        assert outs[command].shape[0] == 201 and np.all(np.isfinite(outs[command]))
+    table = load_config(cfg).build_angular()
+    assert isinstance(table, TabulatedAngular)
+    m = directional_moments(table)
+    n, big_s, xi = m.first, m.second, table.xi()
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    for i in (1, 73, 200):
+        t = outs["rates"][i, 0]
+        c, s, dc, ds = gauss_legendre_expectations(omega, density, t)
+        mt = c * (xi * np.eye(3) - big_s) + big_s / xi + s * cross
+        dmt = dc * (xi * np.eye(3) - big_s) + ds * cross
+        assert np.allclose(outs["simulate"][i, 2:5], mt @ [0.3, -0.5, 0.6], rtol=0, atol=1e-12)
+        ell = dmt @ np.linalg.inv(mt)
+        sym = 0.5 * (ell + ell.T)
+        k = sym - 0.5 * np.trace(sym) * np.eye(3)
+        expected = [k[0, 0], k[1, 1], k[2, 2], k[0, 1], 0.5 * (ell[1, 0] - ell[0, 1])]
+        assert np.allclose(outs["rates"][i, 2:7], expected, rtol=0, atol=1e-12)

@@ -13,7 +13,7 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     offdiagonal_rate, pole_scan, rate_trajectory,
                     short_time_positive_window)
 from hamens.dynmap import f_component, map_at
-from hamens.generator import POLE_THRESHOLD
+from hamens.generator import POLE_THRESHOLD, _sign_change_roots
 from hamens.radial import RadialModel
 from hamens.validation import builtin_families, pole_free_times
 
@@ -311,6 +311,25 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
 # ---------------------------------------------------------------------------
 # poles
 # ---------------------------------------------------------------------------
+
+def test_sign_change_bracketing_skips_non_finite_samples():
+    calls = []
+
+    def func(t):
+        calls.append(t)
+        return 0.55 - t
+
+    grid = np.linspace(0.0, 1.0, 11)
+    assert _sign_change_roots(func, grid, np.full(11, np.nan)) == []
+    assert calls == []
+    # only the finite cell around the true root is bisected
+    values = func(grid)
+    calls.clear()
+    values[[2, 3, 8]] = [np.nan, np.inf, -np.inf]
+    roots = _sign_change_roots(func, grid, values)
+    assert roots == [pytest.approx(0.55, abs=1e-12)]
+    assert all(0.5 <= t <= 0.6 for t in calls)
+
 
 def test_pole_scan_sphere_is_regular():
     for radial in (GaussianRadial(), ExponentialCutoffRadial(), ReciprocalSquareRadial()):

@@ -64,6 +64,28 @@ def test_gaussian_sin_stable_to_large_arguments():
         assert abs(r.cos_expectation(t) - expectation_quadrature(r, np.cos, t)) < 1e-9
 
 
+@pytest.mark.parametrize("x", [1e3, 1e8, 1e154, 1e300])
+def test_gaussian_forms_finite_at_huge_arguments(x):
+    # e^{-x^2/2} terms vanish; <sin> and its derivative follow the Dawson asymptote
+    r = GaussianRadial(1.0)
+    values = [r.cos_expectation(x), r.sin_expectation(x), r.dcos_expectation(x),
+              r.dsin_expectation(x)]
+    assert np.all(np.isfinite(values)) and np.all(np.abs(values) <= 1.0)
+    assert values[0] == 0.0 and values[2] == 0.0
+    u, lead = 1.0 / x, np.sqrt(2.0 / np.pi)
+    assert values[1] == pytest.approx(-lead * (2 * u ** 3 + 12 * u ** 5), rel=1e-9, abs=1e-300)
+    assert values[3] == pytest.approx(lead * (6 * u ** 4 + 60 * u ** 6), rel=1e-9, abs=1e-300)
+    assert np.array_equal(r.sin_expectation(np.array([-x, x])), [-values[1], values[1]])
+
+
+def test_gaussian_asymptote_joins_the_closed_form():
+    from hamens.radial import _GAUSS_FAR
+    r = GaussianRadial(1.0)
+    below, at = np.nextafter(_GAUSS_FAR, 0.0), _GAUSS_FAR
+    assert r.sin_expectation(below) == pytest.approx(r.sin_expectation(at), rel=1e-10)
+    assert r.dsin_expectation(below) == pytest.approx(r.dsin_expectation(at), rel=1e-8)
+
+
 def test_expectation_bounds_and_initial_values():
     ts = np.linspace(0.0, 25.0, 400)
     for r in BUILTINS:
