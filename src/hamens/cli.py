@@ -18,7 +18,7 @@ import numpy as np
 from .angular import directional_moments, directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
-from .generator import PoleError, offdiagonal_rate, pole_scan, rate_trajectory
+from .generator import offdiagonal_rate, pole_scan, rate_trajectory
 from .quadrature import QuadratureError
 from .validation import run_checks
 
@@ -130,14 +130,11 @@ def cmd_scan(cfg, out_path):
             stem, dot, ext = str(out_path).rpartition(".")
             per_value = f"{stem}_a{a:g}.{ext}" if dot else f"{out_path}_a{a:g}"
             _write_lines(lines, per_value)
-        # closed-form route: exactly zero at a = 0, not extraction roundoff
-        gxy = []
-        for t in grid[1:]:
-            try:
-                gxy.append(abs(offdiagonal_rate(fam, float(t))))
-            except PoleError:
-                continue
-        max_gxy = max(gxy) if gxy else float("nan")
+        # closed-form route: exactly zero at a = 0, not extraction roundoff;
+        # NaN marks the points inside the pole window of its denominator
+        gxy = np.abs(offdiagonal_rate(fam, grid[1:]))
+        gxy = gxy[~np.isnan(gxy)]
+        max_gxy = float(np.max(gxy)) if gxy.size else float("nan")
         poles = pole_scan(fam, (1e-9, float(grid[-1])), denominators=("D",))
         summary.append(f"{_fmt(a)},{_fmt(max_gxy)},{len(poles)}")
     _write_lines(summary, out_path)

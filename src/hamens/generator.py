@@ -144,19 +144,25 @@ def azimuthal_generator(fam: MapFamily, t: float) -> LindbladGenerator:
     return LindbladGenerator(h=[0.0, 0.0, hz], kossakowski=np.diag([gx, gx, gz]), time=float(t))
 
 
-def offdiagonal_rate(fam: MapFamily, t: float) -> float:
+def offdiagonal_rate(fam: MapFamily, t):
     """Coupled xy decay channel opened by azimuthal symmetry breaking.
 
     gamma_xy = <n_z> [ (fdot_x - fdot_y) s - (f_x - f_y) sdot ] / 2D with
     D = f_x f_y + <n_z>^2 s^2; swapping the x and y axes flips its sign.
+    Vectorized over t: a scalar t gives a float and raises PoleError where
+    |D| < POLE_THRESHOLD; an array gives an array with NaN there.
     """
     f = diagonal_components(fam, t)
     df = diagonal_derivatives(fam, t)
     nz = float(fam.moments.first[2])
-    s = float(fam.ensemble.radial.sin_expectation(t))
-    ds = float(fam.ensemble.radial.dsin_expectation(t))
-    d = _require(f[0] * f[1] + nz * nz * s * s, t, "off-diagonal denominator")
-    return nz * ((df[0] - df[1]) * s - (f[0] - f[1]) * ds) / (2.0 * d)
+    s = np.asarray(fam.ensemble.radial.sin_expectation(t))
+    ds = np.asarray(fam.ensemble.radial.dsin_expectation(t))
+    d = f[..., 0] * f[..., 1] + nz * nz * s * s
+    if np.ndim(t) == 0:
+        _require(float(d), t, "off-diagonal denominator")
+    d = np.where(np.abs(d) < POLE_THRESHOLD, np.nan, d)
+    rate = nz * ((df[..., 0] - df[..., 1]) * s - (f[..., 0] - f[..., 1]) * ds) / (2.0 * d)
+    return float(rate) if np.ndim(t) == 0 else rate
 
 
 def _split(m, dm):

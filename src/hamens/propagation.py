@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .generator import PoleError
 from .su2 import DensityMatrix
@@ -44,6 +43,10 @@ def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
     genfn returns a LindbladGenerator; dense output is evaluated at t_eval
     (defaults to the span endpoints).
     """
+    # imported here, not at module level: scipy.integrate takes about 0.35 s
+    # to load and only this function needs it, so the other CLI commands skip it
+    from scipy.integrate import solve_ivp
+
     t0, t1 = float(span[0]), float(span[1])
 
     def rhs(t, r):

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn
 
 from .quadrature import panel_integrate
 
@@ -56,6 +55,18 @@ def _gaussian_tail(x, coefficients, odd):
     for a in reversed(coefficients):
         acc = acc * y + a
     return _SQRT_2_OVER_PI * acc * y * (u if odd else y)
+
+
+def _dawsn(x):
+    """Dawson's integral exp(-x^2) int_0^x exp(u^2) du (scipy.special.dawsn).
+
+    scipy.special is imported on first use, not at module level: it takes about
+    0.3 s to load, and only the Gaussian <sin> and <dsin> need it, so a run on
+    any other radial model never loads it.
+    """
+    from scipy.special import dawsn
+
+    return dawsn(x)
 
 
 # libm pow on arrays as on scalars: `**` on float arrays takes a SIMD power
@@ -101,35 +112,32 @@ class RadialModel:
                 breaks.extend(k * half_period for k in range(k0, k1))
         return panel_integrate(g, lo, hi, breakpoints=breaks, weight=self.weight)
 
+    def _quadrature(self, g, t):
+        """Quadrature of g(omega, t) * weight over omega; an array t is done one
+        element at a time on this route, never through a subclass override."""
+        if np.ndim(t) > 0:
+            return np.array([self._quadrature(g, ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
+        t = float(t)
+        return self._integrate(lambda w: g(w, t) * self.weight(w), abs(t))
+
     def expectation(self, f, t: float) -> float:
         """Quadrature evaluation of the radial expectation of f(omega*t)."""
-        t = float(t)
-        return self._integrate(lambda w: f(w * t) * self.weight(w), abs(t))
+        return self._quadrature(lambda w, t: f(w * t), t)
 
     # -- expectations (quadrature defaults, overridden by closed forms) -----
     def cos_expectation(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.cos_expectation(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
         return self.expectation(np.cos, t)
 
     def sin_expectation(self, t):
-        if np.ndim(t) > 0:
-            return np.array([self.sin_expectation(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
         return self.expectation(np.sin, t)
 
     def dcos_expectation(self, t):
         """d/dt <cos omega t> = -<omega sin omega t>, by differentiation under the integral."""
-        if np.ndim(t) > 0:
-            return np.array([self.dcos_expectation(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
-        t = float(t)
-        return self._integrate(lambda w: -w * np.sin(w * t) * self.weight(w), abs(t))
+        return self._quadrature(lambda w, t: -w * np.sin(w * t), t)
 
     def dsin_expectation(self, t):
         """d/dt <sin omega t> = <omega cos omega t>."""
-        if np.ndim(t) > 0:
-            return np.array([self.dsin_expectation(ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
-        t = float(t)
-        return self._integrate(lambda w: w * np.cos(w * t) * self.weight(w), abs(t))
+        return self._quadrature(lambda w, t: w * np.cos(w * t), t)
 
     def mean_omega(self) -> float:
         """First frequency moment of the effective weight."""
@@ -189,7 +197,7 @@ class GaussianRadial(RadialModel):
             return _scalarize(t, np.where(far, _gaussian_tail(x, _GAUSS_SIN_TAIL, odd=True), near))
         # exp(-x^2/2) erfi(x/sqrt 2) rewritten through the Dawson function:
         # the naive product overflows against underflow for x >~ 38.
-        daw = dawsn(x / math.sqrt(2.0))
+        daw = _dawsn(x / math.sqrt(2.0))
         return _scalarize(t, _SQRT_2_OVER_PI * x + (1.0 - x * x) * _TWO_OVER_SQRT_PI * daw)
 
     def dcos_expectation(self, t):
@@ -203,7 +211,7 @@ class GaussianRadial(RadialModel):
             near = self.dsin_expectation(np.where(far, 0.0, t))
             tail = self.omega_c * _gaussian_tail(x, _GAUSS_DSIN_TAIL, odd=False)
             return _scalarize(t, np.where(far, tail, near))
-        daw = dawsn(x / math.sqrt(2.0))
+        daw = _dawsn(x / math.sqrt(2.0))
         val = _SQRT_2_OVER_PI * (2.0 - x * x) - _TWO_OVER_SQRT_PI * x * (3.0 - x * x) * daw
         return _scalarize(t, self.omega_c * val)
 

@@ -260,6 +260,32 @@ def test_scan_pole_counts_exp_cutoff(tmp_path):
     assert by_a[0.7] >= 2
 
 
+@pytest.mark.parametrize("kind, values", [("gaussian", "0 0.1 0.3 0.9"),
+                                           ("exp-cutoff", "0.3 0.9")])
+def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
+    from hamens.generator import offdiagonal_rate, pole_scan
+
+    body = SCAN_CFG.replace("kind = gaussian", f"kind = {kind}").replace(
+        "values = 0 0.1 0.3", f"values = {values}")
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
+    run = load_config(cfg)
+    grid = run.time_grid()
+    lines = ["a,max_abs_gamma_xy,pole_count"]
+    for a in run.scan_values:
+        fam = run.build_family(asymmetry=a)
+        gxy = []
+        for t in grid[1:]:
+            try:
+                gxy.append(abs(offdiagonal_rate(fam, float(t))))
+            except PoleError:
+                continue
+        poles = pole_scan(fam, (1e-9, float(grid[-1])), denominators=("D",))
+        lines.append(f"{a:.17g},{max(gxy):.17g},{len(poles)}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_scan_rejects_unknown_parameter(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_CFG.replace("parameter = a", "parameter = omega_c"))
     assert main(["scan", "--config", cfg]) == 2
@@ -353,6 +379,51 @@ def test_python_dash_m_writes_the_same_bytes_as_main(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "hamens", "simulate", "--config", config],
                           capture_output=True, env=env, check=True)
     assert proc.stdout == expected.encode()
+
+
+# ---------------------------------------------------------------------------
+# start-up: scipy stays off the import path of the CLI
+# ---------------------------------------------------------------------------
+
+_SCIPY_MODULES = """
+import sys
+from hamens.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def loaded_scipy(*argv):
+    """Exit code and the scipy modules loaded by a fresh interpreter that imports
+    hamens.cli and, given arguments, runs one command."""
+    root = os.path.join(os.path.dirname(__file__), "..")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *argv],
+                          capture_output=True, env=env, text=True, check=True, timeout=120)
+    code, *modules = proc.stdout.split()
+    return int(code), set(modules)
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert loaded_scipy() == (0, set())
+
+
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "scan"])
+def test_reciprocal_square_commands_load_no_scipy(tmp_path, command):
+    root = os.path.join(os.path.dirname(__file__), "..")
+    config = os.path.join(root, "configs", "fig7_kneaded_reciprocal-square.cfg")
+    out = str(tmp_path / "out.csv")
+    assert loaded_scipy(command, "--config", config, "--out", out) == (0, set())
+
+
+def test_gaussian_rates_load_scipy_special_only(tmp_path):
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    code, modules = loaded_scipy("rates", "--config", cfg, "--out", str(tmp_path / "out.csv"))
+    assert code == 0
+    assert "scipy.special" in modules
+    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in modules)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,32 @@ def test_offdiagonal_rate_linear_in_small_asymmetry():
     assert vals[1e-3] == pytest.approx(vals[1e-2], rel=1e-6)
 
 
+@pytest.mark.parametrize("a", [0.0, 0.3, 0.9])
+@pytest.mark.parametrize("radial", [GaussianRadial(), ExponentialCutoffRadial(),
+                                    ReciprocalSquareRadial()], ids=lambda r: type(r).__name__)
+def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
+    # the fig7 grid, plus the roots of D, which lie inside its pole window
+    fam = family(radial, KneadedCardioidAngular(a))
+    grid = np.linspace(0.0, 10.0, 2001)[1:]
+    roots = pole_scan(fam, (1e-9, 10.0), denominators=("D",))
+    ts = np.concatenate([grid, roots])
+    batched = offdiagonal_rate(fam, ts)
+    assert batched.shape == ts.shape
+    for t, value in zip(ts, batched):
+        try:
+            scalar = offdiagonal_rate(fam, float(t))
+        except PoleError:
+            assert np.isnan(value), t
+        else:
+            assert type(scalar) is float
+            assert value == scalar, t
+    assert np.all(np.isnan(batched[grid.size:]))
+    if a == 0.0:
+        assert np.all(batched == 0.0)
+    else:
+        assert np.all(np.isfinite(batched[:grid.size]))
+
+
 def test_diagonal_component_gap_is_linear_in_asymmetry():
     from hamens.dynmap import diagonal_components
     a = 0.37

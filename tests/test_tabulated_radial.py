@@ -112,3 +112,28 @@ def test_large_times_decay_like_the_edge_jump():
     for t in (1e4, 1e5):
         assert model.cos_expectation(t) == pytest.approx(edge * np.sin(3.0 * t) / t, abs=20 / t ** 2)
         assert model.sin_expectation(t) == pytest.approx(-edge * np.cos(3.0 * t) / t, abs=20 / t ** 2)
+
+
+def test_quadrature_defaults_stay_the_oracle_on_arrays(monkeypatch):
+    # RadialModel.<method>(model, array) must run the quadrature for each
+    # element, not dispatch to the model's own exact route
+    import hamens.radial as radial
+    from hamens.radial import RadialModel
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return panel_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(radial, "panel_integrate", counted)
+    om = np.linspace(0.0, 3.0, 9)
+    model = TabulatedRadial(om, np.exp(-(om / 1.2) ** 2))
+    ts = np.array([0.0, 0.4, 1.3, 2.5, 7.0])
+    for name in EXPECTATIONS:
+        default = getattr(RadialModel, name)
+        calls.clear()
+        values = default(model, ts)
+        assert len(calls) == ts.size, name
+        assert np.array_equal(values, [default(model, float(t)) for t in ts]), name
+        assert np.array_equal(default(model, ts.reshape(1, -1))[0], values), name
