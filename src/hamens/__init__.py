@@ -24,7 +24,8 @@ from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropi
                         azimuthal_generator, divisibility_flags, extract_generator,
                         isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory,
                         short_time_positive_window)
-from .montecarlo import MCEstimate, SamplerConfig, mc_average, sample_angular, sample_radial
+from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
+                         sample_radial)
 from .propagation import IntegrationError, StateTrajectory, integrate_master, trace_distance
 from .config import ConfigError, RunConfig, load_config
 from .validation import CheckResult, run_checks
@@ -44,7 +45,7 @@ __all__ = [
     "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
     "pole_scan", "rate_trajectory", "divisibility_flags", "short_time_positive_window",
-    "SamplerConfig", "MCEstimate", "mc_average", "sample_radial", "sample_angular",
+    "SamplerConfig", "MCEstimate", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
     "IntegrationError", "StateTrajectory", "integrate_master", "trace_distance",
     "ConfigError", "RunConfig", "load_config", "CheckResult", "run_checks",
 ]

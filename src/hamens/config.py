@@ -19,7 +19,7 @@ from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular)
 from .dynmap import MapFamily
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
-from .montecarlo import SamplerConfig
+from .montecarlo import SEED_LIMIT, SamplerConfig
 from .radial import ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial
 from .su2 import DensityMatrix
 
@@ -239,6 +239,8 @@ def load_config(path) -> RunConfig:
         errors.append("[grid] n_points must be at least 2")
     if not cfg.t_max > 0.0:
         errors.append("[grid] t_max must be positive")
+    if not 0 <= cfg.seed < SEED_LIMIT:
+        errors.append("[mc] seed must lie in [0, 2**64)")
     if cfg.samples < 1:
         errors.append("[mc] samples must be at least 1")
     if cfg.chunk < 1:

@@ -20,7 +20,7 @@ from .dynmap import MapFamily, bloch_trajectory, map_at
 from .ensemble import SeparableEnsemble
 from .generator import (PoleError, anisotropic_rates, azimuthal_generator,
                         extract_generator, isotropic_rate, offdiagonal_rate, pole_scan)
-from .montecarlo import mc_average
+from .montecarlo import mc_trajectory
 from .propagation import integrate_master
 from .radial import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
                      expectation_quadrature)
@@ -89,8 +89,7 @@ def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
     worst = 0.0
     times = np.array([0.2, 1.0, 3.0, 8.0]) / omega_c
     for _, fam in builtin_families(omega_c, asymmetry):
-        for t in times:
-            est = mc_average(fam.ensemble, rho0, t, cfg)
+        for t, est in zip(times, mc_trajectory(fam.ensemble, rho0, times, cfg)):
             exact = map_at(fam, t).apply(rho0).bloch
             stderr = np.maximum(est.bloch_stderr, 1e-300)
             worst = max(worst, float(np.max(np.abs(est.bloch_mean - exact) / stderr)))

@@ -16,7 +16,7 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     SeparableEnsemble, SphereAngular, anisotropic_rates, apply,
                     azimuthal_generator, choi_check, directional_moments,
                     directional_moments_quadrature, extract_generator, integrate_master,
-                    isotropic_rate, map_at, mc_average, offdiagonal_rate, pole_scan,
+                    isotropic_rate, map_at, mc_trajectory, offdiagonal_rate, pole_scan,
                     purity_trajectory, SamplerConfig)
 from hamens.dynmap import bloch_trajectory
 from hamens.generator import PoleError
@@ -113,9 +113,9 @@ def test_criterion_4_monte_carlo_oracle():
     rho0 = DensityMatrix([0.6, -0.1, 0.75])
     cfg = SamplerConfig(seed=20240817, n_samples=1_000_000, chunk=65536)
     worst = 0.0
+    times = (0.2, 1.0, 3.0, 8.0)
     for name, fam in builtin_families():
-        for t in (0.2, 1.0, 3.0, 8.0):
-            est = mc_average(fam.ensemble, rho0, t, cfg)
+        for t, est in zip(times, mc_trajectory(fam.ensemble, rho0, times, cfg)):
             exact = map_at(fam, t).apply(rho0).bloch
             z = np.max(np.abs(est.bloch_mean - exact) / np.maximum(est.bloch_stderr, 1e-300))
             worst = max(worst, float(z))

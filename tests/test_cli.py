@@ -340,6 +340,23 @@ def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,body,extra", [
+    ("validate", "", ["--seed", "-1"]),
+    ("validate", "", ["--seed", str(2 ** 64)]),
+    ("validate", "\n[mc]\nseed = -5\n", []),
+    ("simulate", "\n[mc]\nseed = -5\n", []),
+], ids=["flag-negative", "flag-2**64", "config-negative", "simulate-config-negative"])
+def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra):
+    # Philox keys are uint64 words; a seed outside [0, 2**64) used to end in
+    # an OverflowError traceback with exit 1 (or pass unchecked in simulate)
+    cfg = write_config(tmp_path, SPHERE_CFG + body)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not out.exists()
+
+
 def test_parse_angle_forms():
     assert parse_angle("0.25pi") == pytest.approx(math.pi / 4)
     assert parse_angle("pi/2") == pytest.approx(math.pi / 2)
