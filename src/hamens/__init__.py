@@ -7,8 +7,7 @@ cross-check everything against an independent Monte-Carlo sampler and the
 master-equation integrator.
 """
 
-from .su2 import (DensityMatrix, MemberHamiltonian, UnitVector, evolve_single,
-                  purity, unitary_at)
+from .su2 import DensityMatrix
 from .quadrature import QuadratureError
 from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial, expectation_quadrature)
@@ -17,35 +16,32 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
                       TabulatedAngular, directional_moments,
                       directional_moments_quadrature)
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
-from .dynmap import (BlochAffineMap, MapFamily, apply, bloch_trajectory, choi_check,
-                     choi_matrix, f_component, map_at, map_matrices,
-                     purity_trajectory)
+from .dynmap import (BlochAffineMap, MapFamily, bloch_trajectory, choi_check, map_at,
+                     map_matrices, purity_trajectory)
 from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropic_rates,
                         azimuthal_generator, divisibility_flags, extract_generator,
                         isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory,
                         short_time_positive_window)
 from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
                          sample_radial)
-from .propagation import IntegrationError, StateTrajectory, integrate_master, trace_distance
+from .propagation import IntegrationError, StateTrajectory, integrate_master
 from .config import ConfigError, RunConfig, load_config
 from .validation import CheckResult, run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityMatrix", "MemberHamiltonian", "UnitVector", "evolve_single", "purity",
-    "unitary_at", "QuadratureError", "RadialModel", "GaussianRadial",
+    "DensityMatrix", "QuadratureError", "RadialModel", "GaussianRadial",
     "ExponentialCutoffRadial", "ReciprocalSquareRadial", "TabulatedRadial",
     "expectation_quadrature", "AngularModel", "SphereAngular", "BagelAngular",
     "DumbbellAngular", "CardioidAngular", "KneadedCardioidAngular", "TabulatedAngular",
     "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
     "SeparableEnsemble", "load_radial_table", "load_angular_table", "BlochAffineMap",
-    "MapFamily", "map_at", "map_matrices", "apply",
-    "f_component", "purity_trajectory", "bloch_trajectory", "choi_matrix", "choi_check",
-    "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
+    "MapFamily", "map_at", "map_matrices", "purity_trajectory", "bloch_trajectory",
+    "choi_check", "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
     "pole_scan", "rate_trajectory", "divisibility_flags", "short_time_positive_window",
     "SamplerConfig", "MCEstimate", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
-    "IntegrationError", "StateTrajectory", "integrate_master", "trace_distance",
+    "IntegrationError", "StateTrajectory", "integrate_master",
     "ConfigError", "RunConfig", "load_config", "CheckResult", "run_checks",
 ]

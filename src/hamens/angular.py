@@ -26,8 +26,6 @@ from .quadrature import _gauss_nodes, sphere_integral
 
 _FOUR_PI = 4.0 * math.pi
 
-_NORMALIZATION_CHECKED: set = set()
-
 
 @dataclass(frozen=True, eq=False)
 class DirectionalMoments:
@@ -75,21 +73,10 @@ class AngularModel:
     def second_moment(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_normalization(self, key):
-        if key in _NORMALIZATION_CHECKED:
-            return
-        mass = sphere_integral(self.density)
-        if abs(mass - self.xi()) > 1e-10:
-            raise ValueError(f"{type(self).__name__} density integrates to {mass!r}, expected {self.xi()!r}")
-        _NORMALIZATION_CHECKED.add(key)
-
 
 @dataclass(frozen=True)
 class SphereAngular(AngularModel):
     """Uniform direction: every axis equally likely."""
-
-    def __post_init__(self):
-        self._check_normalization("sphere")
 
     def density(self, theta, phi):
         return np.broadcast_to(1.0 / _FOUR_PI, np.broadcast_shapes(np.shape(theta), np.shape(phi)))
@@ -105,9 +92,6 @@ class SphereAngular(AngularModel):
 class BagelAngular(AngularModel):
     """Equatorial ring profile, sin(theta)/pi^2; axes avoid the poles."""
 
-    def __post_init__(self):
-        self._check_normalization("bagel")
-
     def density(self, theta, phi):
         return np.broadcast_to(np.sin(theta) / math.pi ** 2,
                                np.broadcast_shapes(np.shape(theta), np.shape(phi)))
@@ -122,9 +106,6 @@ class BagelAngular(AngularModel):
 @dataclass(frozen=True)
 class DumbbellAngular(AngularModel):
     """Polar lobes, 3 cos^2(theta)/4pi; axes cluster near +-z."""
-
-    def __post_init__(self):
-        self._check_normalization("dumbbell")
 
     def density(self, theta, phi):
         return np.broadcast_to(3.0 * np.cos(theta) ** 2 / _FOUR_PI,
@@ -144,9 +125,6 @@ class CardioidAngular(AngularModel):
     Breaks the xy-plane reflection: the first z-moment is -1/3 while the
     second moments stay balanced at 1/3.
     """
-
-    def __post_init__(self):
-        self._check_normalization("cardioid")
 
     def density(self, theta, phi):
         return np.broadcast_to((1.0 - np.cos(theta)) / _FOUR_PI,
@@ -174,7 +152,6 @@ class KneadedCardioidAngular(AngularModel):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"lateral asymmetry must lie in [0, 1], got {a}")
         object.__setattr__(self, "a", a)
-        self._check_normalization(("kneaded", round(a, 15)))
 
     def density(self, theta, phi):
         return (1.0 - np.cos(theta)) * (1.0 + self.a * np.cos(2.0 * np.asarray(phi))) / _FOUR_PI

@@ -101,8 +101,11 @@ def cmd_rates(cfg, out_path):
     return 0
 
 
-def cmd_validate(cfg, out_path, seed=None, samples=None):
-    results = run_checks(cfg.initial_state(), cfg.sampler_config(seed=seed, samples=samples),
+def cmd_validate(cfg, out_path, sampler):
+    if sampler.n_samples < 2:
+        # one sample has no standard error to scale the MC check by
+        raise ConfigError("validate needs at least 2 samples")
+    results = run_checks(cfg.initial_state(), sampler,
                          omega_c=cfg.omega_c,
                          asymmetry=cfg.asymmetry if cfg.asymmetry is not None else 0.3)
     lines = ["check,metric,threshold,pass"]
@@ -164,6 +167,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # only validate reads --seed and --samples, but every command checks them
+        sampler = cfg.sampler_config(seed=args.seed, samples=args.samples)
         if args.command == "moments":
             return cmd_moments(cfg, args.out)
         if args.command == "simulate":
@@ -171,7 +176,7 @@ def main(argv=None) -> int:
         if args.command == "rates":
             return cmd_rates(cfg, args.out)
         if args.command == "validate":
-            return cmd_validate(cfg, args.out, seed=args.seed, samples=args.samples)
+            return cmd_validate(cfg, args.out, sampler)
         return cmd_scan(cfg, args.out)
     except (ConfigError, QuadratureError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular)
 from .dynmap import MapFamily
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
-from .montecarlo import SEED_LIMIT, SamplerConfig
+from .montecarlo import MAX_CHUNK, MAX_SAMPLES, SEED_LIMIT, SamplerConfig
 from .radial import ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial
 from .su2 import DensityMatrix
 
@@ -40,6 +40,12 @@ _SCHEMA = {
     "scan": {"parameter", "values"},
     "output": set(),
 }
+
+#: `rates`, the largest user of an n-point grid, holds a few (n, 3, 3) float64
+#: stacks (72 B per point each) while it splits the generator, and then the
+#: CSV rows: 0.7 KB per point in all (traced at 20,001 points), so a grid at
+#: the cap takes about 70 MB
+MAX_GRID_POINTS = 100_001
 
 _ANGLE_RE = re.compile(r"^\s*([0-9.]+)?\s*pi\s*(?:/\s*([0-9.]+))?\s*$")
 
@@ -235,16 +241,16 @@ def load_config(path) -> RunConfig:
         errors.append("[angular] key 'a' only applies to the kneaded kind")
     if not cfg.omega_c > 0.0:
         errors.append("[radial] omega_c must be positive")
-    if cfg.n_points < 2:
-        errors.append("[grid] n_points must be at least 2")
+    if not 2 <= cfg.n_points <= MAX_GRID_POINTS:
+        errors.append(f"[grid] n_points must lie in [2, {MAX_GRID_POINTS}]")
     if not cfg.t_max > 0.0:
         errors.append("[grid] t_max must be positive")
     if not 0 <= cfg.seed < SEED_LIMIT:
         errors.append("[mc] seed must lie in [0, 2**64)")
-    if cfg.samples < 1:
-        errors.append("[mc] samples must be at least 1")
-    if cfg.chunk < 1:
-        errors.append("[mc] chunk must be at least 1")
+    if not 1 <= cfg.samples <= MAX_SAMPLES:
+        errors.append(f"[mc] samples must lie in [1, {MAX_SAMPLES}]")
+    if not 1 <= cfg.chunk <= MAX_CHUNK:
+        errors.append(f"[mc] chunk must lie in [1, {MAX_CHUNK}]")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -26,8 +26,6 @@ from .angular import DirectionalMoments, directional_moments
 from .ensemble import SeparableEnsemble
 from .su2 import DensityMatrix
 
-_AXIS_INDEX = {"x": 0, "y": 1, "z": 2, 0: 0, 1: 1, 2: 2}
-
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]],
@@ -110,18 +108,6 @@ def diagonal_derivatives(fam: MapFamily, t) -> np.ndarray:
     return dc[..., None] * (fam.xi - m2)
 
 
-def f_component(fam: MapFamily, axis, t):
-    """Single diagonal component f_j(t), axis given as 'x'/'y'/'z' or 0/1/2."""
-    j = _AXIS_INDEX[axis]
-    out = diagonal_components(fam, t)[..., j]
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def apply(m: BlochAffineMap, rho: DensityMatrix) -> DensityMatrix:
-    """Act with the channel on a state."""
-    return m.apply(rho)
-
-
 def bloch_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:
     """Bloch vectors M(t) r0 on a time grid, shape (len(grid), 3)."""
     return map_matrices(fam, np.asarray(grid, dtype=float)) @ rho0.bloch
@@ -133,25 +119,16 @@ def purity_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:
     return 0.5 * (1.0 + np.sum(r_t * r_t, axis=-1))
 
 
-def choi_matrix(m: BlochAffineMap) -> np.ndarray:
-    """4x4 Choi matrix of the channel, normalized to unit trace."""
-    from .su2 import IDENTITY, PAULIS
+def choi_check(m):
+    """Smallest eigenvalue of the unit-trace Choi matrix of each unital map in m,
+    shape (..., 3, 3); >= 0 iff the map is completely positive.
 
-    choi = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            e_jk = np.zeros((2, 2), dtype=complex)
-            e_jk[j, k] = 1.0
-            alpha0 = 0.5 * np.trace(e_jk)
-            a = np.array([0.5 * np.trace(p @ e_jk) for p in PAULIS])
-            out = alpha0 * IDENTITY
-            ma = m.m @ a
-            for comp, p in zip(ma, PAULIS):
-                out = out + comp * p
-            choi += 0.5 * np.kron(out, e_jk)
-    return choi
-
-
-def choi_check(m: BlochAffineMap) -> float:
-    """Smallest eigenvalue of the Choi matrix; >= 0 iff the map is completely positive."""
-    return float(np.linalg.eigvalsh(choi_matrix(m))[0])
+    With the signed singular values l1 >= l2 >= |l3| of m = U diag(s) V^T
+    (l3 = -s3 when det U det V^T < 0), the four eigenvalues are
+    (1 + l3 +- (l1 + l2))/4 and (1 - l3 +- (l1 - l2))/4 (Fujiwara & Algoet,
+    PRA 59, 3290 (1999); King & Ruskai, IEEE Trans. Inf. Theory 47, 192 (2001)).
+    """
+    u, s, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    flip = np.linalg.det(u) * np.linalg.det(vt) < 0.0
+    l1, l2, l3 = s[..., 0], s[..., 1], np.where(flip, -s[..., 2], s[..., 2])
+    return np.minimum(1.0 + l3 - np.abs(l1 + l2), 1.0 - l3 - np.abs(l1 - l2)) / 4.0

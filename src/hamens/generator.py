@@ -70,9 +70,6 @@ class LindbladGenerator:
     def kossakowski_eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.kossakowski)
 
-    def kossakowski_eigensystem(self):
-        return np.linalg.eigh(self.kossakowski)
-
     def bloch_generator(self) -> np.ndarray:
         """The 3x3 generator acting on Bloch vectors, drdt = G r."""
         k = self.kossakowski

@@ -29,6 +29,12 @@ _TWO_PI = 2.0 * math.pi
 _HALF_PI = 0.5 * math.pi
 #: Philox keys are pairs of uint64 words, so seeds lie in [0, SEED_LIMIT)
 SEED_LIMIT = 2 ** 64
+#: no array is sized by the sample count, so this cap bounds run time only:
+#: `validate` at the cap draws 1e7 realizations for each of 15 pairs
+MAX_SAMPLES = 10_000_000
+#: about 22 float64 arrays of the chunk length are live while a chunk is drawn
+#: and evolved (180 B per sample), so a chunk at the cap takes about 12 MB
+MAX_CHUNK = 65_536
 #: stop a root once its Newton step or its bracket is this small
 _NEWTON_TOL = 1e-12
 #: hard cap on Newton iterations; next to a zero of pdf the most seen is 53
@@ -46,10 +52,10 @@ class SamplerConfig:
     def __post_init__(self):
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
-        if self.chunk < 1:
-            raise ValueError("chunk size must be positive")
+        if not 1 <= self.n_samples <= MAX_SAMPLES:
+            raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
+        if not 1 <= self.chunk <= MAX_CHUNK:
+            raise ValueError(f"chunk size must lie in [1, {MAX_CHUNK}], got {self.chunk}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,9 +32,6 @@ class StateTrajectory:
     times: np.ndarray
     bloch: np.ndarray
 
-    def states(self):
-        return [DensityMatrix(r) for r in self.bloch]
-
 
 def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
                      atol: float = 1e-12, t_eval=None) -> StateTrajectory:
@@ -64,7 +61,3 @@ def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
                                time=reached)
     return StateTrajectory(times=sol.t, bloch=sol.y.T)
 
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """For qubits, half the Euclidean distance between Bloch vectors."""
-    return 0.5 * float(np.linalg.norm(a.bloch - b.bloch))

@@ -29,10 +29,6 @@ from .quadrature import panel_integrate
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
-#: built-in families whose normalization has been verified by quadrature
-_NORMALIZATION_CHECKED: set = set()
-
-
 #: |omega_c t| beyond which exp(-x^2/2) is exactly 0 in double precision
 _GAUSS_ZERO = 40.0
 #: |omega_c t| from which <sin> and its derivative take their asymptotic series:
@@ -143,16 +139,6 @@ class RadialModel:
         """First frequency moment of the effective weight."""
         return self._integrate(lambda w: w * self.weight(w), 0.0)
 
-    # -- shared validation ---------------------------------------------------
-    def _check_normalization(self, key):
-        """Quadrature assertion that the hard-coded mass of a built-in is 1."""
-        if key in _NORMALIZATION_CHECKED:
-            return
-        mass = RadialModel.mass(self)
-        if abs(mass - 1.0) > 1e-10:
-            raise ValueError(f"{type(self).__name__} weight integrates to {mass!r}, expected 1")
-        _NORMALIZATION_CHECKED.add(key)
-
 
 def _positive_cutoff(omega_c) -> float:
     omega_c = float(omega_c)
@@ -169,7 +155,6 @@ class GaussianRadial(RadialModel):
 
     def __post_init__(self):
         object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
-        self._check_normalization(type(self).__name__)
 
     def weight(self, omega):
         y = np.asarray(omega) / self.omega_c
@@ -227,7 +212,6 @@ class ExponentialCutoffRadial(RadialModel):
 
     def __post_init__(self):
         object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
-        self._check_normalization(type(self).__name__)
 
     def weight(self, omega):
         y = np.asarray(omega) / self.omega_c
@@ -275,7 +259,6 @@ class ReciprocalSquareRadial(RadialModel):
 
     def __post_init__(self):
         object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
-        self._check_normalization(type(self).__name__)
 
     def weight(self, omega):
         w = np.asarray(omega, dtype=float)

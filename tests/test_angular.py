@@ -8,6 +8,7 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     KneadedCardioidAngular, SphereAngular, TabulatedAngular,
                     directional_moments, directional_moments_quadrature)
+from hamens.quadrature import sphere_integral
 
 BUILTINS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
             KneadedCardioidAngular(0.3)]
@@ -42,6 +43,14 @@ def test_quadrature_moments_match_analytic(model):
     quad = directional_moments_quadrature(model)
     assert np.max(np.abs(analytic.second - quad.second)) < 1e-10
     assert np.max(np.abs(analytic.first - quad.first)) < 1e-10
+
+
+@pytest.mark.parametrize("model", BUILTINS[:4] + [KneadedCardioidAngular(a)
+                                                  for a in (0.0, 0.3, 0.5, 1.0)],
+                         ids=lambda m: f"{type(m).__name__}{getattr(m, 'a', '')}")
+def test_density_integrates_to_xi(model):
+    # xi() of a built-in returns the constant 1; quadrature of its density checks it
+    assert abs(sphere_integral(model.density) - model.xi()) <= 1e-10
 
 
 def test_second_moment_trace_is_angular_mass():

@@ -345,7 +345,9 @@ def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
     ("validate", "", ["--seed", str(2 ** 64)]),
     ("validate", "\n[mc]\nseed = -5\n", []),
     ("simulate", "\n[mc]\nseed = -5\n", []),
-], ids=["flag-negative", "flag-2**64", "config-negative", "simulate-config-negative"])
+    ("simulate", "", ["--seed", "-1"]),
+], ids=["flag-negative", "flag-2**64", "config-negative", "simulate-config-negative",
+        "simulate-flag-negative"])
 def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra):
     # Philox keys are uint64 words; a seed outside [0, 2**64) used to end in
     # an OverflowError traceback with exit 1 (or pass unchecked in simulate)
@@ -355,6 +357,50 @@ def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra)
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,n_points,mc,extra,key", [
+    ("simulate", 10 ** 9, "", [], "n_points"),
+    ("rates", 100_002, "", [], "n_points"),
+    ("validate", 201, "samples = 1000000000000", [], "samples"),
+    ("validate", 201, "chunk = 1000000000", [], "chunk"),
+    ("validate", 201, "", ["--samples", "1000000000000"], "sample"),
+    ("simulate", 201, "", ["--samples", "1000000000000"], "sample"),
+    ("validate", 201, "", ["--samples", "1"], "samples"),
+    ("validate", 201, "samples = 1", [], "samples"),
+], ids=["grid-1e9", "grid-cap+1", "samples-1e12", "chunk-1e9", "flag-samples-1e12",
+        "simulate-flag-samples-1e12", "flag-one-sample", "config-one-sample"])
+def test_sizes_beyond_their_caps_are_rejected(tmp_path, capsys, monkeypatch,
+                                              command, n_points, mc, extra, key):
+    # a size is checked before anything is computed: every stage that would
+    # allocate by it fails the test if reached
+    import hamens.cli as cli
+    from hamens.config import RunConfig
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a size beyond its cap reached the computation")
+
+    monkeypatch.setattr(RunConfig, "time_grid", reached)
+    for stage in ("bloch_trajectory", "purity_trajectory", "rate_trajectory", "run_checks"):
+        monkeypatch.setattr(cli, stage, reached)
+    body = SPHERE_CFG.replace("n_points = 201", f"n_points = {n_points}")
+    cfg = write_config(tmp_path, body + f"\n[mc]\n{mc}\n")
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+def test_size_caps_admit_the_sizes_in_use(tmp_path):
+    from hamens.config import MAX_GRID_POINTS
+    from hamens.montecarlo import MAX_CHUNK, MAX_SAMPLES
+
+    assert MAX_GRID_POINTS >= 4001 and MAX_SAMPLES >= 1_000_000 and MAX_CHUNK >= 65_536
+    body = SPHERE_CFG.replace("n_points = 201", f"n_points = {MAX_GRID_POINTS}")
+    body += f"\n[mc]\nsamples = {MAX_SAMPLES}\nchunk = {MAX_CHUNK}\n"
+    cfg = load_config(write_config(tmp_path, body))
+    assert cfg.sampler_config().n_samples == MAX_SAMPLES
 
 
 def test_parse_angle_forms():

@@ -7,11 +7,12 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
-                    SeparableEnsemble, SphereAngular, apply, choi_check, choi_matrix,
-                    directional_moments, f_component, map_at, mc_average, pole_scan,
-                    purity_trajectory)
-from hamens.dynmap import bloch_trajectory
+                    SeparableEnsemble, SphereAngular, choi_check, directional_moments,
+                    map_at, map_matrices, mc_average, pole_scan, purity_trajectory)
+from hamens.dynmap import bloch_trajectory, diagonal_components
 from hamens.validation import builtin_families
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def family(radial, angular):
@@ -27,22 +28,35 @@ def mixing_weight(radial, t):
     return (2.0 * radial.cos_expectation(t) + 1.0) / 3.0
 
 
+def choi_matrix(m):
+    """Unit-trace 4x4 Choi matrices sum_jk Phi(E_jk) (x) E_jk / 2 of the unital
+    maps m, shape (..., 3, 3), built from the 2x2 action of each map."""
+    m = np.asarray(m, dtype=float)
+    choi = np.zeros(m.shape[:-2] + (4, 4), dtype=complex)
+    for j in range(2):
+        for k in range(2):
+            e_jk = np.zeros((2, 2))
+            e_jk[j, k] = 1.0
+            a = 0.5 * np.einsum("pab,ba->p", PAULIS, e_jk)
+            out = 0.5 * np.trace(e_jk) * np.eye(2) + np.einsum("...p,pab->...ab", m @ a, PAULIS)
+            choi += 0.5 * np.einsum("...ab,cd->...acbd", out, e_jk).reshape(choi.shape)
+    return choi
+
+
 def test_f_component_sphere_equals_mixing_weight():
     for t in [0.0, 0.4, 1.3, 5.0]:
         w = mixing_weight(SPHERE_G.ensemble.radial, t)
-        for axis in "xyz":
-            assert f_component(SPHERE_G, axis, t) == pytest.approx(w, abs=1e-14)
+        assert np.allclose(diagonal_components(SPHERE_G, t), w, rtol=0.0, atol=1e-14)
 
 
 def test_f_component_at_time_zero_is_one():
     for fam in (SPHERE_G, CARDIOID_G, BAGEL_G):
-        for axis in "xyz":
-            assert f_component(fam, axis, 0.0) == pytest.approx(1.0)
+        assert diagonal_components(fam, 0.0) == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_f_component_bagel_when_cosine_vanishes():
     # cosine expectation is zero at omega_c t = 1, leaving the z second moment
-    assert f_component(BAGEL_G, "z", 1.0) == pytest.approx(0.25, abs=1e-14)
+    assert diagonal_components(BAGEL_G, 1.0)[2] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_map_sphere_is_isotropic_contraction():
@@ -110,14 +124,14 @@ def test_map_convention_against_quadrature_averaged_realizations():
 def test_apply_unitality_and_identity():
     m0 = map_at(CARDIOID_G, 0.0)
     rho = DensityMatrix([0.3, -0.2, 0.5])
-    assert np.allclose(apply(m0, rho).bloch, rho.bloch, atol=1e-14)
-    out = apply(map_at(CARDIOID_G, 2.0), DensityMatrix([0.0, 0.0, 0.0]))
+    assert np.allclose(m0.apply(rho).bloch, rho.bloch, atol=1e-14)
+    out = map_at(CARDIOID_G, 2.0).apply(DensityMatrix([0.0, 0.0, 0.0]))
     assert np.array_equal(out.bloch, np.zeros(3))
 
 
 def test_apply_long_time_sphere_limit():
     # the weight settles at 1/3: a constant mixture with the fully mixed state
-    out = apply(map_at(SPHERE_G, 40.0), DensityMatrix([0.0, 0.0, 1.0]))
+    out = map_at(SPHERE_G, 40.0).apply(DensityMatrix([0.0, 0.0, 1.0]))
     assert np.allclose(out.bloch, [0.0, 0.0, 1.0 / 3.0], atol=1e-10)
 
 
@@ -164,36 +178,47 @@ def test_purity_matches_bloch_norm_route():
 
 
 def test_choi_identity_map():
-    eig = np.linalg.eigvalsh(choi_matrix(map_at(SPHERE_G, 0.0)))
+    identity = map_matrices(SPHERE_G, 0.0)
+    eig = np.linalg.eigvalsh(choi_matrix(identity))
     assert eig[0] == pytest.approx(0.0, abs=1e-14)
     assert eig[-1] == pytest.approx(1.0, abs=1e-14)
-    assert choi_check(map_at(SPHERE_G, 0.0)) == pytest.approx(0.0, abs=1e-14)
+    assert choi_check(identity) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_choi_depolarizing_spectrum():
     # direct 4x4 oracle: w |phi+><phi+| + (1-w) I/4
-    from hamens.dynmap import BlochAffineMap
     w = 1.0 / 3.0
-    m = BlochAffineMap(w * np.eye(3), time=1.0)
+    m = w * np.eye(3)
     phi = np.zeros(4, dtype=complex)
     phi[0] = phi[3] = 1.0 / math.sqrt(2.0)
     oracle = w * np.outer(phi, phi.conj()) + (1 - w) * np.eye(4) / 4.0
     assert np.max(np.abs(choi_matrix(m) - oracle)) < 1e-14
     eig = np.linalg.eigvalsh(choi_matrix(m))
     assert np.allclose(eig[:3], (1 - w) / 4.0, atol=1e-14)
-    assert eig[0] >= -1e-15
+    assert choi_check(m) == pytest.approx((1 - w) / 4.0, abs=1e-14)
 
 
 def test_choi_detects_norm_violation():
-    from hamens.dynmap import BlochAffineMap
-    bad = BlochAffineMap(np.diag([1.2, 1.0, 1.0]), time=0.0)
-    assert choi_check(bad) < 0.0
+    assert choi_check(np.diag([1.2, 1.0, 1.0])) < 0.0
 
 
 def test_choi_nonnegative_on_sampled_times():
+    grid = np.linspace(0.0, 8.0, 17)
     for _, fam in builtin_families():
-        for t in np.linspace(0.0, 8.0, 17):
-            assert choi_check(map_at(fam, t)) >= -1e-10
+        assert np.all(choi_check(map_matrices(fam, grid)) >= -1e-10)
+
+
+def test_choi_check_matches_smallest_choi_eigenvalue(tilted_table):
+    grid = np.linspace(0.0, 10.0, 200)
+    maps = [map_matrices(fam, grid) for _, fam in builtin_families()]
+    maps.append(map_matrices(family(GaussianRadial(), tilted_table), grid))
+    # random maps, most of them not completely positive
+    rng = np.random.default_rng(31)
+    maps.append(rng.uniform(-1.0, 1.0, (2000, 3, 3)) * rng.uniform(0.0, 1.2, (2000, 1, 1)))
+    for m in maps:
+        oracle = np.linalg.eigvalsh(choi_matrix(m))[..., 0]
+        assert np.max(np.abs(choi_check(m) - oracle)) <= 1e-14
+    assert np.any(oracle < -0.01) and np.any(oracle > 0.01)
 
 
 def test_map_agrees_with_monte_carlo():

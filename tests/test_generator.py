@@ -12,7 +12,7 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     divisibility_flags, extract_generator, isotropic_rate,
                     offdiagonal_rate, pole_scan, rate_trajectory,
                     short_time_positive_window)
-from hamens.dynmap import f_component, map_at
+from hamens.dynmap import diagonal_components, map_at
 from hamens.generator import POLE_THRESHOLD, _sign_change_roots
 from hamens.radial import RadialModel
 from hamens.validation import builtin_families, pole_free_times
@@ -437,7 +437,7 @@ def test_pole_scan_kneaded_ignores_harmless_fy_roots():
         assert all(abs(r - p) > 1e-9 for p in true_poles)
         det = np.linalg.det(map_at(fam, r).m)
         harmless = nz * nz * float(fam.ensemble.radial.sin_expectation(r)) ** 2
-        assert det / f_component(fam, "z", r) == pytest.approx(harmless, rel=1e-9)
+        assert det / diagonal_components(fam, r)[2] == pytest.approx(harmless, rel=1e-9)
         assert abs(det) > POLE_THRESHOLD
         gen = extract_generator(fam, r)
         assert np.all(np.isfinite(gen.h))

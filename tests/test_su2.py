@@ -1,4 +1,10 @@
-"""2x2 algebra: propagators, single realizations, Bloch round trips."""
+"""Qubit states, and the rotation that the Monte-Carlo sampler applies to them.
+
+The Pauli matrices, the Bloch <-> 2x2 maps and the propagator
+exp(-i omega t n.sigma / 2) are test-local oracles.  The sampler runs with a
+single sample in a single chunk, so its mean at each time is one realization;
+its frequency and axis are redrawn here from the same chunk stream.
+"""
 
 import math
 
@@ -6,132 +12,128 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hamens import (DensityMatrix, MemberHamiltonian, UnitVector, evolve_single,
-                    purity, unitary_at)
-from hamens.su2 import IDENTITY, PAULIS, SIGMA_X, SIGMA_Z
+from hamens import (DensityMatrix, GaussianRadial, KneadedCardioidAngular, SamplerConfig,
+                    SeparableEnsemble, mc_trajectory, sample_angular, sample_radial)
+from hamens.montecarlo import chunk_stream
+
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+IDENTITY = np.eye(2, dtype=complex)
+ENSEMBLE = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+SEEDS = range(50)
+#: times of the single realization, with 0 and a negative time among them
+TIMES = np.array([-1.3, 0.0, 0.25, 0.9, 2.0, 4.5])
 
 rng = np.random.default_rng(202401)
 
 
-def random_member():
-    return MemberHamiltonian(
-        omega=float(rng.uniform(0.0, 5.0)),
-        direction=UnitVector(theta=float(rng.uniform(0, math.pi)),
-                             phi=float(rng.uniform(0, 2 * math.pi))))
+def to_matrix(r):
+    return 0.5 * (IDENTITY + np.einsum("j,jab->ab", r, PAULIS))
 
 
-def test_unit_vector_normalization():
-    for _ in range(200):
-        n = UnitVector(float(rng.uniform(-1, 5)), float(rng.uniform(-9, 9)))
-        assert abs(n.nx ** 2 + n.ny ** 2 + n.nz ** 2 - 1.0) < 1e-12
-        assert 0.0 <= n.theta <= math.pi
-        assert 0.0 <= n.phi < 2 * math.pi
+def to_bloch(rho):
+    return np.einsum("jab,ba->j", PAULIS, rho).real
 
 
-def test_unit_vector_from_cartesian():
-    v = UnitVector.from_cartesian([0.0, 0.0, -2.0])
-    assert v.nz == pytest.approx(-1.0)
-    with pytest.raises(ValueError):
-        UnitVector.from_cartesian([0.0, 0.0, 0.0])
+def random_bloch():
+    r = rng.uniform(-1, 1, 3)
+    return r * rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
 
 
-def test_member_hamiltonian_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        MemberHamiltonian(omega=-1.0, direction=UnitVector(0.0, 0.0))
+def drawn_member(seed):
+    """Frequency and axis of the one realization mc_trajectory draws for a seed."""
+    stream = chunk_stream(seed, 0)
+    omega = sample_radial(ENSEMBLE.radial, stream, 1)[0]
+    return omega, sample_angular(ENSEMBLE.angular, stream, 1)[0]
 
 
-def test_unitary_at_time_zero_is_identity():
-    for _ in range(20):
-        u = unitary_at(random_member(), 0.0)
-        assert np.allclose(u, IDENTITY, atol=1e-15)
+def realization(seed, r0, times=TIMES):
+    """Bloch vector of that realization at each time, as mc_trajectory evolves it."""
+    cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
+    return np.array([est.bloch_mean
+                     for est in mc_trajectory(ENSEMBLE, DensityMatrix(r0), times, cfg)])
 
 
-def test_unitary_at_diagonal_generator():
-    h = MemberHamiltonian(1.0, UnitVector(0.0, 0.0))
-    u = unitary_at(h, math.pi)
-    expected = np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)])
-    assert np.allclose(u, expected, atol=1e-15)
-
-
-def test_unitary_at_x_axis_vs_matrix_exponential():
-    # oracle: scaling-and-squaring matrix exponential of -i H t
-    h = MemberHamiltonian(1.0, UnitVector(math.pi / 2, 0.0))
-    u = unitary_at(h, math.pi)
-    oracle = expm(-1j * h.matrix() * math.pi)
-    assert np.allclose(u, oracle, atol=1e-13)
-    assert np.allclose(u, -1j * SIGMA_X, atol=1e-13)
+def rotation(seed, times=TIMES):
+    """The realization as a 3x3 matrix per time: columns are the images of the axes."""
+    return np.stack([realization(seed, e, times) for e in np.eye(3)], axis=-1)
 
 
 def test_unitary_at_random_vs_matrix_exponential():
-    for _ in range(50):
-        h = random_member()
-        t = float(rng.uniform(-3, 3))
-        assert np.allclose(unitary_at(h, t), expm(-1j * h.matrix() * t), atol=1e-12)
+    # oracle: U rho U^dagger with U the scaling-and-squaring exponential of -i H t
+    for seed in SEEDS:
+        omega, axis = drawn_member(seed)
+        h = 0.5 * omega * np.einsum("j,jab->ab", axis, PAULIS)
+        r0 = random_bloch()
+        for t, r_t in zip(TIMES, realization(seed, r0)):
+            u = expm(-1j * h * t)
+            oracle = to_bloch(u @ to_matrix(r0) @ u.conj().T)
+            assert np.max(np.abs(r_t - oracle)) < 1e-14, (seed, t)
+
+
+def test_unitary_at_time_zero_is_identity():
+    for seed in SEEDS:
+        assert np.array_equal(rotation(seed, [0.0])[0], np.eye(3))
 
 
 def test_unitarity_and_determinant():
-    for _ in range(100):
-        u = unitary_at(random_member(), float(rng.uniform(0, 10)))
-        assert np.max(np.abs(u @ u.conj().T - IDENTITY)) < 1e-12
-        assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-12
+    # a unitary conjugation acts on Bloch vectors as a proper rotation
+    for seed in SEEDS:
+        for r in rotation(seed):
+            assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-14
+            assert abs(np.linalg.det(r) - 1.0) < 1e-14
 
 
 def test_unitary_composition():
-    for _ in range(100):
-        h = random_member()
-        t1, t2 = rng.uniform(0, 4, 2)
-        u12 = unitary_at(h, t1 + t2)
-        assert np.max(np.abs(u12 - unitary_at(h, t1) @ unitary_at(h, t2))) < 1e-12
+    for seed in SEEDS:
+        t1, t2 = rng.uniform(-4, 4, 2)
+        r1, r2, r12 = rotation(seed, [t1, t2, t1 + t2])
+        assert np.max(np.abs(r12 - r2 @ r1)) < 1e-13
 
 
 def test_evolve_single_commuting_generator_fixes_pole_state():
-    h = MemberHamiltonian(2.3, UnitVector(0.0, 0.0))
-    out = evolve_single(DensityMatrix([0, 0, 1]), h, 1.7)
-    assert np.allclose(out.bloch, [0, 0, 1], atol=1e-15)
+    # a state along the axis commutes with the Hamiltonian
+    for seed in SEEDS:
+        _, axis = drawn_member(seed)
+        r0 = 0.9 * axis
+        assert np.max(np.abs(realization(seed, r0) - r0)) < 1e-15
 
 
 def test_evolve_single_quarter_turn():
-    # oracle: explicit conjugation U rho U^dagger
-    h = MemberHamiltonian(1.0, UnitVector(0.0, 0.0))
-    rho0 = DensityMatrix([1, 0, 0])
-    out = evolve_single(rho0, h, math.pi / 2)
-    u = unitary_at(h, math.pi / 2)
-    oracle = DensityMatrix.from_matrix(u @ rho0.matrix() @ u.conj().T)
-    assert np.allclose(out.bloch, [0, 1, 0], atol=1e-12)
-    assert np.allclose(out.bloch, oracle.bloch, atol=1e-12)
+    # omega t = pi/2 turns the part of r0 across the axis into axis x r0
+    for seed in SEEDS:
+        omega, axis = drawn_member(seed)
+        r0 = random_bloch()
+        r_t = realization(seed, r0, [0.5 * math.pi / omega])[0]
+        assert np.max(np.abs(r_t - (np.cross(axis, r0) + (axis @ r0) * axis))) < 1e-14
 
 
 def test_evolve_single_fixed_point_and_conjugation_oracle():
-    assert np.allclose(evolve_single(DensityMatrix([0, 0, 0]), random_member(), 2.0).bloch, 0.0)
-    for _ in range(50):
-        h = random_member()
-        t = float(rng.uniform(0, 5))
-        r = rng.uniform(-1, 1, 3)
-        r *= rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
-        rho0 = DensityMatrix(r)
-        out = evolve_single(rho0, h, t)
-        u = unitary_at(h, t)
-        oracle = DensityMatrix.from_matrix(u @ rho0.matrix() @ u.conj().T)
-        assert np.allclose(out.bloch, oracle.bloch, atol=1e-12)
-        assert abs(out.purity() - rho0.purity()) < 1e-12
+    for seed in SEEDS:
+        assert np.array_equal(realization(seed, np.zeros(3)), np.zeros((TIMES.size, 3)))
+        r0 = random_bloch()
+        rho0 = to_matrix(r0)
+        purity = np.trace(rho0 @ rho0).real
+        for r_t in realization(seed, r0):
+            # conjugation keeps the spectrum, hence trace and purity
+            rho_t = to_matrix(r_t)
+            assert np.allclose(np.linalg.eigvalsh(rho_t), np.linalg.eigvalsh(rho0), atol=1e-14)
+            assert DensityMatrix(r_t).purity() == pytest.approx(purity, abs=1e-14)
 
 
 def test_bloch_round_trip():
     for _ in range(100):
-        r = rng.uniform(-1, 1, 3)
-        r *= rng.uniform(0, 1) / max(np.linalg.norm(r), 1e-12)
-        rho = DensityMatrix(r)
-        back = DensityMatrix.from_matrix(rho.matrix())
-        assert np.max(np.abs(back.bloch - rho.bloch)) < 1e-14
-        m = rho.matrix()
+        r = random_bloch()
+        m = to_matrix(DensityMatrix(r).bloch)
+        assert np.max(np.abs(to_bloch(m) - r)) < 1e-14
         assert abs(np.trace(m) - 1.0) < 1e-15
         assert np.max(np.abs(m - m.conj().T)) < 1e-15
 
 
 def test_purity_values():
-    assert purity(DensityMatrix([0, 0, 0])) == pytest.approx(0.5)
-    assert purity(DensityMatrix([0, 0, 1])) == pytest.approx(1.0)
-    assert purity(DensityMatrix([0.6, 0, 0])) == pytest.approx(0.68)
+    for r, p in (([0, 0, 0], 0.5), ([0, 0, 1], 1.0), ([0.6, 0, 0], 0.68)):
+        rho = to_matrix(r)
+        assert DensityMatrix(r).purity() == pytest.approx(p)
+        assert DensityMatrix(r).purity() == pytest.approx(np.trace(rho @ rho).real)
 
 
 def test_density_matrix_rejects_bloch_outside_ball():
@@ -139,7 +141,13 @@ def test_density_matrix_rejects_bloch_outside_ball():
         DensityMatrix([1.2, 0, 0])
 
 
+def test_density_matrix_rejects_non_finite_bloch():
+    for bad in ([math.nan, 0, 0], [0, math.inf, 0]):
+        with pytest.raises(ValueError):
+            DensityMatrix(bad)
+
+
 def test_pauli_algebra():
-    for i, p in enumerate(PAULIS):
+    for p in PAULIS:
         assert np.allclose(p @ p, IDENTITY)
-    assert np.allclose(PAULIS[0] @ PAULIS[1], 1j * SIGMA_Z)
+    assert np.allclose(PAULIS[0] @ PAULIS[1], 1j * PAULIS[2])
