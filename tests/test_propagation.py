@@ -41,6 +41,17 @@ def test_zero_generator_keeps_state_constant():
     assert np.max(np.abs(traj.bloch - rho0.bloch)) < 1e-12
 
 
+def test_states_accessor():
+    # the trajectory holds one time and one Bloch row per requested time
+    still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
+    traj = integrate_master(lambda t: still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
+                            t_eval=[0.0, 1.0])
+    assert np.array_equal(traj.times, [0.0, 1.0])
+    assert traj.bloch.shape == (2, 3)
+    states = [DensityMatrix(r) for r in traj.bloch]
+    assert 0.5 * np.linalg.norm(states[0].bloch - states[1].bloch) < 1e-12
+
+
 def test_sphere_gaussian_endpoint():
     fam = family(GaussianRadial(), SphereAngular())
     rho0 = DensityMatrix([0.0, 0.0, 1.0])

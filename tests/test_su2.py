@@ -58,6 +58,41 @@ def rotation(seed, times=TIMES):
     return np.stack([realization(seed, e, times) for e in np.eye(3)], axis=-1)
 
 
+def axis_frame(axis, slot):
+    """Right-handed orthonormal frame, as rows, whose row `slot` is the axis."""
+    helper = np.eye(3)[np.argmin(np.abs(axis))]
+    e1 = np.cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    return np.roll(np.stack([axis, e1, np.cross(axis, e1)]), slot, axis=0)
+
+
+def test_unitary_at_diagonal_generator():
+    # in a frame whose z axis is the drawn axis, H = omega sigma_z / 2 is diagonal;
+    # at omega t = pi, U = diag(exp(-i pi/2), exp(i pi/2)) = -i sigma_z flips x and y
+    u = np.diag([np.exp(-1j * math.pi / 2), np.exp(1j * math.pi / 2)])
+    expected = np.stack([to_bloch(u @ to_matrix(e) @ u.conj().T) for e in np.eye(3)], axis=-1)
+    assert np.allclose(expected, np.diag([-1.0, -1.0, 1.0]), atol=1e-15)
+    for seed in SEEDS:
+        omega, axis = drawn_member(seed)
+        frame = axis_frame(axis, 2)
+        r = rotation(seed, [math.pi / omega])[0]
+        assert np.max(np.abs(frame @ r @ frame.T - expected)) < 1e-14, seed
+
+
+def test_unitary_at_x_axis_vs_matrix_exponential():
+    # oracle: scaling-and-squaring exponential of -i pi sigma_x / 2, which is -i sigma_x,
+    # acting in a frame whose x axis is the drawn axis, at omega t = pi
+    u = expm(-1j * math.pi * 0.5 * PAULIS[0])
+    assert np.allclose(u, -1j * PAULIS[0], atol=1e-13)
+    oracle = np.stack([to_bloch(u @ to_matrix(e) @ u.conj().T) for e in np.eye(3)], axis=-1)
+    for seed in SEEDS:
+        omega, axis = drawn_member(seed)
+        frame = axis_frame(axis, 0)
+        assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-15)
+        r = rotation(seed, [math.pi / omega])[0]
+        assert np.max(np.abs(frame @ r @ frame.T - oracle)) < 1e-13, seed
+
+
 def test_unitary_at_random_vs_matrix_exponential():
     # oracle: U rho U^dagger with U the scaling-and-squaring exponential of -i H t
     for seed in SEEDS:
