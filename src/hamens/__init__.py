@@ -16,12 +16,10 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
                       TabulatedAngular, directional_moments,
                       directional_moments_quadrature)
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
-from .dynmap import (BlochAffineMap, MapFamily, bloch_trajectory, choi_check, map_at,
-                     map_matrices, purity_trajectory)
+from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
 from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropic_rates,
-                        azimuthal_generator, divisibility_flags, extract_generator,
-                        isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory,
-                        short_time_positive_window)
+                        azimuthal_generator, extract_generator, isotropic_rate,
+                        offdiagonal_rate, pole_scan, rate_trajectory)
 from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
                          sample_radial)
 from .propagation import IntegrationError, StateTrajectory, integrate_master
@@ -36,11 +34,11 @@ __all__ = [
     "expectation_quadrature", "AngularModel", "SphereAngular", "BagelAngular",
     "DumbbellAngular", "CardioidAngular", "KneadedCardioidAngular", "TabulatedAngular",
     "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
-    "SeparableEnsemble", "load_radial_table", "load_angular_table", "BlochAffineMap",
-    "MapFamily", "map_at", "map_matrices", "purity_trajectory", "bloch_trajectory",
-    "choi_check", "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
+    "SeparableEnsemble", "load_radial_table", "load_angular_table", "MapFamily",
+    "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
+    "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
-    "pole_scan", "rate_trajectory", "divisibility_flags", "short_time_positive_window",
+    "pole_scan", "rate_trajectory",
     "SamplerConfig", "MCEstimate", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
     "IntegrationError", "StateTrajectory", "integrate_master",
     "ConfigError", "RunConfig", "load_config", "CheckResult", "run_checks",

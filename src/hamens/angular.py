@@ -168,8 +168,12 @@ class TabulatedAngular(AngularModel):
     """Density given on a rectangular (theta, phi) grid, bilinearly interpolated.
 
     The grid must cover the full sphere: theta from 0 to pi, phi from 0 to
-    2pi.  Moments and mass integrate the interpolant cell by cell with a
-    product Gauss-Legendre rule, which is exact for the bilinear model.
+    2pi.  Moments and mass integrate the interpolant cell by cell with an
+    order-8 product Gauss-Legendre rule.  The rule is not exact for the
+    bilinear model, since the sin(theta) Jacobian and the moment factors are
+    not polynomials: against order 60 on random tables, mass and moments are
+    off by up to 6.4e-7 on a 2x2 grid, 9.2e-12 on 3x3, 7.6e-14 on 5x4, and
+    1e-15 on 9x9 and finer grids.
     """
 
     theta: np.ndarray

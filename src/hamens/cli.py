@@ -18,7 +18,7 @@ import numpy as np
 from .angular import directional_moments, directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
-from .generator import offdiagonal_rate, pole_scan, rate_trajectory
+from .generator import offdiagonal_rate, rate_trajectory
 from .quadrature import QuadratureError
 from .validation import run_checks
 
@@ -128,7 +128,7 @@ def cmd_scan(cfg, out_path):
         if not 0.0 <= a <= 1.0:
             raise ConfigError(f"[scan] value {a!r} outside [0, 1]")
         fam = cfg.build_family(asymmetry=a)
-        lines, _ = _rates_lines(cfg, fam, grid)
+        lines, traj = _rates_lines(cfg, fam, grid)
         if out_path:
             stem, dot, ext = str(out_path).rpartition(".")
             per_value = f"{stem}_a{a:g}.{ext}" if dot else f"{out_path}_a{a:g}"
@@ -138,8 +138,7 @@ def cmd_scan(cfg, out_path):
         gxy = np.abs(offdiagonal_rate(fam, grid[1:]))
         gxy = gxy[~np.isnan(gxy)]
         max_gxy = float(np.max(gxy)) if gxy.size else float("nan")
-        poles = pole_scan(fam, (1e-9, float(grid[-1])), denominators=("D",))
-        summary.append(f"{_fmt(a)},{_fmt(max_gxy)},{len(poles)}")
+        summary.append(f"{_fmt(a)},{_fmt(max_gxy)},{len(traj.poles)}")
     _write_lines(summary, out_path)
     return 0
 

@@ -34,22 +34,6 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class BlochAffineMap:
-    """Unital channel at a fixed time, acting on Bloch vectors as r -> m @ r."""
-
-    m: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        m = np.array(self.m, dtype=float).reshape(3, 3)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.m @ rho.bloch)
-
-
-@dataclass(frozen=True, eq=False)
 class MapFamily:
     """Everything needed to evaluate the exact channel at any time: the
     ensemble (for its radial expectations) and lab-frame directional moments."""
@@ -72,40 +56,34 @@ class MapFamily:
 
 def map_matrices(fam: MapFamily, t, derivative: bool = False):
     """Stacked map matrices M(t), shape t.shape + (3, 3); with ``derivative``
-    also the exact time derivatives, as the pair (M, Mdot)."""
-    radial = fam.ensemble.radial
+    also the exact time derivatives, as the pair (M, Mdot).  One radial pass."""
     second = fam.moments.second
     xi = fam.xi
     cross = _cross_matrix(fam.moments.first)
     spread = xi * np.eye(3) - second
-    c = np.asarray(radial.cos_expectation(t))[..., None, None]
-    s = np.asarray(radial.sin_expectation(t))[..., None, None]
+    c, s, *rest = (np.asarray(e)[..., None, None]
+                   for e in fam.ensemble.radial.expectations(t, derivative))
     m = c * spread + second / xi + s * cross
     if not derivative:
         return m
-    dc = np.asarray(radial.dcos_expectation(t))[..., None, None]
-    ds = np.asarray(radial.dsin_expectation(t))[..., None, None]
+    dc, ds = rest
     return m, dc * spread + ds * cross
 
 
-def map_at(fam: MapFamily, t: float) -> BlochAffineMap:
-    """The exact channel at time t as a matrix on Bloch vectors."""
-    return BlochAffineMap(m=map_matrices(fam, float(t)), time=float(t))
+def diagonal_components(fam: MapFamily, t, derivative: bool = False):
+    """The three f_j(t) built from the diagonal of S; vectorized over t.
 
-
-def diagonal_components(fam: MapFamily, t) -> np.ndarray:
-    """The three f_j(t) built from the diagonal of S; vectorized over t."""
-    c = np.asarray(fam.ensemble.radial.cos_expectation(t))
+    With ``derivative``, the tuple (f, fdot, s, sdot) from the same radial
+    pass, where s = <sin omega t>: the closed-form generators need all four.
+    """
+    c, s, *rest = fam.ensemble.radial.expectations(t, derivative)
     m2 = np.diag(fam.moments.second)
     xi = fam.xi
-    return c[..., None] * (xi - m2) + m2 / xi
-
-
-def diagonal_derivatives(fam: MapFamily, t) -> np.ndarray:
-    """Exact time derivatives of the diagonal components."""
-    dc = np.asarray(fam.ensemble.radial.dcos_expectation(t))
-    m2 = np.diag(fam.moments.second)
-    return dc[..., None] * (fam.xi - m2)
+    f = np.asarray(c)[..., None] * (xi - m2) + m2 / xi
+    if not derivative:
+        return f
+    dc, ds = rest
+    return f, np.asarray(dc)[..., None] * (xi - m2), s, ds
 
 
 def bloch_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:

@@ -26,12 +26,10 @@ POLE_THRESHOLD count as poles rather than being extrapolated."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dynmap import (MapFamily, _cross_matrix, diagonal_components, diagonal_derivatives,
-                     map_matrices)
+from .dynmap import MapFamily, _cross_matrix, diagonal_components, map_matrices
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
@@ -67,9 +65,6 @@ class LindbladGenerator:
         k.setflags(write=False)
         object.__setattr__(self, "kossakowski", k)
 
-    def kossakowski_eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.kossakowski)
-
     def bloch_generator(self) -> np.ndarray:
         """The 3x3 generator acting on Bloch vectors, drdt = G r."""
         k = self.kossakowski
@@ -102,8 +97,7 @@ def isotropic_rate(radial: RadialModel, t: float) -> float:
 
     gamma = -wdot / 2w for the mixing weight w = (2 <cos omega t> + 1)/3.
     """
-    c = radial.cos_expectation(t)
-    dc = radial.dcos_expectation(t)
+    c, _, dc, _ = radial.expectations(t, derivative=True)
     w = (2.0 * c + 1.0) / 3.0
     _require(w, t, "mixing weight")
     return -dc / (3.0 * w)
@@ -111,8 +105,7 @@ def isotropic_rate(radial: RadialModel, t: float) -> float:
 
 def anisotropic_rates(fam: MapFamily, t: float) -> np.ndarray:
     """Per-axis rates for diagonal maps: gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k."""
-    f = diagonal_components(fam, t)
-    df = diagonal_derivatives(fam, t)
+    f, df, _, _ = diagonal_components(fam, t, derivative=True)
     for j, name in enumerate("xyz"):
         _require(f[j], t, f"f_{name}")
     logd = df / (2.0 * f)
@@ -126,13 +119,10 @@ def azimuthal_generator(fam: MapFamily, t: float) -> LindbladGenerator:
     effective level spacing h_z and reshapes gamma_z; gamma_x = gamma_y stay
     locked to f_z.
     """
-    f = diagonal_components(fam, t)
-    df = diagonal_derivatives(fam, t)
+    f, df, s, ds = diagonal_components(fam, t, derivative=True)
     if abs(f[0] - f[1]) > 1e-10 * max(1.0, abs(f[0])):
         raise ValueError("azimuthal closed form requires equal x/y second moments")
     nz = float(fam.moments.first[2])
-    s = float(fam.ensemble.radial.sin_expectation(t))
-    ds = float(fam.ensemble.radial.dsin_expectation(t))
     _require(f[2], t, "f_z")
     d = _require(f[0] * f[0] + nz * nz * s * s, t, "level-spacing denominator")
     gx = -df[2] / (2.0 * f[2])
@@ -149,11 +139,8 @@ def offdiagonal_rate(fam: MapFamily, t):
     Vectorized over t: a scalar t gives a float and raises PoleError where
     |D| < POLE_THRESHOLD; an array gives an array with NaN there.
     """
-    f = diagonal_components(fam, t)
-    df = diagonal_derivatives(fam, t)
+    f, df, s, ds = diagonal_components(fam, t, derivative=True)
     nz = float(fam.moments.first[2])
-    s = np.asarray(fam.ensemble.radial.sin_expectation(t))
-    ds = np.asarray(fam.ensemble.radial.dsin_expectation(t))
     d = f[..., 0] * f[..., 1] + nz * nz * s * s
     if np.ndim(t) == 0:
         _require(float(d), t, "off-diagonal denominator")
@@ -196,28 +183,6 @@ def _generators(fam: MapFamily, grid: np.ndarray):
     return ok, h, k
 
 
-def _denominators(fam: MapFamily):
-    """Named denominators of the axis-aligned closed forms; their roots are the
-    candidate generator singularities when the moments are axis-aligned."""
-    nz = float(fam.moments.first[2])
-
-    def fx(t):
-        return diagonal_components(fam, t)[..., 0]
-
-    def fy(t):
-        return diagonal_components(fam, t)[..., 1]
-
-    def fz(t):
-        return diagonal_components(fam, t)[..., 2]
-
-    def dxy(t):
-        f = diagonal_components(fam, t)
-        s = np.asarray(fam.ensemble.radial.sin_expectation(t))
-        return f[..., 0] * f[..., 1] + nz * nz * s * s
-
-    return {"fx": fx, "fy": fy, "fz": fz, "D": dxy}
-
-
 def _determinant(fam: MapFamily, c, s, f):
     """det M = prod_j f_j + s^2 n^T P n for the symmetric part P = c (xi I - S) + S / xi,
     from det(P + s [n]_x) = det P + s^2 n^T P n; no 3x3 stacks."""
@@ -257,18 +222,16 @@ def _sign_change_roots(func, grid, values):
     return [_bisect(func, grid[i], grid[i + 1]) for i in flips]
 
 
-def pole_scan(fam: MapFamily, window, denominators: Sequence[str] | None = None):
+def pole_scan(fam: MapFamily, window):
     """Generator singularities in a time window, by sign-change bracketing + bisection.
 
-    By default the candidates are the sign changes of det M and of the three
+    The candidates are the sign changes of det M and of the three
     eigen-branches f_j of the symmetric part of M, and a candidate is kept
     only where |det M| < POLE_THRESHOLD.  The branches catch the double roots
     of det M (f_x = f_y with no first moment, as in bagel and dumbbell), where
     det M touches zero without changing sign; a branch root where the first
     moment keeps the map invertible (det M = s^2 n^T P n there) is dropped.
-    Passing an explicit ``denominators`` tuple of "fx", "fy", "fz", "D"
-    returns the raw roots of those axis-aligned closed-form denominators
-    instead.  Sorted, deduplicated; empty when the generator is regular.
+    Sorted, deduplicated; empty when the generator is regular.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -276,31 +239,24 @@ def pole_scan(fam: MapFamily, window, denominators: Sequence[str] | None = None)
     omega_c = getattr(fam.ensemble.radial, "omega_c", 1.0)
     n = int(min(200001, max(2001, 400 * (hi - lo) * omega_c)))
     grid = np.linspace(lo, hi, n)
-    roots = []
-    if denominators is not None:
-        funcs = _denominators(fam)
-        for name in denominators:
-            func = funcs[name]
-            roots += _sign_change_roots(lambda t, f=func: float(f(t)), grid, func(grid))
-    else:
-        radial = fam.ensemble.radial
-        sigma = np.linalg.eigvalsh(fam.moments.second)
+    radial = fam.ensemble.radial
+    sigma = np.linalg.eigvalsh(fam.moments.second)
 
-        def branches(c):
-            # eigenvalues f_j of the symmetric part of M; c = <cos omega t>
-            return np.asarray(c)[..., None] * (fam.xi - sigma) + sigma / fam.xi
+    def branches(c):
+        # eigenvalues f_j of the symmetric part of M; c = <cos omega t>
+        return np.asarray(c)[..., None] * (fam.xi - sigma) + sigma / fam.xi
 
-        def det_at(t):
-            c = radial.cos_expectation(t)
-            return float(_determinant(fam, c, radial.sin_expectation(t), branches(c)))
+    def det_at(t):
+        c, s = radial.expectations(t)
+        return float(_determinant(fam, c, s, branches(c)))
 
-        c, s = np.asarray(radial.cos_expectation(grid)), np.asarray(radial.sin_expectation(grid))
-        f = branches(c)
-        roots += _sign_change_roots(det_at, grid, _determinant(fam, c, s, f))
-        for j in range(3):
-            roots += _sign_change_roots(
-                lambda t, j=j: float(branches(radial.cos_expectation(t))[j]), grid, f[:, j])
-        roots = [r for r in roots if abs(det_at(r)) < POLE_THRESHOLD]
+    c, s = radial.expectations(grid)
+    f = branches(c)
+    roots = _sign_change_roots(det_at, grid, _determinant(fam, c, s, f))
+    for j in range(3):
+        roots += _sign_change_roots(
+            lambda t, j=j: float(branches(radial.expectations(t)[0])[j]), grid, f[:, j])
+    roots = [r for r in roots if abs(det_at(r)) < POLE_THRESHOLD]
     roots.sort()
     merged = []
     for r in roots:
@@ -323,58 +279,3 @@ def rate_trajectory(fam: MapFamily, grid) -> RateTrajectory:
     poles = pole_scan(fam, (float(grid[0]), float(grid[-1]))) if grid.size > 1 else []
     return RateTrajectory(grid=grid, rates=rates, poles=poles)
 
-
-def divisibility_flags(traj: RateTrajectory):
-    """Classify pole-free intervals by the sign of the smallest Kossakowski eigenvalue.
-
-    Returns a list of (t_start, t_end, divisible) with divisible = True where
-    the Kossakowski matrix is positive semidefinite; boundaries fall on the
-    sign changes (linearly interpolated) and on pole windows.
-    """
-    t = traj.grid
-    m = traj.rates["kossakowski_min"]
-    intervals = []
-    start = None
-    label = None
-    prev_t = None
-    prev_m = None
-    for i in range(t.size):
-        if not np.isfinite(m[i]):
-            if start is not None:
-                intervals.append((start, prev_t, label))
-                start = None
-            prev_t = None
-            prev_m = None
-            continue
-        here = bool(m[i] >= 0.0)
-        if start is None:
-            start, label = t[i], here
-        elif here != label:
-            crossing = prev_t + (t[i] - prev_t) * (0.0 - prev_m) / (m[i] - prev_m)
-            intervals.append((start, crossing, label))
-            start, label = crossing, here
-        prev_t, prev_m = t[i], m[i]
-    if start is not None and prev_t is not None:
-        intervals.append((start, prev_t, label))
-    return intervals
-
-
-def short_time_positive_window(fam: MapFamily, t_probe=None) -> float:
-    """First sign change of the smallest Kossakowski eigenvalue.
-
-    The eigenvalues rise to positive values at the beginning; the returned
-    time bounds the window on which the matrix stays positive semidefinite
-    (the last probe time before a negative eigenvalue or a pole, 0.0 if the
-    first probe already fails).
-    """
-    omega_c = getattr(fam.ensemble.radial, "omega_c", 1.0)
-    if t_probe is None:
-        t_probe = np.concatenate([np.geomspace(1e-6, 0.1, 60), np.linspace(0.1, 8.0, 1600)]) / omega_c
-    t_probe = np.asarray(t_probe, dtype=float)
-    ok, _, k = _generators(fam, t_probe)
-    lam = np.full(t_probe.shape, np.nan)
-    lam[ok] = np.linalg.eigvalsh(k)[:, 0]
-    bad = np.flatnonzero(~(lam >= 0.0))
-    if bad.size == 0:
-        return t_probe[-1]
-    return t_probe[bad[0] - 1] if bad[0] > 0 else 0.0

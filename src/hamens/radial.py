@@ -1,13 +1,15 @@
 """Radial frequency distributions and their trigonometric expectations.
 
 Each model carries the effective weight w(omega) = P(omega) * omega^2 (the
-measure every expectation integrates against) and exact forms for
+measure every expectation integrates against) and one method,
+`expectations(t, derivative=False)`, that evaluates in a single pass
 
-    <cos omega t>,  <sin omega t>,  their time derivatives,  and <omega>.
+    <cos omega t>,  <sin omega t>,  and with ``derivative`` their time derivatives
 
-The generic quadrature route (`expectation`, and the `RadialModel` defaults)
-is independent of those forms and no model's expectations use it: it is the
-oracle for them.  Three built-in families have closed forms:
+for a scalar or an array t; <omega> is the derivative of <sin omega t> at 0.
+The generic quadrature route (`expectation`, and `RadialModel.expectations`)
+is independent of the exact forms and no model's expectations use it: it is
+the oracle for them.  Three built-in families have closed forms:
 
 * Gaussian with cutoff omega_c (effective weight is a Maxwell distribution),
 * exponential cutoff (effective weight is a Gamma(4) distribution),
@@ -75,7 +77,7 @@ def _scalarize(t, value):
 
 
 class RadialModel:
-    """Base class; subclasses override the closed forms they know."""
+    """Base class; subclasses override `expectations` with their exact forms."""
 
     omega_c: float
 
@@ -120,24 +122,16 @@ class RadialModel:
         """Quadrature evaluation of the radial expectation of f(omega*t)."""
         return self._quadrature(lambda w, t: f(w * t), t)
 
-    # -- expectations (quadrature defaults, overridden by closed forms) -----
-    def cos_expectation(self, t):
-        return self.expectation(np.cos, t)
-
-    def sin_expectation(self, t):
-        return self.expectation(np.sin, t)
-
-    def dcos_expectation(self, t):
-        """d/dt <cos omega t> = -<omega sin omega t>, by differentiation under the integral."""
-        return self._quadrature(lambda w, t: -w * np.sin(w * t), t)
-
-    def dsin_expectation(self, t):
-        """d/dt <sin omega t> = <omega cos omega t>."""
-        return self._quadrature(lambda w, t: w * np.cos(w * t), t)
-
-    def mean_omega(self) -> float:
-        """First frequency moment of the effective weight."""
-        return self._integrate(lambda w: w * self.weight(w), 0.0)
+    # -- expectations (quadrature default, overridden by exact forms) -------
+    def expectations(self, t, derivative: bool = False):
+        """(<cos omega t>, <sin omega t>), and with ``derivative`` also their time
+        derivatives -<omega sin omega t> and <omega cos omega t> (differentiation
+        under the integral): floats for a scalar t, arrays of t's shape otherwise."""
+        out = (self.expectation(np.cos, t), self.expectation(np.sin, t))
+        if derivative:
+            out += (self._quadrature(lambda w, t: -w * np.sin(w * t), t),
+                    self._quadrature(lambda w, t: w * np.cos(w * t), t))
+        return out
 
 
 def _positive_cutoff(omega_c) -> float:
@@ -170,38 +164,29 @@ class GaussianRadial(RadialModel):
     # Clamping |x| to _GAUSS_ZERO in the exp(-x^2/2) forms changes no value
     # (the factor is already 0 there) and keeps x^2 finite.
 
-    def cos_expectation(self, t):
-        x = np.minimum(np.abs(self.omega_c * np.asarray(t, dtype=float)), _GAUSS_ZERO)
-        return _scalarize(t, np.exp(-0.5 * x * x) * (1.0 - x * x))
-
-    def sin_expectation(self, t):
+    def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)
+        xa = np.minimum(np.abs(x), _GAUSS_ZERO)
+        c = np.exp(-0.5 * xa * xa) * (1.0 - xa * xa)
+        # exp(-x^2/2) erfi(x/sqrt 2) rewritten through the Dawson function (the
+        # naive product overflows against underflow for x >~ 38); from
+        # _GAUSS_FAR on, the asymptotic series replaces it
         far = np.abs(x) >= _GAUSS_FAR
-        if far.any():
-            near = self.sin_expectation(np.where(far, 0.0, t))
-            return _scalarize(t, np.where(far, _gaussian_tail(x, _GAUSS_SIN_TAIL, odd=True), near))
-        # exp(-x^2/2) erfi(x/sqrt 2) rewritten through the Dawson function:
-        # the naive product overflows against underflow for x >~ 38.
-        daw = _dawsn(x / math.sqrt(2.0))
-        return _scalarize(t, _SQRT_2_OVER_PI * x + (1.0 - x * x) * _TWO_OVER_SQRT_PI * daw)
-
-    def dcos_expectation(self, t):
-        x = np.maximum(np.minimum(self.omega_c * np.asarray(t, dtype=float), _GAUSS_ZERO), -_GAUSS_ZERO)
-        return _scalarize(t, -self.omega_c * x * (3.0 - x * x) * np.exp(-0.5 * x * x))
-
-    def dsin_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
-        far = np.abs(x) >= _GAUSS_FAR
-        if far.any():
-            near = self.dsin_expectation(np.where(far, 0.0, t))
-            tail = self.omega_c * _gaussian_tail(x, _GAUSS_DSIN_TAIL, odd=False)
-            return _scalarize(t, np.where(far, tail, near))
-        daw = _dawsn(x / math.sqrt(2.0))
-        val = _SQRT_2_OVER_PI * (2.0 - x * x) - _TWO_OVER_SQRT_PI * x * (3.0 - x * x) * daw
-        return _scalarize(t, self.omega_c * val)
-
-    def mean_omega(self):
-        return 2.0 * _SQRT_2_OVER_PI * self.omega_c
+        any_far = far.any()
+        xn = np.where(far, 0.0, x) if any_far else x
+        daw = _dawsn(xn / math.sqrt(2.0))
+        s = _SQRT_2_OVER_PI * xn + (1.0 - xn * xn) * _TWO_OVER_SQRT_PI * daw
+        if any_far:
+            s = np.where(far, _gaussian_tail(x, _GAUSS_SIN_TAIL, odd=True), s)
+        if not derivative:
+            return _scalarize(t, c), _scalarize(t, s)
+        xc = np.maximum(np.minimum(x, _GAUSS_ZERO), -_GAUSS_ZERO)
+        dc = -self.omega_c * xc * (3.0 - xc * xc) * np.exp(-0.5 * xc * xc)
+        ds = self.omega_c * (_SQRT_2_OVER_PI * (2.0 - xn * xn)
+                             - _TWO_OVER_SQRT_PI * xn * (3.0 - xn * xn) * daw)
+        if any_far:
+            ds = np.where(far, self.omega_c * _gaussian_tail(x, _GAUSS_DSIN_TAIL, odd=False), ds)
+        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
 
 
 @dataclass(frozen=True)
@@ -223,28 +208,18 @@ class ExponentialCutoffRadial(RadialModel):
     def mass(self):
         return 1.0
 
-    def cos_expectation(self, t):
+    def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)
         u = x * x
-        return _scalarize(t, (1.0 - 6.0 * u + u * u) / _pow(1.0 + u, 4))
-
-    def sin_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
-        u = x * x
-        return _scalarize(t, 4.0 * x * (1.0 - u) / _pow(1.0 + u, 4))
-
-    def dcos_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
-        u = x * x
-        return _scalarize(t, -4.0 * self.omega_c * x * (5.0 - 10.0 * u + u * u) / _pow(1.0 + u, 5))
-
-    def dsin_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
-        u = x * x
-        return _scalarize(t, 4.0 * self.omega_c * (5.0 * u * u - 10.0 * u + 1.0) / _pow(1.0 + u, 5))
-
-    def mean_omega(self):
-        return 4.0 * self.omega_c
+        q = _pow(1.0 + u, 4)
+        c = (1.0 - 6.0 * u + u * u) / q
+        s = 4.0 * x * (1.0 - u) / q
+        if not derivative:
+            return _scalarize(t, c), _scalarize(t, s)
+        q = _pow(1.0 + u, 5)
+        dc = -4.0 * self.omega_c * x * (5.0 - 10.0 * u + u * u) / q
+        ds = 4.0 * self.omega_c * (5.0 * u * u - 10.0 * u + 1.0) / q
+        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
 
 
 @dataclass(frozen=True)
@@ -270,35 +245,23 @@ class ReciprocalSquareRadial(RadialModel):
     def mass(self):
         return 1.0
 
-    def cos_expectation(self, t):
+    def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)
-        return _scalarize(t, np.sinc(x / np.pi))
-
-    def sin_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
+        c = np.sinc(x / np.pi)
         small = np.abs(x) < 1e-3
         xs = np.where(small, 1.0, x)
         series = x / 2.0 - x ** 3 / 24.0 + x ** 5 / 720.0
-        return _scalarize(t, np.where(small, series, (1.0 - np.cos(xs)) / xs))
-
-    def dcos_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
+        s = np.where(small, series, (1.0 - np.cos(xs)) / xs)
+        if not derivative:
+            return _scalarize(t, c), _scalarize(t, s)
+        # the derivatives switch to their series at a wider |x|
         small = np.abs(x) < 1e-2
         xs = np.where(small, 1.0, x)
         series = -x / 3.0 + x ** 3 / 30.0 - x ** 5 / 840.0
-        val = np.where(small, series, np.cos(xs) / xs - np.sin(xs) / (xs * xs))
-        return _scalarize(t, self.omega_c * val)
-
-    def dsin_expectation(self, t):
-        x = self.omega_c * np.asarray(t, dtype=float)
-        small = np.abs(x) < 1e-2
-        xs = np.where(small, 1.0, x)
+        dc = self.omega_c * np.where(small, series, np.cos(xs) / xs - np.sin(xs) / (xs * xs))
         series = 0.5 - x * x / 8.0 + x ** 4 / 144.0
-        val = np.where(small, series, np.sin(xs) / xs - (1.0 - np.cos(xs)) / (xs * xs))
-        return _scalarize(t, self.omega_c * val)
-
-    def mean_omega(self):
-        return 0.5 * self.omega_c
+        ds = self.omega_c * np.where(small, series, np.sin(xs) / xs - (1.0 - np.cos(xs)) / (xs * xs))
+        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
 
 
 #: theta = half-width * |t| below which the segment moments mu_k come from
@@ -461,20 +424,12 @@ class TabulatedRadial(RadialModel):
         im = np.where(t.ravel() < 0.0, -im, im)
         return re.reshape(t.shape), im.reshape(t.shape)
 
-    def cos_expectation(self, t):
-        return _scalarize(t, self._fourier(t, 0)[0])
-
-    def sin_expectation(self, t):
-        return _scalarize(t, self._fourier(t, 0)[1])
-
-    def dcos_expectation(self, t):
-        return _scalarize(t, -self._fourier(t, 1)[1])
-
-    def dsin_expectation(self, t):
-        return _scalarize(t, self._fourier(t, 1)[0])
-
-    def mean_omega(self):
-        return float(self._fourier(0.0, 1)[0])
+    def expectations(self, t, derivative=False):
+        c, s = self._fourier(t, 0)
+        if not derivative:
+            return _scalarize(t, c), _scalarize(t, s)
+        ds, minus_dc = self._fourier(t, 1)
+        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, -minus_dc), _scalarize(t, ds)
 
 
 def expectation_quadrature(model: RadialModel, f, t: float) -> float:

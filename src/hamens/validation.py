@@ -16,7 +16,7 @@ import numpy as np
 
 from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular)
-from .dynmap import MapFamily, bloch_trajectory, map_at
+from .dynmap import MapFamily, bloch_trajectory, map_matrices
 from .ensemble import SeparableEnsemble
 from .generator import (PoleError, anisotropic_rates, azimuthal_generator,
                         extract_generator, isotropic_rate, offdiagonal_rate, pole_scan)
@@ -77,9 +77,9 @@ def check_radial_quadrature(omega_c: float = 1.0, threshold: float = 1e-9):
     worst = 0.0
     times = np.array([0.05, 0.3, 1.0, 2.5, 5.0, 8.0]) / omega_c
     for _, radial in builtin_radials(omega_c):
-        for t in times:
-            worst = max(worst, abs(radial.cos_expectation(t) - expectation_quadrature(radial, np.cos, t)))
-            worst = max(worst, abs(radial.sin_expectation(t) - expectation_quadrature(radial, np.sin, t)))
+        for t, c, s in zip(times, *radial.expectations(times)):
+            worst = max(worst, abs(c - expectation_quadrature(radial, np.cos, t)))
+            worst = max(worst, abs(s - expectation_quadrature(radial, np.sin, t)))
     return [_result("radial-closed-form-vs-quadrature", worst, threshold)]
 
 
@@ -90,7 +90,7 @@ def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
     times = np.array([0.2, 1.0, 3.0, 8.0]) / omega_c
     for _, fam in builtin_families(omega_c, asymmetry):
         for t, est in zip(times, mc_trajectory(fam.ensemble, rho0, times, cfg)):
-            exact = map_at(fam, t).apply(rho0).bloch
+            exact = map_matrices(fam, t) @ rho0.bloch
             stderr = np.maximum(est.bloch_stderr, 1e-300)
             worst = max(worst, float(np.max(np.abs(est.bloch_mean - exact) / stderr)))
     return [_result("mc-vs-map-stderr-units", worst, threshold)]

@@ -11,6 +11,32 @@ from hamens import TabulatedAngular
 TILT = (0.7, 0.4)
 
 
+def sign_change_roots(func, lo, hi):
+    """Roots of func on [lo, hi]: every sign change between neighbours of the
+    grid `pole_scan` samples, refined by brentq.  func takes an array of times;
+    the tests use it for one closed-form denominator at a time."""
+    from scipy.optimize import brentq
+
+    grid = np.linspace(lo, hi, int(min(200001, max(2001, 400 * (hi - lo)))))
+    values = func(grid)
+    flips = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
+    return [brentq(lambda t: float(func(t)), grid[i], grid[i + 1], xtol=1e-15) for i in flips]
+
+
+def d_denominator(fam):
+    """D = f_x f_y + <n_z>^2 <sin omega t>^2, the denominator of the
+    off-diagonal and azimuthal closed forms; vectorized over t."""
+    from hamens.dynmap import diagonal_components
+
+    nz = float(fam.moments.first[2])
+
+    def d(t):
+        f, _, s, _ = diagonal_components(fam, t, derivative=True)
+        return f[..., 0] * f[..., 1] + nz * nz * s * s
+
+    return d
+
+
 @pytest.fixture(scope="session")
 def tilted_table():
     """37 x 49 table of 3 (n.m)^2 (1 + n.m/2) / 4pi about a tilted axis m, scaled to xi = 1.

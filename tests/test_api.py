@@ -1,21 +1,37 @@
-"""Public surface: what `hamens` exports, and constructors that compute nothing."""
+"""Public surface: what `hamens` exports, constructors that compute nothing,
+and the benchmark tracer that wraps the package from outside."""
+
+import inspect
+import os
+import subprocess
+import sys
 
 import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
-                    GaussianRadial, KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
-                    SeparableEnsemble, SphereAngular)
+                    GaussianRadial, KneadedCardioidAngular, LindbladGenerator, MapFamily,
+                    RadialModel, ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
+                    TabulatedRadial, dynmap, generator, pole_scan)
 
-#: names the package no longer exports
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: names the package no longer exports, nor the classes and modules that held them
 REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "purity", "apply",
-           "f_component", "choi_matrix", "trace_distance")
+           "f_component", "choi_matrix", "trace_distance",
+           "cos_expectation", "sin_expectation", "dcos_expectation", "dsin_expectation",
+           "mean_omega", "BlochAffineMap", "map_at", "diagonal_derivatives", "_denominators",
+           "divisibility_flags", "short_time_positive_window", "kossakowski_eigenvalues")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
+    holders = (hamens, dynmap, generator, RadialModel, GaussianRadial, ExponentialCutoffRadial,
+               ReciprocalSquareRadial, TabulatedRadial, LindbladGenerator)
     for name in REMOVED:
-        assert not hasattr(hamens, name), name
+        for holder in holders:
+            assert not hasattr(holder, name), (holder, name)
+    assert list(inspect.signature(pole_scan).parameters) == ["fam", "window"]
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):
@@ -34,3 +50,14 @@ def test_builtin_constructors_run_no_quadrature(monkeypatch):
                              ReciprocalSquareRadial(omega_c)):
             for angular_model in angulars:
                 MapFamily.from_ensemble(SeparableEnsemble(radial_model, angular_model))
+
+
+def test_bench_tracer_installs_on_the_package():
+    # bench/tracer.py wraps hamens functions by name; a deletion it still
+    # names must fail here, not only inside a traced benchmark run
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from tracer import Tracer, install; install(Tracer())")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "bench")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,8 @@ from hamens import PoleError, QuadratureError, TabulatedAngular, directional_mom
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
 
+from conftest import d_denominator, sign_change_roots
+
 
 def write_config(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
@@ -167,7 +169,7 @@ def test_rates_kneaded_gaussian_pole_flags(tmp_path):
 
 
 def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
-    from hamens.dynmap import map_at
+    from hamens.dynmap import map_matrices
     from hamens.generator import POLE_THRESHOLD
     th, ph = np.meshgrid(tilted_table.theta, tilted_table.phi, indexing="ij")
     rows = zip(th.ravel(), ph.ravel(), tilted_table.values.ravel())
@@ -178,7 +180,7 @@ def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
     cfg = write_config(tmp_path, body)
     run = load_config(cfg)
     fam = run.build_family()
-    regular = np.array([abs(np.linalg.det(map_at(fam, t).m)) >= POLE_THRESHOLD
+    regular = np.array([abs(np.linalg.det(map_matrices(fam, t))) >= POLE_THRESHOLD
                         for t in run.time_grid()])
     for command in ("simulate", "rates"):
         out = tmp_path / f"{command}.csv"
@@ -205,8 +207,13 @@ def test_validate_passes_and_scales_with_noise(tmp_path, capsys):
 
 def test_validate_catches_injected_sign_error(tmp_path, capsys, monkeypatch):
     from hamens.radial import GaussianRadial as GR
-    original = GR.sin_expectation
-    monkeypatch.setattr(GR, "sin_expectation", lambda self, t: -original(self, t))
+    original = GR.expectations
+
+    def flipped_sin(self, t, derivative=False):
+        c, s, *rest = original(self, t, derivative)
+        return (c, -s, *rest)
+
+    monkeypatch.setattr(GR, "expectations", flipped_sin)
     cfg = write_config(tmp_path, SPHERE_CFG + "\n[mc]\nseed = 9\nsamples = 20000\n")
     rc = main(["validate", "--config", cfg])
     capsys.readouterr()
@@ -263,7 +270,7 @@ def test_scan_pole_counts_exp_cutoff(tmp_path):
 @pytest.mark.parametrize("kind, values", [("gaussian", "0 0.1 0.3 0.9"),
                                            ("exp-cutoff", "0.3 0.9")])
 def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
-    from hamens.generator import offdiagonal_rate, pole_scan
+    from hamens.generator import offdiagonal_rate
 
     body = SCAN_CFG.replace("kind = gaussian", f"kind = {kind}").replace(
         "values = 0 0.1 0.3", f"values = {values}")
@@ -281,7 +288,7 @@ def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
                 gxy.append(abs(offdiagonal_rate(fam, float(t))))
             except PoleError:
                 continue
-        poles = pole_scan(fam, (1e-9, float(grid[-1])), denominators=("D",))
+        poles = sign_change_roots(d_denominator(fam), 1e-9, float(grid[-1]))
         lines.append(f"{a:.17g},{max(gxy):.17g},{len(poles)}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 

@@ -8,9 +8,11 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
                     SeparableEnsemble, SphereAngular, choi_check, directional_moments,
-                    map_at, map_matrices, mc_average, pole_scan, purity_trajectory)
+                    map_matrices, mc_average, purity_trajectory)
 from hamens.dynmap import bloch_trajectory, diagonal_components
 from hamens.validation import builtin_families
+
+from conftest import sign_change_roots
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -25,7 +27,7 @@ BAGEL_G = family(GaussianRadial(), BagelAngular())
 
 
 def mixing_weight(radial, t):
-    return (2.0 * radial.cos_expectation(t) + 1.0) / 3.0
+    return (2.0 * radial.expectations(t)[0] + 1.0) / 3.0
 
 
 def choi_matrix(m):
@@ -61,20 +63,20 @@ def test_f_component_bagel_when_cosine_vanishes():
 
 def test_map_sphere_is_isotropic_contraction():
     for t in np.linspace(0.0, 8.0, 60):
-        m = map_at(SPHERE_G, t).m
+        m = map_matrices(SPHERE_G, t)
         assert np.max(np.abs(m - mixing_weight(SPHERE_G.ensemble.radial, t) * np.eye(3))) < 1e-12
 
 
 def test_map_identity_at_time_zero():
     for fam in (SPHERE_G, CARDIOID_G, BAGEL_G):
-        assert np.allclose(map_at(fam, 0.0).m, np.eye(3), atol=1e-14)
+        assert np.allclose(map_matrices(fam, 0.0), np.eye(3), atol=1e-14)
 
 
 def test_map_diagonal_for_reflection_symmetric_geometries():
     for angular in (BagelAngular(), DumbbellAngular()):
         fam = family(GaussianRadial(), angular)
         for t in np.linspace(0.1, 6.0, 25):
-            m = map_at(fam, t).m
+            m = map_matrices(fam, t)
             off = m - np.diag(np.diag(m))
             assert np.max(np.abs(off)) < 1e-12
 
@@ -117,22 +119,22 @@ def test_map_convention_against_quadrature_averaged_realizations():
            + (1 - c)[..., None] * dot[None, :, None] * axes[None, :, :])
     averaged = np.einsum("i,j,ijk->k", wom, w_ang, r_t)
 
-    exact = map_at(CARDIOID_G, t).apply(DensityMatrix(r0)).bloch
+    exact = map_matrices(CARDIOID_G, t) @ DensityMatrix(r0).bloch
     assert np.max(np.abs(averaged - exact)) < 1e-8
 
 
 def test_apply_unitality_and_identity():
-    m0 = map_at(CARDIOID_G, 0.0)
+    m0 = map_matrices(CARDIOID_G, 0.0)
     rho = DensityMatrix([0.3, -0.2, 0.5])
-    assert np.allclose(m0.apply(rho).bloch, rho.bloch, atol=1e-14)
-    out = map_at(CARDIOID_G, 2.0).apply(DensityMatrix([0.0, 0.0, 0.0]))
-    assert np.array_equal(out.bloch, np.zeros(3))
+    assert np.allclose(m0 @ rho.bloch, rho.bloch, atol=1e-14)
+    out = map_matrices(CARDIOID_G, 2.0) @ DensityMatrix([0.0, 0.0, 0.0]).bloch
+    assert np.array_equal(out, np.zeros(3))
 
 
 def test_apply_long_time_sphere_limit():
     # the weight settles at 1/3: a constant mixture with the fully mixed state
-    out = map_at(SPHERE_G, 40.0).apply(DensityMatrix([0.0, 0.0, 1.0]))
-    assert np.allclose(out.bloch, [0.0, 0.0, 1.0 / 3.0], atol=1e-10)
+    out = map_matrices(SPHERE_G, 40.0) @ DensityMatrix([0.0, 0.0, 1.0]).bloch
+    assert np.allclose(out, [0.0, 0.0, 1.0 / 3.0], atol=1e-10)
 
 
 def test_map_contracts_bloch_norm_for_all_builtin_pairs():
@@ -140,7 +142,7 @@ def test_map_contracts_bloch_norm_for_all_builtin_pairs():
     n0 = np.linalg.norm(r0)
     for _, fam in builtin_families():
         for t in np.linspace(0.0, 10.0, 101):
-            assert np.linalg.norm(map_at(fam, t).m @ r0) <= n0 + 1e-12
+            assert np.linalg.norm(map_matrices(fam, t) @ r0) <= n0 + 1e-12
 
 
 def test_purity_trajectory_sphere_values():
@@ -159,7 +161,7 @@ def test_purity_trajectory_sphere_values():
 def test_purity_dies_out_at_diagonal_component_roots():
     # polar initial state: purity is (1 + f_z^2)/2, reaching exactly 1/2
     # where f_z vanishes, followed by a revival
-    roots = pole_scan(BAGEL_G, (0.1, 3.0), denominators=("fz",))
+    roots = sign_change_roots(lambda t: diagonal_components(BAGEL_G, t)[..., 2], 0.1, 3.0)
     assert len(roots) == 2
     pur = purity_trajectory(BAGEL_G, DensityMatrix([0, 0, 1]), np.asarray(roots))
     assert np.allclose(pur, 0.5, atol=1e-9)
@@ -175,6 +177,36 @@ def test_purity_matches_bloch_norm_route():
     pur = purity_trajectory(fam, rho0, grid)
     r_t = bloch_trajectory(fam, rho0, grid)
     assert np.allclose(pur, 0.5 * (1 + np.sum(r_t * r_t, axis=1)), atol=1e-14)
+
+
+def test_map_matrices_makes_one_radial_pass(monkeypatch):
+    # M and Mdot share one expectations call: two Fourier sums (orders 0 and 1)
+    # for a table, one Dawson evaluation for the Gaussian
+    from hamens import TabulatedRadial, radial
+
+    om = np.linspace(0.0, 3.0, 62)
+    density = np.exp(-(om / 1.2) ** 2)
+    table = TabulatedRadial(om, density / TabulatedRadial(om, density).mass())
+    tabulated = family(table, CardioidAngular())
+    grid = np.linspace(0.0, 10.0, 201)
+    calls = []
+    fourier, dawsn = TabulatedRadial._fourier, radial._dawsn
+
+    def counted_fourier(self, t, moment):
+        calls.append("fourier")
+        return fourier(self, t, moment)
+
+    def counted_dawsn(x):
+        calls.append("dawsn")
+        return dawsn(x)
+
+    monkeypatch.setattr(TabulatedRadial, "_fourier", counted_fourier)
+    monkeypatch.setattr(radial, "_dawsn", counted_dawsn)
+    map_matrices(tabulated, grid, derivative=True)
+    assert calls == ["fourier", "fourier"]
+    calls.clear()
+    map_matrices(CARDIOID_G, grid, derivative=True)
+    assert calls == ["dawsn"]
 
 
 def test_choi_identity_map():
@@ -231,7 +263,7 @@ def test_map_agrees_with_monte_carlo():
     ]
     for fam, t in cases:
         est = mc_average(fam.ensemble, r0, t, SamplerConfig(seed=90210, n_samples=400000))
-        exact = map_at(fam, t).apply(r0).bloch
+        exact = map_matrices(fam, t) @ r0.bloch
         z = np.abs(est.bloch_mean - exact) / est.bloch_stderr
         assert np.max(z) < 3.0
 
@@ -246,5 +278,5 @@ def test_map_agrees_with_monte_carlo_on_tilted_table(tilted_table):
     rho0 = DensityMatrix([0.3, -0.5, 0.6])
     est = mc_average(ens, rho0, 1.0, SamplerConfig(seed=5, n_samples=40000))
     exact = bloch_trajectory(fam, rho0, [1.0])[0]
-    assert np.allclose(exact, map_at(fam, 1.0).apply(rho0).bloch, rtol=0.0, atol=1e-15)
+    assert np.allclose(exact, map_matrices(fam, 1.0) @ rho0.bloch, rtol=0.0, atol=1e-15)
     assert np.max(np.abs(est.bloch_mean - exact) / est.bloch_stderr) < 4.0

@@ -40,8 +40,8 @@ def test_split_normalization_accepted_and_flagged():
     with pytest.warns(UserWarning):
         fam = MapFamily.from_ensemble(ens)
     # the map is still the identity at t = 0: cos expectation starts at 1/xi
-    from hamens import map_at
-    assert np.allclose(map_at(fam, 0.0).m, np.eye(3), atol=1e-9)
+    from hamens import map_matrices
+    assert np.allclose(map_matrices(fam, 0.0), np.eye(3), atol=1e-9)
 
 
 def test_load_radial_table(tmp_path):
@@ -51,7 +51,7 @@ def test_load_radial_table(tmp_path):
     path.write_text("omega,P\n" + "\n".join(f"{o},{d}" for o, d in zip(om, dens)) + "\n")
     tab = load_radial_table(path)
     assert tab.omega.size == 801
-    assert abs(tab.cos_expectation(1.0)) < 1e-4
+    assert abs(tab.expectations(1.0)[0]) < 1e-4
 
 
 def test_load_radial_table_rejects_bad_header(tmp_path):

@@ -9,13 +9,14 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, PoleError, ReciprocalSquareRadial, SeparableEnsemble,
                     SphereAngular, anisotropic_rates, azimuthal_generator,
-                    divisibility_flags, extract_generator, isotropic_rate,
-                    offdiagonal_rate, pole_scan, rate_trajectory,
-                    short_time_positive_window)
-from hamens.dynmap import diagonal_components, map_at
+                    extract_generator, isotropic_rate, map_matrices,
+                    offdiagonal_rate, pole_scan, rate_trajectory)
+from hamens.dynmap import diagonal_components
 from hamens.generator import POLE_THRESHOLD, _sign_change_roots
 from hamens.radial import RadialModel
 from hamens.validation import builtin_families, pole_free_times
+
+from conftest import d_denominator, sign_change_roots
 
 
 def family(radial, angular):
@@ -102,7 +103,7 @@ def test_isotropic_rate_matches_finite_differences():
     for radial_cls in ISO_FORMS:
         r = radial_cls(1.0)
         for t in np.linspace(0.01, 1.5, 60):
-            w = lambda tt: (2 * r.cos_expectation(tt) + 1) / 3
+            w = lambda tt: (2 * r.expectations(tt)[0] + 1) / 3
             fd = -(w(t + h) - w(t - h)) / (2 * h) / (2 * w(t))
             assert isotropic_rate(r, t) == pytest.approx(fd, rel=1e-6)
 
@@ -140,7 +141,7 @@ def test_azimuthal_generator_initial_level_spacing():
                              (ExponentialCutoffRadial, 4.0)]:
         fam = family(radial_cls(1.0), CardioidAngular())
         gen = azimuthal_generator(fam, 1e-12)
-        oracle = RadialModel.mean_omega(fam.ensemble.radial)
+        oracle = RadialModel.expectations(fam.ensemble.radial, 0.0, derivative=True)[3]
         assert gen.h[2] == pytest.approx(-mean / 3, rel=1e-9)
         assert gen.h[2] == pytest.approx(-oracle / 3, rel=1e-9)
 
@@ -185,7 +186,7 @@ def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
     # the fig7 grid, plus the roots of D, which lie inside its pole window
     fam = family(radial, KneadedCardioidAngular(a))
     grid = np.linspace(0.0, 10.0, 2001)[1:]
-    roots = pole_scan(fam, (1e-9, 10.0), denominators=("D",))
+    roots = sign_change_roots(d_denominator(fam), 1e-9, 10.0)
     ts = np.concatenate([grid, roots])
     batched = offdiagonal_rate(fam, ts)
     assert batched.shape == ts.shape
@@ -205,12 +206,11 @@ def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
 
 
 def test_diagonal_component_gap_is_linear_in_asymmetry():
-    from hamens.dynmap import diagonal_components
     a = 0.37
     fam = family(GaussianRadial(), KneadedCardioidAngular(a))
     for t in (0.2, 1.1):
         f = diagonal_components(fam, t)
-        c = fam.ensemble.radial.cos_expectation(t)
+        c = fam.ensemble.radial.expectations(t)[0]
         assert f[0] - f[1] == pytest.approx((a / 3) * (1 - c), abs=1e-14)
 
 
@@ -243,7 +243,7 @@ def test_extract_generator_kneaded_example_point():
 
 def test_extract_generator_short_time_positivity():
     for _, fam in builtin_families():
-        eig = extract_generator(fam, 1e-4).kossakowski_eigenvalues()
+        eig = np.linalg.eigvalsh(extract_generator(fam, 1e-4).kossakowski)
         assert eig[0] >= -1e-12
 
 
@@ -283,11 +283,10 @@ def test_reduction_nearly_equal_moments_to_isotropic():
 
 
 def test_map_derivatives_match_finite_differences():
-    from hamens.dynmap import diagonal_components, diagonal_derivatives
     h = 1e-6
     for _, fam in builtin_families():
         ts = np.linspace(0.05, 5.0, 30)
-        df = diagonal_derivatives(fam, ts)
+        df = diagonal_components(fam, ts, derivative=True)[1]
         fd = (diagonal_components(fam, ts + h) - diagonal_components(fam, ts - h)) / (2 * h)
         assert np.max(np.abs(df - fd) / np.maximum(np.abs(df), 1e-2)) < 1e-6
 
@@ -314,7 +313,7 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
     assert max(np.max(np.abs(second - np.diag(np.diag(second)))),
                np.max(np.abs(rotated.moments.first[:2]))) > 1e-2  # not axis-aligned
     for t in (0.0, 0.3, 1.1, 2.6, 4.0):
-        assert np.max(np.abs(map_at(rotated, t).m - r @ map_at(fam, t).m @ r.T)) < 1e-14
+        assert np.max(np.abs(map_matrices(rotated, t) - r @ map_matrices(fam, t) @ r.T)) < 1e-14
 
     poles = pole_scan(fam, (1e-6, 4.0))
     assert len(poles) == n_poles  # the dumbbell's are double roots of det M (f_x = f_y)
@@ -384,8 +383,8 @@ def test_pole_scan_bagel_reciprocal_square_regular():
 def test_pole_scan_dumbbell_gaussian_z_channel():
     # the longitudinal channel is singular (f_x roots), the transverse one is not
     fam = family(GaussianRadial(), DumbbellAngular())
-    assert len(pole_scan(fam, (1e-6, 4.0), denominators=("fx",))) == 2
-    assert pole_scan(fam, (1e-6, 4.0), denominators=("fz",)) == []
+    assert len(sign_change_roots(lambda t: diagonal_components(fam, t)[..., 0], 1e-6, 4.0)) == 2
+    assert sign_change_roots(lambda t: diagonal_components(fam, t)[..., 2], 1e-6, 4.0) == []
 
 
 @pytest.mark.parametrize("radial_cls,with_poles,without", [
@@ -395,13 +394,13 @@ def test_pole_scan_dumbbell_gaussian_z_channel():
 def test_pole_scan_kneaded_asymmetry_thresholds(radial_cls, with_poles, without):
     fam_hot = family(radial_cls(1.0), KneadedCardioidAngular(with_poles))
     fam_cold = family(radial_cls(1.0), KneadedCardioidAngular(without))
-    assert len(pole_scan(fam_hot, (1e-6, 10.0), denominators=("D",))) >= 2
-    assert pole_scan(fam_cold, (1e-6, 10.0), denominators=("D",)) == []
+    assert len(sign_change_roots(d_denominator(fam_hot), 1e-6, 10.0)) >= 2
+    assert sign_change_roots(d_denominator(fam_cold), 1e-6, 10.0) == []
 
 
 def test_pole_scan_kneaded_reciprocal_square_regular_even_at_large_asymmetry():
     fam = family(ReciprocalSquareRadial(), KneadedCardioidAngular(0.9))
-    assert pole_scan(fam, (1e-6, 20.0), denominators=("D",)) == []
+    assert sign_change_roots(d_denominator(fam), 1e-6, 20.0) == []
 
 
 # Roots on (0, 4) for the Gaussian radial model (omega_c = 1) with the kneaded
@@ -424,19 +423,19 @@ def test_pole_scan_kneaded_ignores_harmless_fy_roots():
     # D = <n_z>^2 <sin omega t>^2 > 0 whenever <sin omega t> != 0: the map stays
     # invertible there, and only the two D sign changes are generator singularities
     fam = family(GaussianRadial(), KneadedCardioidAngular(0.3))
-    fy_roots = pole_scan(fam, (1e-6, 4.0), denominators=("fy",))
+    fy_roots = sign_change_roots(lambda t: diagonal_components(fam, t)[..., 1], 1e-6, 4.0)
     assert len(fy_roots) == 2
     true_poles = pole_scan(fam, (1e-6, 4.0))
     assert len(true_poles) == 2
-    d_roots = pole_scan(fam, (1e-6, 4.0), denominators=("D",))
+    d_roots = sign_change_roots(d_denominator(fam), 1e-6, 4.0)
     assert np.allclose(true_poles, d_roots, atol=1e-9)
     assert np.allclose(fy_roots, KNEADED_FY_ROOTS, rtol=0.0, atol=1e-9)
     assert np.allclose(true_poles, KNEADED_D_ROOTS, rtol=0.0, atol=1e-9)
     nz = float(fam.moments.first[2])
     for r in fy_roots:
         assert all(abs(r - p) > 1e-9 for p in true_poles)
-        det = np.linalg.det(map_at(fam, r).m)
-        harmless = nz * nz * float(fam.ensemble.radial.sin_expectation(r)) ** 2
+        det = np.linalg.det(map_matrices(fam, r))
+        harmless = nz * nz * fam.ensemble.radial.expectations(r)[1] ** 2
         assert det / diagonal_components(fam, r)[2] == pytest.approx(harmless, rel=1e-9)
         assert abs(det) > POLE_THRESHOLD
         gen = extract_generator(fam, r)
@@ -483,56 +482,30 @@ def test_batched_generator_equals_one_point_route():
             k = gen.kossakowski
             expected = {"gamma_x": k[0, 0], "gamma_y": k[1, 1], "gamma_z": k[2, 2],
                         "gamma_xy": k[0, 1], "omega_bar": gen.h[2],
-                        "kossakowski_min": gen.kossakowski_eigenvalues()[0]}
+                        "kossakowski_min": np.linalg.eigvalsh(k)[0]}
             for name, value in expected.items():
                 assert traj.rates[name][i] == value, (name, t)
 
 
 # ---------------------------------------------------------------------------
-# divisibility
+# divisibility: the sign pattern of the smallest Kossakowski eigenvalue
 # ---------------------------------------------------------------------------
 
 def test_divisibility_sphere_gaussian_two_regimes():
     fam = family(GaussianRadial(), SphereAngular())
-    traj = rate_trajectory(fam, np.linspace(0.01, 8.0, 400))
-    flags = divisibility_flags(traj)
-    assert [f[2] for f in flags] == [True, False]
-    # the boundary is the sign change of the rate at x = sqrt(3)
-    assert flags[0][1] == pytest.approx(math.sqrt(3.0), abs=1e-3)
-
-
-def test_divisibility_constant_positive_is_single_interval():
-    from hamens.generator import RateTrajectory
-    grid = np.linspace(0.0, 1.0, 11)
-    traj = RateTrajectory(grid=grid, rates={"kossakowski_min": np.ones(11)}, poles=[])
-    assert divisibility_flags(traj) == [(0.0, 1.0, True)]
+    grid = np.linspace(0.01, 8.0, 400)
+    k_min = rate_trajectory(fam, grid).rates["kossakowski_min"]
+    assert np.all(np.isfinite(k_min))
+    # one sign change, from divisible to not, at the sign change of the rate
+    # x (3 - x^2) exp(-x^2/2): x = sqrt(3), inside that grid cell
+    changes = np.flatnonzero((k_min[:-1] >= 0.0) != (k_min[1:] >= 0.0))
+    assert changes.size == 1 and k_min[0] >= 0.0
+    assert grid[changes[0]] <= math.sqrt(3.0) <= grid[changes[0] + 1]
 
 
 def test_divisibility_reciprocal_square_alternates():
     fam = family(ReciprocalSquareRadial(), SphereAngular())
-    traj = rate_trajectory(fam, np.linspace(0.01, 20.0, 1000))
-    flags = divisibility_flags(traj)
-    labels = [f[2] for f in flags]
-    assert len(labels) >= 4
-    assert all(a != b for a, b in zip(labels, labels[1:]))
-
-
-def _positive_window_reference(fam, t_probe):
-    # point-by-point scan: the last probe time before a negative eigenvalue or a pole
-    last = 0.0
-    for t in t_probe:
-        try:
-            if extract_generator(fam, t).kossakowski_eigenvalues()[0] < 0.0:
-                return last
-        except PoleError:
-            return last
-        last = t
-    return last
-
-
-def test_short_time_positive_window_all_pairs():
-    t_probe = np.concatenate([np.geomspace(1e-6, 0.1, 60), np.linspace(0.1, 8.0, 1600)])
-    for name, fam in builtin_families():
-        t1 = short_time_positive_window(fam)
-        assert t1 > 0.3, name
-        assert t1 == _positive_window_reference(fam, t_probe), name
+    k_min = rate_trajectory(fam, np.linspace(0.01, 20.0, 1000)).rates["kossakowski_min"]
+    assert np.all(np.isfinite(k_min))
+    changes = np.flatnonzero((k_min[:-1] >= 0.0) != (k_min[1:] >= 0.0))
+    assert changes.size >= 4

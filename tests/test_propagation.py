@@ -6,8 +6,7 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCutoffRadial,
                     GaussianRadial, IntegrationError, LindbladGenerator, MapFamily,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
-                    extract_generator, integrate_master, isotropic_rate, map_at,
-                    pole_scan)
+                    extract_generator, integrate_master, isotropic_rate, pole_scan)
 from hamens.dynmap import bloch_trajectory
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -57,7 +56,7 @@ def test_sphere_gaussian_endpoint():
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
     traj = integrate_master(lambda t: extract_generator(fam, t), rho0, (0.0, 1.5),
                             t_eval=[1.5])
-    w = (2 * fam.ensemble.radial.cos_expectation(1.5) + 1) / 3
+    w = (2 * fam.ensemble.radial.expectations(1.5)[0] + 1) / 3
     assert np.max(np.abs(traj.bloch[-1] - w * rho0.bloch)) < 1e-6
 
 

@@ -13,13 +13,13 @@ from hamens.radial import _SERIES_THETA
 #: on nothing but the seed (not on literals anywhere in the code)
 SEEDS = range(40)
 
-EXPECTATIONS = ("cos_expectation", "sin_expectation", "dcos_expectation", "dsin_expectation")
+#: the four values of expectations(t, derivative=True), in order
+EXPECTATIONS = ("cos", "sin", "dcos", "dsin")
 #: the integrand factor of each expectation, sign * omega^power * trig(omega t)
-INTEGRANDS = {"cos_expectation": (1.0, 0, np.cos), "sin_expectation": (1.0, 0, np.sin),
-              "dcos_expectation": (-1.0, 1, np.sin), "dsin_expectation": (1.0, 1, np.cos)}
+INTEGRANDS = {"cos": (1.0, 0, np.cos), "sin": (1.0, 0, np.sin),
+              "dcos": (-1.0, 1, np.sin), "dsin": (1.0, 1, np.cos)}
 #: +1 for the even expectations, -1 for the odd ones
-PARITY = {"cos_expectation": 1.0, "sin_expectation": -1.0,
-          "dcos_expectation": -1.0, "dsin_expectation": 1.0}
+PARITY = {"cos": 1.0, "sin": -1.0, "dcos": -1.0, "dsin": 1.0}
 
 
 def table(rng):
@@ -85,13 +85,13 @@ def test_exact_route_matches_quadrature_oracle():
     for seed in SEEDS:
         model = table(np.random.default_rng(seed))
         for t in probe_times(model):
-            for name in EXPECTATIONS:
-                exact = getattr(model, name)(t)
+            for name, exact in zip(EXPECTATIONS, model.expectations(t, derivative=True)):
                 reference = oracle(model, *INTEGRANDS[name], t)
                 assert abs(exact - reference) < 1e-12, (seed, name, t)
+        at_zero = model.expectations(0.0, derivative=True)
         assert abs(model.mass() - oracle(model, 1.0, 0, np.cos)) < 1e-12, seed
-        assert abs(model.mean_omega() - oracle(model, 1.0, 1, np.cos)) < 1e-12, seed
-        assert model.cos_expectation(0.0) == model.mass(), seed
+        assert abs(at_zero[3] - oracle(model, 1.0, 1, np.cos)) < 1e-12, seed
+        assert at_zero[0] == model.mass(), seed
 
 
 def test_parity_and_scalar_array_agreement():
@@ -101,8 +101,9 @@ def test_parity_and_scalar_array_agreement():
         # up to 12 extra times in [-300, 300] next to the probe times
         ts = np.concatenate([rng.uniform(-300.0, 300.0, int(rng.integers(1, 13))),
                              probe_times(model)])
-        for name in EXPECTATIONS:
-            f = getattr(model, name)
+        for k, name in enumerate(EXPECTATIONS):
+            def f(t):
+                return model.expectations(t, derivative=True)[k]
             values = f(ts)
             assert np.array_equal(f(-ts), PARITY[name] * values), (seed, name)
             assert np.array_equal(values, [f(float(t)) for t in ts]), (seed, name)
@@ -119,9 +120,9 @@ def test_tabulated_route_never_reaches_panel_quadrature(monkeypatch):
     om = np.linspace(0.0, 3.0, 62)
     model = TabulatedRadial(om, np.exp(-(om / 1.2) ** 2))
     ts = np.linspace(0.0, 2000.0, 4001)
-    for name in EXPECTATIONS:
-        assert np.all(np.isfinite(getattr(model, name)(ts)))
-    assert model.mass() > 0.0 and model.mean_omega() > 0.0
+    for values in model.expectations(ts, derivative=True):
+        assert np.all(np.isfinite(values))
+    assert model.mass() > 0.0 and model.expectations(0.0, derivative=True)[3] > 0.0
 
 
 def test_large_times_decay_like_the_edge_jump():
@@ -130,13 +131,14 @@ def test_large_times_decay_like_the_edge_jump():
     model = TabulatedRadial(om, np.exp(-(om / 1.2) ** 2))
     edge = model.density[-1] * 9.0
     for t in (1e4, 1e5):
-        assert model.cos_expectation(t) == pytest.approx(edge * np.sin(3.0 * t) / t, abs=20 / t ** 2)
-        assert model.sin_expectation(t) == pytest.approx(-edge * np.cos(3.0 * t) / t, abs=20 / t ** 2)
+        c, s = model.expectations(t)
+        assert c == pytest.approx(edge * np.sin(3.0 * t) / t, abs=20 / t ** 2)
+        assert s == pytest.approx(-edge * np.cos(3.0 * t) / t, abs=20 / t ** 2)
 
 
 def test_quadrature_defaults_stay_the_oracle_on_arrays(monkeypatch):
-    # RadialModel.<method>(model, array) must run the quadrature for each
-    # element, not dispatch to the model's own exact route
+    # RadialModel.expectations(model, array) must run the quadrature for each
+    # element and expectation, not dispatch to the model's own exact route
     import hamens.radial as radial
     from hamens.radial import RadialModel
 
@@ -150,10 +152,11 @@ def test_quadrature_defaults_stay_the_oracle_on_arrays(monkeypatch):
     om = np.linspace(0.0, 3.0, 9)
     model = TabulatedRadial(om, np.exp(-(om / 1.2) ** 2))
     ts = np.array([0.0, 0.4, 1.3, 2.5, 7.0])
-    for name in EXPECTATIONS:
-        default = getattr(RadialModel, name)
-        calls.clear()
-        values = default(model, ts)
-        assert len(calls) == ts.size, name
-        assert np.array_equal(values, [default(model, float(t)) for t in ts]), name
-        assert np.array_equal(default(model, ts.reshape(1, -1))[0], values), name
+    batched = RadialModel.expectations(model, ts, derivative=True)
+    assert len(calls) == len(EXPECTATIONS) * ts.size
+    scalar = [RadialModel.expectations(model, float(t), derivative=True) for t in ts]
+    rows = RadialModel.expectations(model, ts.reshape(1, -1), derivative=True)
+    for k, name in enumerate(EXPECTATIONS):
+        values = batched[k]
+        assert np.array_equal(values, [v[k] for v in scalar]), name
+        assert np.array_equal(rows[k][0], values), name
