@@ -463,15 +463,21 @@ print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def loaded_scipy(*argv):
-    """Exit code and the scipy modules loaded by a fresh interpreter that imports
-    hamens.cli and, given arguments, runs one command."""
+def run_python(*args, timeout=120):
+    """A fresh interpreter with this checkout's src on its path, output captured."""
     root = os.path.join(os.path.dirname(__file__), "..")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_MODULES, *argv],
-                          capture_output=True, env=env, text=True, check=True, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, text=True,
+                          timeout=timeout)
+
+
+def loaded_scipy(*argv):
+    """Exit code and the scipy modules loaded by a fresh interpreter that imports
+    hamens.cli and, given arguments, runs one command."""
+    proc = run_python("-c", _SCIPY_MODULES, *argv)
+    proc.check_returncode()
     code, *modules = proc.stdout.split()
     return int(code), set(modules)
 
@@ -480,20 +486,20 @@ def test_importing_the_cli_loads_no_scipy():
     assert loaded_scipy() == (0, set())
 
 
+def command_loaded_scipy(tmp_path, command, config):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", config)
+    return loaded_scipy(command, "--config", config, "--out", str(tmp_path / "out.csv"))
+
+
 @pytest.mark.parametrize("command", ["moments", "simulate", "rates", "scan"])
 def test_reciprocal_square_commands_load_no_scipy(tmp_path, command):
-    root = os.path.join(os.path.dirname(__file__), "..")
-    config = os.path.join(root, "configs", "fig7_kneaded_reciprocal-square.cfg")
-    out = str(tmp_path / "out.csv")
-    assert loaded_scipy(command, "--config", config, "--out", out) == (0, set())
+    assert command_loaded_scipy(tmp_path, command, "fig7_kneaded_reciprocal-square.cfg") == (0, set())
 
 
-def test_gaussian_rates_load_scipy_special_only(tmp_path):
-    cfg = write_config(tmp_path, SPHERE_CFG)
-    code, modules = loaded_scipy("rates", "--config", cfg, "--out", str(tmp_path / "out.csv"))
-    assert code == 0
-    assert "scipy.special" in modules
-    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.") for m in modules)
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "scan"])
+def test_gaussian_commands_load_no_scipy(tmp_path, command):
+    # Dawson's function for the Gaussian <sin omega t> is numpy, not scipy.special
+    assert command_loaded_scipy(tmp_path, command, "fig7_kneaded_gaussian.cfg") == (0, set())
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +529,8 @@ def test_library_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, erro
 def test_rates_at_huge_finite_time_ends_quickly(tmp_path):
     # t_max = 1e300 passes config validation; the pole bracketing used to
     # bisect every NaN cell, and the Gaussian forms returned inf * 0
-    root = os.path.join(os.path.dirname(__file__), "..")
     body = SPHERE_CFG.replace("kind = sphere", "kind = bagel").replace("t_max = 10", "t_max = 1e300")
-    cfg = write_config(tmp_path, body)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "hamens", "rates", "--config", cfg],
-                          capture_output=True, env=env, text=True, timeout=60)
+    proc = run_python("-m", "hamens", "rates", "--config", write_config(tmp_path, body), timeout=60)
     if proc.returncode == 2:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -540,6 +540,18 @@ def test_rates_at_huge_finite_time_ends_quickly(tmp_path):
                 if not line.startswith("#")]
         assert len(rows) == 201
         assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_exp_cutoff_at_huge_finite_time_gives_finite_rows(tmp_path, command):
+    # the exp-cutoff rational forms overflowed into inf / inf beyond
+    # |omega_c t| ~ 1.3e154: 200 of 201 rows were NaN, with numpy warnings
+    body = SPHERE_CFG.replace("kind = gaussian", "kind = exp-cutoff").replace("t_max = 10", "t_max = 1e300")
+    proc = run_python("-m", "hamens", command, "--config", write_config(tmp_path, body), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 201
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 def write_tabulated_inputs(tmp_path):

@@ -1,5 +1,7 @@
 """Radial distributions: closed forms vs the quadrature oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,56 @@ def test_gaussian_asymptote_joins_the_closed_form():
     below, at = np.nextafter(_GAUSS_FAR, 0.0), _GAUSS_FAR
     assert mean_sin(r, below) == pytest.approx(mean_sin(r, at), rel=1e-10)
     assert mean_dsin(r, below) == pytest.approx(mean_dsin(r, at), rel=1e-8)
+
+
+def test_dawson_against_mpmath():
+    # 30-digit reference sqrt(pi)/2 exp(-x^2) erfi(x); the points include 0, the
+    # smallest subnormals, both sides of the Taylor switch and, densely, the
+    # n0 = 0 and n0 = 2 cells of Rybicki's sum, where its pairs cancel
+    mp = pytest.importorskip("mpmath")
+    from hamens.radial import _DAWSON_TAYLOR, _dawsn
+
+    edge = np.nextafter(_DAWSON_TAYLOR, [0.0, 1.0])
+    xs = np.concatenate([np.linspace(-15.0, 15.0, 6001),
+                         np.random.default_rng(9).uniform(-1.0, 1.0, 1000),
+                         [0.0, 5e-324, -5e-324, _DAWSON_TAYLOR, -_DAWSON_TAYLOR], edge, -edge])
+    with mp.workdps(30):
+        ref = np.array([float(mp.sqrt(mp.pi) / 2 * mp.exp(-mp.mpf(x) ** 2) * mp.erfi(mp.mpf(x)))
+                        for x in xs])
+    values = _dawsn(xs)
+    zero = xs == 0.0
+    assert np.all(values[zero] == 0.0)
+    assert np.max(np.abs(values - ref)[~zero] / np.abs(ref[~zero])) <= 2e-15
+    assert np.array_equal(_dawsn(-xs), -values)
+    assert np.array_equal(values, [_dawsn(float(x)) for x in xs])
+    assert np.array_equal(_dawsn(xs[:7000].reshape(70, 100)), values[:7000].reshape(70, 100))
+
+
+@pytest.mark.parametrize("x", [1e3, 1e154, 1e200, 1e300])
+def test_exp_cutoff_forms_finite_at_huge_arguments(x):
+    # far out the rational forms are taken in y = 1/x; x^2 used to overflow
+    # into inf / inf.  Leading terms: y^4 (1 - 10 y^2), -4 y^5 (1 - 5 y^2),
+    # -4 y^5 (1 - 15 y^2), 20 y^6 (1 - 7 y^2)
+    r = ExponentialCutoffRadial(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = r.expectations(x, derivative=True)
+        batched = r.expectations(np.array([0.5, -x, x]), derivative=True)
+    y, v = 1.0 / x, 1.0 / (x * x)
+    leading = [y ** 4 * (1 - 10 * v), -4 * y ** 5 * (1 - 5 * v),
+               -4 * y ** 5 * (1 - 15 * v), 20 * y ** 6 * (1 - 7 * v)]
+    assert np.all(np.isfinite(values))
+    assert values == pytest.approx(leading, rel=1e-9, abs=1e-300)
+    parity = [1.0, -1.0, -1.0, 1.0]
+    for k, column in enumerate(batched):
+        assert np.array_equal(column, [r.expectations(0.5, True)[k], parity[k] * values[k], values[k]])
+
+
+def test_exp_cutoff_far_form_joins_the_closed_form():
+    from hamens.radial import _EXP_FAR
+    r = ExponentialCutoffRadial(1.0)
+    below, above = r.expectations(_EXP_FAR, True), r.expectations(np.nextafter(_EXP_FAR, 2 * _EXP_FAR), True)
+    assert above == pytest.approx(below, rel=1e-14)
 
 
 def test_expectation_bounds_and_initial_values():
