@@ -18,8 +18,8 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
 from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
 from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropic_rates,
-                        azimuthal_generator, extract_generator, isotropic_rate,
-                        offdiagonal_rate, pole_scan, rate_trajectory)
+                        azimuthal_generator, bloch_generators, extract_generator,
+                        isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory)
 from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
                          sample_radial)
 from .propagation import IntegrationError, StateTrajectory, integrate_master
@@ -38,6 +38,7 @@ __all__ = [
     "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
     "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
+    "bloch_generators",
     "pole_scan", "rate_trajectory",
     "SamplerConfig", "MCEstimate", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
     "IntegrationError", "StateTrajectory", "integrate_master",

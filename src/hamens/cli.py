@@ -5,7 +5,7 @@ single header row, '#'-prefixed comment lines, 17-significant-digit floats
 and '\\n' line endings, so output is byte-stable for a fixed configuration.
 Exit codes: 0 success, 1 failed validation check, 2 configuration error or
 any other error the library reports (a ValueError, such as a pole or a bad
-table, or a QuadratureError), printed as one 'error:' line.
+table, a QuadratureError or an IntegrationError), printed as one 'error:' line.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .angular import directional_moments, directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
 from .generator import offdiagonal_rate, rate_trajectory
+from .propagation import IntegrationError
 from .quadrature import QuadratureError
 from .validation import run_checks
 
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg, args.out, sampler)
         return cmd_scan(cfg, args.out)
-    except (ConfigError, QuadratureError, ValueError) as err:
+    except (ConfigError, QuadratureError, IntegrationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynmap import MapFamily, _cross_matrix, diagonal_components, map_matrices
+from .dynmap import MapFamily, diagonal_components, map_matrices
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
@@ -67,8 +67,7 @@ class LindbladGenerator:
 
     def bloch_generator(self) -> np.ndarray:
         """The 3x3 generator acting on Bloch vectors, drdt = G r."""
-        k = self.kossakowski
-        return _cross_matrix(self.h) + k - np.trace(k) * np.eye(3)
+        return _bloch_matrices(self.h, self.kossakowski)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,6 +182,31 @@ def _generators(fam: MapFamily, grid: np.ndarray):
     return ok, h, k
 
 
+#: the cross-product matrices [e_x]_x, [e_y]_x, [e_z]_x, flattened: [h]_x = h @ _UNIT_CROSS
+_UNIT_CROSS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                        [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                        [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+
+
+def _bloch_matrices(h, k):
+    """G = [h]_x + K - tr(K) I, the generator on Bloch vectors (stacked)."""
+    cross = (h @ _UNIT_CROSS).reshape(k.shape)
+    return cross + k - np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+
+
+def bloch_generators(fam: MapFamily, t) -> np.ndarray:
+    """Bloch generators G(t), drdt = G r, at an array of times, shape (n, 3, 3).
+
+    Raises PoleError if |det M| < POLE_THRESHOLD at any of the times.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    ok, h, k = _generators(fam, t)
+    if not np.all(ok):
+        bad = float(t[np.argmin(ok)])
+        raise PoleError(f"map not invertible at t={bad!r}", time=bad)
+    return _bloch_matrices(h, k)
+
+
 def _determinant(fam: MapFamily, c, s, f):
     """det M = prod_j f_j + s^2 n^T P n for the symmetric part P = c (xi I - S) + S / xi,
     from det(P + s [n]_x) = det P + s^2 n^T P n; no 3x3 stacks."""
@@ -192,11 +216,12 @@ def _determinant(fam: MapFamily, c, s, f):
     return np.prod(f, axis=-1) + s * s * (c * (xi * float(n @ n) - nsn) + nsn / xi)
 
 
-def _bisect(func, lo, hi, iterations=100):
+def _bisect(func, lo, hi, unit, iterations=100):
+    """A root of func in [lo, hi] to 1e-12 relative, or 1e-12 * unit near t = 0."""
     flo = func(lo)
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
+        if hi - lo <= 1e-12 * max(unit, abs(mid)):
             break
         fmid = func(mid)
         if fmid == 0.0:
@@ -208,7 +233,7 @@ def _bisect(func, lo, hi, iterations=100):
     return 0.5 * (lo + hi)
 
 
-def _sign_change_roots(func, grid, values):
+def _sign_change_roots(func, grid, values, unit):
     """Bisected roots of func in every grid cell where its sampled values flip sign.
 
     A cell is bracketed only when both end values are finite and the left one
@@ -219,7 +244,7 @@ def _sign_change_roots(func, grid, values):
     finite = np.isfinite(values)
     flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0)
                        & finite[:-1] & finite[1:])[0]
-    return [_bisect(func, grid[i], grid[i + 1]) for i in flips]
+    return [_bisect(func, grid[i], grid[i + 1], unit) for i in flips]
 
 
 def pole_scan(fam: MapFamily, window):
@@ -231,7 +256,9 @@ def pole_scan(fam: MapFamily, window):
     of det M (f_x = f_y with no first moment, as in bagel and dumbbell), where
     det M touches zero without changing sign; a branch root where the first
     moment keeps the map invertible (det M = s^2 n^T P n there) is dropped.
-    Sorted, deduplicated; empty when the generator is regular.
+    Roots are bisected to 1e-12 and merged within 1e-9, relative to t or to
+    1/omega_c, whichever is larger, so the scan commutes with rescaling time
+    by omega_c.  Sorted, deduplicated; empty when the generator is regular.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -252,15 +279,16 @@ def pole_scan(fam: MapFamily, window):
 
     c, s = radial.expectations(grid)
     f = branches(c)
-    roots = _sign_change_roots(det_at, grid, _determinant(fam, c, s, f))
+    unit = 1.0 / omega_c
+    roots = _sign_change_roots(det_at, grid, _determinant(fam, c, s, f), unit)
     for j in range(3):
         roots += _sign_change_roots(
-            lambda t, j=j: float(branches(radial.expectations(t)[0])[j]), grid, f[:, j])
+            lambda t, j=j: float(branches(radial.expectations(t)[0])[j]), grid, f[:, j], unit)
     roots = [r for r in roots if abs(det_at(r)) < POLE_THRESHOLD]
     roots.sort()
     merged = []
     for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-9 * max(1.0, abs(r)):
+        if not merged or abs(r - merged[-1]) > 1e-9 * max(unit, abs(r)):
             merged.append(r)
     return merged
 

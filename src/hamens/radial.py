@@ -321,19 +321,25 @@ class ReciprocalSquareRadial(RadialModel):
     def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)
         c = np.sinc(x / np.pi)
+        # each series runs on x only where it is used (0 elsewhere), so a
+        # huge |x| raises no overflow in x ** 5
         small = np.abs(x) < 1e-3
-        xs = np.where(small, 1.0, x)
-        series = x / 2.0 - x ** 3 / 24.0 + x ** 5 / 720.0
+        xs, xq = np.where(small, 1.0, x), np.where(small, x, 0.0)
+        series = xq / 2.0 - xq ** 3 / 24.0 + xq ** 5 / 720.0
         s = np.where(small, series, (1.0 - np.cos(xs)) / xs)
         if not derivative:
             return _scalarize(t, c), _scalarize(t, s)
         # the derivatives switch to their series at a wider |x|
         small = np.abs(x) < 1e-2
-        xs = np.where(small, 1.0, x)
-        series = -x / 3.0 + x ** 3 / 30.0 - x ** 5 / 840.0
-        dc = self.omega_c * np.where(small, series, np.cos(xs) / xs - np.sin(xs) / (xs * xs))
-        series = 0.5 - x * x / 8.0 + x ** 4 / 144.0
-        ds = self.omega_c * np.where(small, series, np.sin(xs) / xs - (1.0 - np.cos(xs)) / (xs * xs))
+        xs, xq = np.where(small, 1.0, x), np.where(small, x, 0.0)
+        # xs^2, clamped where it would overflow; the terms over it are below
+        # 1e-308 there, against 1e-154 for the terms over xs
+        xa = np.minimum(np.abs(xs), 1e154)
+        sq = xa * xa
+        series = -xq / 3.0 + xq ** 3 / 30.0 - xq ** 5 / 840.0
+        dc = self.omega_c * np.where(small, series, np.cos(xs) / xs - np.sin(xs) / sq)
+        series = 0.5 - xq * xq / 8.0 + xq ** 4 / 144.0
+        ds = self.omega_c * np.where(small, series, np.sin(xs) / xs - (1.0 - np.cos(xs)) / sq)
         return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
 
 

@@ -18,7 +18,7 @@ from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular)
 from .dynmap import MapFamily, bloch_trajectory, map_matrices
 from .ensemble import SeparableEnsemble
-from .generator import (PoleError, anisotropic_rates, azimuthal_generator,
+from .generator import (PoleError, anisotropic_rates, azimuthal_generator, bloch_generators,
                         extract_generator, isotropic_rate, offdiagonal_rate, pole_scan)
 from .montecarlo import mc_trajectory
 from .propagation import integrate_master
@@ -64,7 +64,8 @@ def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
 
 
 def pole_free_times(fam, times, margin):
-    poles = pole_scan(fam, (float(times[0]) if times[0] > 0 else 1e-9, float(times[-1])))
+    start = float(times[0]) if times[0] > 0 else 1e-9 / getattr(fam.ensemble.radial, "omega_c", 1.0)
+    poles = pole_scan(fam, (start, float(times[-1])))
     if not poles:
         return np.asarray(times)
     times = np.asarray(times)
@@ -128,10 +129,10 @@ def check_roundtrip(rho0, omega_c: float = 1.0, asymmetry: float = 0.3,
     """Integrated master equation vs direct map application on pole-free spans."""
     worst = 0.0
     for name, fam in builtin_families(omega_c, asymmetry):
-        poles = pole_scan(fam, (1e-9, 6.0 / omega_c))
+        poles = pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
         t_end = min(0.9 * poles[0], 4.0 / omega_c) if poles else 4.0 / omega_c
         t_eval = np.linspace(0.0, t_end, 21)
-        traj = integrate_master(lambda t, fam=fam: extract_generator(fam, t),
+        traj = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
                                 rho0, (0.0, t_end), t_eval=t_eval)
         exact = bloch_trajectory(fam, rho0, t_eval)
         dist = 0.5 * np.linalg.norm(traj.bloch - exact, axis=1)

@@ -14,7 +14,7 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     DumbbellAngular, ExponentialCutoffRadial, GaussianRadial,
                     KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
                     SeparableEnsemble, SphereAngular, anisotropic_rates,
-                    azimuthal_generator, choi_check, directional_moments,
+                    azimuthal_generator, bloch_generators, choi_check, directional_moments,
                     directional_moments_quadrature, extract_generator, integrate_master,
                     isotropic_rate, map_matrices, mc_trajectory, offdiagonal_rate,
                     pole_scan, purity_trajectory, SamplerConfig)
@@ -178,7 +178,7 @@ def test_criterion_7_integrator_round_trip():
         poles = pole_scan(fam, (1e-9, 6.0))
         t_end = min(0.9 * poles[0], 4.0) if poles else 4.0
         t_eval = np.linspace(0.0, t_end, 21)
-        traj = integrate_master(lambda t, fam=fam: extract_generator(fam, t),
+        traj = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
                                 rho0, (0.0, t_end), t_eval=t_eval)
         exact = bloch_trajectory(fam, rho0, t_eval)
         worst = max(worst, float(np.max(0.5 * np.linalg.norm(traj.bloch - exact, axis=1))))

@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from hamens import PoleError, QuadratureError, TabulatedAngular, directional_moments
+from hamens import (DensityMatrix, IntegrationError, PoleError, QuadratureError, TabulatedAngular,
+                    directional_moments)
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
+from hamens.validation import check_roundtrip
 
 from conftest import d_denominator, sign_change_roots
 
@@ -218,6 +220,56 @@ def test_validate_catches_injected_sign_error(tmp_path, capsys, monkeypatch):
     rc = main(["validate", "--config", cfg])
     capsys.readouterr()
     assert rc == 1
+
+
+def validate_rows(text):
+    return {row.split(",")[0]: row.split(",")[1:] for row in text.strip().splitlines()[1:]}
+
+
+def test_round_trip_catches_flipped_level_spacing(capsys, monkeypatch):
+    # the round trip integrates the batched split that rates and scan use,
+    # so a sign error in its level spacing fails validate
+    import hamens.generator as generator
+    split = generator._split
+
+    def flipped(m, dm):
+        h, k = split(m, dm)
+        return -h, k
+
+    monkeypatch.setattr(generator, "_split", flipped)
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    assert main(["validate", "--config", cfg, "--samples", "2000"]) == 1
+    rows = validate_rows(capsys.readouterr().out)
+    assert rows["integrator-roundtrip-trace-distance"][2] == "0"
+
+
+def test_undetected_pole_exits_2_with_one_line(capsys, monkeypatch):
+    # a pole the scan misses sends the round trip into the pole window
+    import hamens.validation as validation
+    monkeypatch.setattr(validation, "pole_scan", lambda fam, window: [])
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    assert main(["validate", "--config", cfg, "--samples", "2000"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stepped into a pole window at t=")
+    assert captured.out == ""
+
+
+def test_large_cutoff_finds_the_scaled_poles(tmp_path, capsys):
+    # pole_scan's floors are in units of 1/omega_c: at omega_c = 1e8 the
+    # bagel poles were lost, and the round trip stepped into the first one
+    body = open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "fig2_bagel_gaussian.cfg")).read()
+    poles = {}
+    for omega_c in ("1.0", "1e8"):
+        cfg = write_config(tmp_path, body.replace("omega_c = 1.0", f"omega_c = {omega_c}"))
+        assert main(["rates", "--config", cfg]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        poles[omega_c] = np.array(last.removeprefix("# poles: ").split(), dtype=float)
+    assert poles["1.0"].size == 2
+    assert np.allclose(poles["1e8"], 1e-8 * poles["1.0"], rtol=1e-12, atol=0.0)
+    result, = check_roundtrip(DensityMatrix([0.6, -0.1, 0.75]), omega_c=1e8)
+    assert result.passed
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +538,13 @@ def test_importing_the_cli_loads_no_scipy():
     assert loaded_scipy() == (0, set())
 
 
+def test_validate_loads_no_scipy(tmp_path):
+    # the round trip integrates with the in-repo DOP853, not scipy.integrate
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    assert loaded_scipy("validate", "--config", config, "--samples", "2000",
+                        "--out", str(tmp_path / "out.csv")) == (0, set())
+
+
 def command_loaded_scipy(tmp_path, command, config):
     config = os.path.join(os.path.dirname(__file__), "..", "configs", config)
     return loaded_scipy(command, "--config", config, "--out", str(tmp_path / "out.csv"))
@@ -510,6 +569,7 @@ def test_gaussian_commands_load_no_scipy(tmp_path, command):
     QuadratureError("panel refinement stalled after 2000 splits"),
     PoleError("map not invertible at t=1.0"),
     np.linalg.LinAlgError("Singular matrix"),
+    IntegrationError("step size underflow at t=1.0"),
 ])
 def test_library_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, error):
     import hamens.cli as cli
@@ -548,6 +608,20 @@ def test_exp_cutoff_at_huge_finite_time_gives_finite_rows(tmp_path, command):
     # |omega_c t| ~ 1.3e154: 200 of 201 rows were NaN, with numpy warnings
     body = SPHERE_CFG.replace("kind = gaussian", "kind = exp-cutoff").replace("t_max = 10", "t_max = 1e300")
     proc = run_python("-m", "hamens", command, "--config", write_config(tmp_path, body), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 201
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_reciprocal_square_at_huge_finite_time_warns_nothing(tmp_path, command):
+    # the small-|x| series ran on every element, and xs * xs overflowed
+    body = open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "fig7_kneaded_reciprocal-square.cfg")).read()
+    body = body.replace("t_max = 10", "t_max = 1e300").replace("n_points = 2001", "n_points = 201")
+    proc = run_python("-W", "error", "-m", "hamens", command,
+                      "--config", write_config(tmp_path, body), timeout=60)
     assert proc.returncode == 0 and proc.stderr == ""
     rows = [line.split(",") for line in proc.stdout.splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 201

@@ -9,7 +9,7 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, PoleError, ReciprocalSquareRadial, SeparableEnsemble,
                     SphereAngular, anisotropic_rates, azimuthal_generator,
-                    extract_generator, isotropic_rate, map_matrices,
+                    bloch_generators, extract_generator, isotropic_rate, map_matrices,
                     offdiagonal_rate, pole_scan, rate_trajectory)
 from hamens.dynmap import diagonal_components
 from hamens.generator import POLE_THRESHOLD, _sign_change_roots
@@ -345,13 +345,13 @@ def test_sign_change_bracketing_skips_non_finite_samples():
         return 0.55 - t
 
     grid = np.linspace(0.0, 1.0, 11)
-    assert _sign_change_roots(func, grid, np.full(11, np.nan)) == []
+    assert _sign_change_roots(func, grid, np.full(11, np.nan), 1.0) == []
     assert calls == []
     # only the finite cell around the true root is bisected
     values = func(grid)
     calls.clear()
     values[[2, 3, 8]] = [np.nan, np.inf, -np.inf]
-    roots = _sign_change_roots(func, grid, values)
+    roots = _sign_change_roots(func, grid, values, 1.0)
     assert roots == [pytest.approx(0.55, abs=1e-12)]
     assert all(0.5 <= t <= 0.6 for t in calls)
 
@@ -360,6 +360,16 @@ def test_pole_scan_sphere_is_regular():
     for radial in (GaussianRadial(), ExponentialCutoffRadial(), ReciprocalSquareRadial()):
         fam = family(radial, SphereAngular())
         assert pole_scan(fam, (1e-6, 5.0)) == []
+
+
+def test_pole_scan_is_invariant_under_rescaling_time():
+    # the bisection and merge floors are in units of 1/omega_c, so at
+    # omega_c = 1e8 the scan finds the omega_c = 1 poles scaled by 1e-8
+    for (name, fam), (_, fam8) in zip(builtin_families(1.0), builtin_families(1e8)):
+        poles = pole_scan(fam, (1e-9, 10.0))
+        poles8 = pole_scan(fam8, (1e-17, 1e-7))
+        assert len(poles8) == len(poles), name
+        assert np.allclose(poles8, 1e-8 * np.array(poles), rtol=1e-12, atol=0.0), name
 
 
 def test_pole_scan_bagel_gaussian_two_roots():
@@ -485,6 +495,22 @@ def test_batched_generator_equals_one_point_route():
                         "kossakowski_min": np.linalg.eigvalsh(k)[0]}
             for name, value in expected.items():
                 assert traj.rates[name][i] == value, (name, t)
+
+
+def test_bloch_generators_equal_the_one_point_route():
+    # the integrator's batched generators are the one-point generators,
+    # bit for bit, and a time inside a pole window raises PoleError
+    for name, fam in builtin_families():
+        grid = pole_free_times(fam, np.linspace(0.0, 6.0, 61), margin=0.05)
+        gens = bloch_generators(fam, grid)
+        assert gens.shape == (grid.size, 3, 3)
+        for t, g in zip(grid, gens):
+            assert np.array_equal(g, extract_generator(fam, t).bloch_generator()), (name, t)
+    fam = family(GaussianRadial(), BagelAngular())
+    pole = pole_scan(fam, (1e-6, 3.0))[0]
+    with pytest.raises(PoleError) as err:
+        bloch_generators(fam, [0.5, pole, 2.0])
+    assert err.value.time == pole
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCutoffRadial,
                     GaussianRadial, IntegrationError, LindbladGenerator, MapFamily,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
-                    extract_generator, integrate_master, isotropic_rate, pole_scan)
+                    bloch_generators, integrate_master, isotropic_rate, pole_scan)
 from hamens.dynmap import bloch_trajectory
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -33,17 +33,22 @@ def test_trace_distance_values():
         assert trace_distance(a, b) == pytest.approx(half_bloch_distance, abs=1e-15)
 
 
+def constant(gen):
+    """A batched generator function that returns gen's Bloch generator at every time."""
+    return lambda ts: np.broadcast_to(gen.bloch_generator(), (len(ts), 3, 3))
+
+
 def test_zero_generator_keeps_state_constant():
     still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
     rho0 = DensityMatrix([0.2, -0.5, 0.1])
-    traj = integrate_master(lambda t: still, rho0, (0.0, 5.0), t_eval=np.linspace(0, 5, 7))
+    traj = integrate_master(constant(still), rho0, (0.0, 5.0), t_eval=np.linspace(0, 5, 7))
     assert np.max(np.abs(traj.bloch - rho0.bloch)) < 1e-12
 
 
 def test_states_accessor():
     # the trajectory holds one time and one Bloch row per requested time
     still = LindbladGenerator(h=np.zeros(3), kossakowski=np.zeros((3, 3)), time=0.0)
-    traj = integrate_master(lambda t: still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
+    traj = integrate_master(constant(still), DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
                             t_eval=[0.0, 1.0])
     assert np.array_equal(traj.times, [0.0, 1.0])
     assert traj.bloch.shape == (2, 3)
@@ -54,7 +59,7 @@ def test_states_accessor():
 def test_sphere_gaussian_endpoint():
     fam = family(GaussianRadial(), SphereAngular())
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
-    traj = integrate_master(lambda t: extract_generator(fam, t), rho0, (0.0, 1.5),
+    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 1.5),
                             t_eval=[1.5])
     w = (2 * fam.ensemble.radial.expectations(1.5)[0] + 1) / 3
     assert np.max(np.abs(traj.bloch[-1] - w * rho0.bloch)) < 1e-6
@@ -64,7 +69,7 @@ def test_cardioid_exp_cutoff_tracks_exact_map():
     fam = family(ExponentialCutoffRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.6, -0.2, 0.5])
     t_eval = np.linspace(0.0, 4.0, 41)
-    traj = integrate_master(lambda t: extract_generator(fam, t), rho0, (0.0, 4.0),
+    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 4.0),
                             t_eval=t_eval)
     exact = bloch_trajectory(fam, rho0, t_eval)
     dist = 0.5 * np.linalg.norm(traj.bloch - exact, axis=1)
@@ -77,7 +82,7 @@ def test_purity_revival_follows_rate_sign():
         fam = family(radial, SphereAngular())
         rho0 = DensityMatrix([0.0, 0.0, 1.0])
         t_eval = np.linspace(0.0, 12.0, 2401)
-        traj = integrate_master(lambda t: extract_generator(fam, t), rho0, (0.0, 12.0),
+        traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 12.0),
                                 t_eval=t_eval)
         pur = 0.5 * (1 + np.sum(traj.bloch ** 2, axis=1))
         dpur = np.diff(pur)
@@ -90,7 +95,7 @@ def test_purity_revival_follows_rate_sign():
 def test_trajectory_stays_in_bloch_ball():
     fam = family(GaussianRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
-    traj = integrate_master(lambda t: extract_generator(fam, t), rho0, (0.0, 6.0),
+    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
                             t_eval=np.linspace(0, 6, 200))
     assert np.max(np.linalg.norm(traj.bloch, axis=1)) <= 1.0 + 1e-8
 
@@ -101,8 +106,8 @@ def test_pole_window_hit_becomes_integration_error():
     fam = family(GaussianRadial(), BagelAngular())
     pole = pole_scan(fam, (1e-6, 3.0))[0]
 
-    def genfn(t):
-        return extract_generator(fam, min(t, pole))
+    def genfn(ts):
+        return bloch_generators(fam, np.minimum(ts, pole))
 
     rho0 = DensityMatrix([0.4, 0.3, 0.6])
     with pytest.raises(IntegrationError) as err:
