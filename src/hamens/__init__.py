@@ -17,9 +17,9 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
                       directional_moments_quadrature)
 from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
 from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
-from .generator import (LindbladGenerator, PoleError, RateTrajectory, anisotropic_rates,
-                        azimuthal_generator, bloch_generators, extract_generator,
-                        isotropic_rate, offdiagonal_rate, pole_scan, rate_trajectory)
+from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
+                        bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
+                        pole_scan, rate_trajectory)
 from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
                          sample_radial)
 from .propagation import IntegrationError, StateTrajectory, integrate_master
@@ -36,7 +36,7 @@ __all__ = [
     "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
     "SeparableEnsemble", "load_radial_table", "load_angular_table", "MapFamily",
     "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
-    "LindbladGenerator", "PoleError", "RateTrajectory", "isotropic_rate",
+    "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
     "bloch_generators",
     "pole_scan", "rate_trajectory",

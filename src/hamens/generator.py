@@ -19,9 +19,11 @@ omega_bar is h_z, the lab z-component of h.
 
 The split is evaluated over a whole time grid at once, in any frame.
 Closed forms per symmetry class (isotropic, anisotropic diagonal, azimuthal
-with level spacing, off-diagonal xy rate) are kept as oracles for it.  All
-time derivatives are closed-form; points where |det M| falls below
-POLE_THRESHOLD count as poles rather than being extrapolated."""
+with level spacing, off-diagonal xy rate) are kept as vectorized oracles for
+it: each takes a scalar or an array of times, and gives NaN inside pole
+windows for an array.  All time derivatives are closed-form; points where
+|det M| falls below POLE_THRESHOLD count as poles rather than being
+extrapolated."""
 
 from __future__ import annotations
 
@@ -33,7 +35,8 @@ from .dynmap import MapFamily, diagonal_components, map_matrices
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
-#: ``_require`` and ``extract_generator`` raise PoleError when |value| < it
+#: ``_guard`` gives NaN there for an array of times and raises PoleError for
+#: a scalar time, as ``bloch_generators`` and ``extract_generator`` do
 POLE_THRESHOLD = 1e-8
 
 
@@ -44,30 +47,6 @@ class PoleError(ValueError):
         super().__init__(message)
         self.time = time
         self.denominator = denominator
-
-
-@dataclass(frozen=True, eq=False)
-class LindbladGenerator:
-    """Level-spacing vector plus Kossakowski matrix at one time."""
-
-    h: np.ndarray
-    kossakowski: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        h = np.array(self.h, dtype=float).reshape(3)
-        h.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        k = np.array(self.kossakowski, dtype=float).reshape(3, 3)
-        if np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
-            raise ValueError("Kossakowski matrix must be symmetric")
-        k = 0.5 * (k + k.T)
-        k.setflags(write=False)
-        object.__setattr__(self, "kossakowski", k)
-
-    def bloch_generator(self) -> np.ndarray:
-        """The 3x3 generator acting on Bloch vectors, drdt = G r."""
-        return _bloch_matrices(self.h, self.kossakowski)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,50 +63,58 @@ class RateTrajectory:
         object.__setattr__(self, "grid", grid)
 
 
-def _require(denominator: float, t: float, what: str) -> float:
-    if abs(denominator) < POLE_THRESHOLD:
-        raise PoleError(f"{what} inside pole window at t={t!r} (|den|={abs(denominator):.3e})",
-                        time=t, denominator=denominator)
-    return denominator
+def _guard(denominator, t, what: str):
+    """The denominator, with NaN where |value| < POLE_THRESHOLD for an array
+    of times; for a scalar time a value there raises PoleError instead."""
+    inside = np.abs(denominator) < POLE_THRESHOLD
+    if np.ndim(t) == 0:
+        if np.any(inside):
+            raise PoleError(f"{what} inside pole window at t={t!r} "
+                            f"(|den|={float(np.min(np.abs(denominator))):.3e})",
+                            time=t, denominator=denominator)
+        return denominator
+    return np.where(inside, np.nan, denominator)
 
 
-def isotropic_rate(radial: RadialModel, t: float) -> float:
+def isotropic_rate(radial: RadialModel, t):
     """Common decay rate of the three Pauli channels under full rotational symmetry.
 
     gamma = -wdot / 2w for the mixing weight w = (2 <cos omega t> + 1)/3.
     """
     c, _, dc, _ = radial.expectations(t, derivative=True)
-    w = (2.0 * c + 1.0) / 3.0
-    _require(w, t, "mixing weight")
+    w = _guard((2.0 * c + 1.0) / 3.0, t, "mixing weight")
     return -dc / (3.0 * w)
 
 
-def anisotropic_rates(fam: MapFamily, t: float) -> np.ndarray:
-    """Per-axis rates for diagonal maps: gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k."""
+def anisotropic_rates(fam: MapFamily, t) -> np.ndarray:
+    """Per-axis rates for diagonal maps: gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k,
+    shape t.shape + (3,)."""
     f, df, _, _ = diagonal_components(fam, t, derivative=True)
-    for j, name in enumerate("xyz"):
-        _require(f[j], t, f"f_{name}")
-    logd = df / (2.0 * f)
-    return 2.0 * logd - np.sum(logd)
+    logd = df / (2.0 * _guard(f, t, "f_j"))
+    return 2.0 * logd - np.sum(logd, axis=-1, keepdims=True)
 
 
-def azimuthal_generator(fam: MapFamily, t: float) -> LindbladGenerator:
-    """Generator for azimuthally symmetric geometries (f_x = f_y).
+def azimuthal_generator(fam: MapFamily, t):
+    """Generator (h, K) for azimuthally symmetric geometries (f_x = f_y), of
+    shapes t.shape + (3,) and t.shape + (3, 3).
 
     The broken xy-reflection shows up as a first z-moment, which adds the
     effective level spacing h_z and reshapes gamma_z; gamma_x = gamma_y stay
     locked to f_z.
     """
     f, df, s, ds = diagonal_components(fam, t, derivative=True)
-    if abs(f[0] - f[1]) > 1e-10 * max(1.0, abs(f[0])):
+    fx, fz, dfx = f[..., 0], f[..., 2], df[..., 0]
+    if np.any(np.abs(fx - f[..., 1]) > 1e-10 * np.maximum(1.0, np.abs(fx))):
         raise ValueError("azimuthal closed form requires equal x/y second moments")
     nz = float(fam.moments.first[2])
-    _require(f[2], t, "f_z")
-    d = _require(f[0] * f[0] + nz * nz * s * s, t, "level-spacing denominator")
-    gx = -df[2] / (2.0 * f[2])
-    hz = nz * (f[0] * ds - df[0] * s) / d
-    gz = -f[0] * df[0] / d - gx - nz * nz * s * ds / d
-    return LindbladGenerator(h=[0.0, 0.0, hz], kossakowski=np.diag([gx, gx, gz]), time=float(t))
+    d = _guard(fx * fx + nz * nz * s * s, t, "level-spacing denominator")
+    gx = -df[..., 2] / (2.0 * _guard(fz, t, "f_z"))
+    hz = nz * (fx * ds - dfx * s) / d
+    gz = -fx * dfx / d - gx - nz * nz * s * ds / d
+    zero = np.zeros_like(hz)
+    h = np.stack([zero, zero, hz], axis=-1)
+    k = np.stack([gx, gx, gz], axis=-1)[..., None] * np.eye(3)
+    return h, k
 
 
 def offdiagonal_rate(fam: MapFamily, t):
@@ -135,15 +122,11 @@ def offdiagonal_rate(fam: MapFamily, t):
 
     gamma_xy = <n_z> [ (fdot_x - fdot_y) s - (f_x - f_y) sdot ] / 2D with
     D = f_x f_y + <n_z>^2 s^2; swapping the x and y axes flips its sign.
-    Vectorized over t: a scalar t gives a float and raises PoleError where
-    |D| < POLE_THRESHOLD; an array gives an array with NaN there.
+    A scalar t gives a float.
     """
     f, df, s, ds = diagonal_components(fam, t, derivative=True)
     nz = float(fam.moments.first[2])
-    d = f[..., 0] * f[..., 1] + nz * nz * s * s
-    if np.ndim(t) == 0:
-        _require(float(d), t, "off-diagonal denominator")
-    d = np.where(np.abs(d) < POLE_THRESHOLD, np.nan, d)
+    d = _guard(f[..., 0] * f[..., 1] + nz * nz * s * s, t, "off-diagonal denominator")
     rate = nz * ((df[..., 0] - df[..., 1]) * s - (f[..., 0] - f[..., 1]) * ds) / (2.0 * d)
     return float(rate) if np.ndim(t) == 0 else rate
 
@@ -157,21 +140,6 @@ def _split(m, dm):
     h = np.stack([anti[..., 2, 1], anti[..., 0, 2], anti[..., 1, 0]], axis=-1)
     k = sym - 0.5 * np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
     return h, k
-
-
-def extract_generator(fam: MapFamily, t: float) -> LindbladGenerator:
-    """General route: L = Mdot M^-1, split into level spacing and Kossakowski matrix.
-
-    Works for every symmetry class and frame (it is the defining
-    construction); the closed-form routes above are its per-class reductions.
-    """
-    m, dm = map_matrices(fam, float(t), derivative=True)
-    det = np.linalg.det(m)
-    if abs(det) < POLE_THRESHOLD:
-        raise PoleError(f"map not invertible at t={t!r} (|det|={abs(det):.3e})",
-                        time=t, denominator=det)
-    h, k = _split(m, dm)
-    return LindbladGenerator(h=h, kossakowski=k, time=float(t))
 
 
 def _generators(fam: MapFamily, grid: np.ndarray):
@@ -194,17 +162,31 @@ def _bloch_matrices(h, k):
     return cross + k - np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
 
 
-def bloch_generators(fam: MapFamily, t) -> np.ndarray:
-    """Bloch generators G(t), drdt = G r, at an array of times, shape (n, 3, 3).
-
-    Raises PoleError if |det M| < POLE_THRESHOLD at any of the times.
-    """
+def _regular_split(fam: MapFamily, t):
+    """(h, K) stacks at an array of times; PoleError if |det M| < POLE_THRESHOLD at any."""
     t = np.asarray(t, dtype=float).reshape(-1)
     ok, h, k = _generators(fam, t)
     if not np.all(ok):
         bad = float(t[np.argmin(ok)])
         raise PoleError(f"map not invertible at t={bad!r}", time=bad)
-    return _bloch_matrices(h, k)
+    return h, k
+
+
+def bloch_generators(fam: MapFamily, t) -> np.ndarray:
+    """Bloch generators G(t), drdt = G r, at an array of times, shape (n, 3, 3).
+
+    Raises PoleError if |det M| < POLE_THRESHOLD at any of the times.
+    """
+    return _bloch_matrices(*_regular_split(fam, t))
+
+
+def extract_generator(fam: MapFamily, t: float):
+    """The batched split at one time: level spacing h, shape (3,), and
+    Kossakowski matrix K, shape (3, 3); PoleError inside a pole window.
+
+    No package code calls it; bench/tracer.py wraps it by name."""
+    h, k = _regular_split(fam, [t])
+    return h[0], k[0]
 
 
 def _determinant(fam: MapFamily, c, s, f):

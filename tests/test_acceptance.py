@@ -13,14 +13,13 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments,
                     DumbbellAngular, ExponentialCutoffRadial, GaussianRadial,
                     KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
-                    SeparableEnsemble, SphereAngular, anisotropic_rates,
-                    azimuthal_generator, bloch_generators, choi_check, directional_moments,
-                    directional_moments_quadrature, extract_generator, integrate_master,
-                    isotropic_rate, map_matrices, mc_trajectory, offdiagonal_rate,
+                    SeparableEnsemble, SphereAngular, anisotropic_rates, bloch_generators,
+                    choi_check, directional_moments, directional_moments_quadrature,
+                    integrate_master, isotropic_rate, map_matrices, mc_trajectory,
                     pole_scan, purity_trajectory, SamplerConfig)
 from hamens.dynmap import bloch_trajectory, diagonal_components
-from hamens.generator import PoleError
-from hamens.validation import builtin_families, pole_free_times
+from hamens.generator import _generators, _regular_split
+from hamens.validation import builtin_families, check_extraction, pole_free_times
 
 from conftest import d_denominator, sign_change_roots
 
@@ -96,13 +95,13 @@ def test_criterion_3_closed_form_rates():
     for angular in (BagelAngular(), DumbbellAngular()):
         for radial in radials:
             fam = MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
-            for t in pole_free_times(fam, np.linspace(0.05, 6.0, 120), margin=0.08):
-                rates = anisotropic_rates(fam, t)
-                f, df, _, _ = diagonal_components(fam, t, derivative=True)
-                general = np.array([df[j] / (2 * f[j])
-                                    - sum(df[k] / (2 * f[k]) for k in range(3) if k != j)
-                                    for j in range(3)])
-                worst_axis = max(worst_axis, float(np.max(np.abs(rates - general))))
+            ts = pole_free_times(fam, np.linspace(0.05, 6.0, 120), margin=0.08)
+            rates = anisotropic_rates(fam, ts)
+            f, df, _, _ = diagonal_components(fam, ts, derivative=True)
+            general = np.stack([df[:, j] / (2 * f[:, j])
+                                - sum(df[:, k] / (2 * f[:, k]) for k in range(3) if k != j)
+                                for j in range(3)], axis=-1)
+            worst_axis = max(worst_axis, float(np.max(np.abs(rates - general))))
     ok = worst_fd < 1e-6 and worst_axis < 1e-10
     assert report(3, "closed-form rates vs finite differences and general form",
                   ok, f"fd rel {worst_fd:.2e}, axis {worst_axis:.2e}")
@@ -127,25 +126,8 @@ def test_criterion_4_monte_carlo_oracle():
 
 def test_criterion_5_generator_extraction():
     start = time.monotonic()
-    worst = 0.0
-    for name, fam in builtin_families():
-        angular = name.split("+")[1]
-        for t in pole_free_times(fam, np.linspace(0.05, 6.0, 80), margin=0.1):
-            gen = extract_generator(fam, t)
-            k = gen.kossakowski
-            if angular == "sphere":
-                diff = max(float(np.max(np.abs(k - isotropic_rate(fam.ensemble.radial, t) * np.eye(3)))),
-                           float(np.max(np.abs(gen.h))))
-            elif angular in ("bagel", "dumbbell"):
-                diff = max(float(np.max(np.abs(k - np.diag(anisotropic_rates(fam, t))))),
-                           float(np.max(np.abs(gen.h))))
-            elif angular == "cardioid":
-                ref = azimuthal_generator(fam, t)
-                diff = max(float(np.max(np.abs(k - ref.kossakowski))),
-                           float(np.max(np.abs(gen.h - ref.h))))
-            else:
-                diff = abs(k[0, 1] - offdiagonal_rate(fam, t))
-            worst = max(worst, diff)
+    result, = check_extraction()
+    worst = result.metric
     elapsed = time.monotonic() - start
     ok = worst < 1e-8 and elapsed < 10.0
     assert report(5, "extraction matches every closed-form rate and level spacing",
@@ -210,16 +192,13 @@ def test_criterion_9_short_time_positivity():
     smallest_window = np.inf
     for name, fam in builtin_families():
         t_probe = np.concatenate([np.geomspace(1e-6, 0.1, 50), np.linspace(0.1, 8.0, 1200)])
-        t1 = None
-        for t in t_probe:
-            try:
-                lam = float(np.linalg.eigvalsh(extract_generator(fam, t).kossakowski)[0])
-            except PoleError:
-                break
-            if lam < -1e-10:
-                t1 = t
-                break
-            worst = min(worst, lam)
+        ok, _, k = _generators(fam, t_probe)
+        regular = np.argmin(ok) if not ok.all() else ok.size  # points before the first pole
+        lam = np.linalg.eigvalsh(k[:regular])[:, 0]
+        negative = np.flatnonzero(lam < -1e-10)
+        stop = negative[0] if negative.size else lam.size
+        t1 = t_probe[stop] if negative.size else None
+        worst = min(worst, float(np.min(lam[:stop], initial=0.0)))
         window = t1 if t1 is not None else t_probe[-1]
         smallest_window = min(smallest_window, window)
     ok = worst >= -1e-10 and smallest_window > 0.3
@@ -233,24 +212,18 @@ def test_criterion_10_reduction_limits():
     fam_eps = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(),
                                                         KneadedCardioidAngular(1e-6)))
     fam_card = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(), CardioidAngular()))
-    dev1 = 0.0
-    for t in np.linspace(0.1, 3.0, 30):
-        a = extract_generator(fam_eps, t)
-        b = extract_generator(fam_card, t)
-        dev1 = max(dev1, float(np.max(np.abs(a.kossakowski - b.kossakowski))),
-                   float(np.max(np.abs(a.h - b.h))))
+    ts = np.linspace(0.1, 3.0, 30)
+    (h_eps, k_eps), (h_card, k_card) = _regular_split(fam_eps, ts), _regular_split(fam_card, ts)
+    dev1 = max(float(np.max(np.abs(k_eps - k_card))), float(np.max(np.abs(h_eps - h_card))))
 
     # cardioid with the first moment zeroed -> diagonal balanced rates
     fam0 = MapFamily(ensemble=fam_card.ensemble,
                      moments=DirectionalMoments(np.zeros(3), fam_card.moments.second))
-    dev2 = 0.0
-    for t in np.linspace(0.1, 3.0, 30):
-        gen = extract_generator(fam0, t)
-        dev2 = max(dev2,
-                   float(np.max(np.abs(gen.kossakowski - np.diag(anisotropic_rates(fam0, t))))),
-                   float(np.max(np.abs(gen.h))),
-                   float(np.max(np.abs(np.diag(gen.kossakowski)
-                                       - isotropic_rate(fam_card.ensemble.radial, t)))))
+    h0, k0 = _regular_split(fam0, ts)
+    dev2 = max(float(np.max(np.abs(k0 - anisotropic_rates(fam0, ts)[..., None] * np.eye(3)))),
+               float(np.max(np.abs(h0))),
+               float(np.max(np.abs(np.diagonal(k0, axis1=1, axis2=2)
+                                   - isotropic_rate(fam_card.ensemble.radial, ts)[:, None]))))
 
     # nearly equal second moments -> common rate
     eps = 1e-6
@@ -258,10 +231,9 @@ def test_criterion_10_reduction_limits():
     fam_pert = MapFamily(ensemble=fam_sph.ensemble,
                          moments=DirectionalMoments(
                              np.zeros(3), np.diag([1 / 3 + eps, 1 / 3 - eps, 1 / 3])))
-    dev3 = 0.0
-    for t in np.linspace(0.1, 1.5, 15):
-        rates = anisotropic_rates(fam_pert, t)
-        dev3 = max(dev3, float(np.max(np.abs(rates - isotropic_rate(fam_sph.ensemble.radial, t)))))
+    ts = np.linspace(0.1, 1.5, 15)
+    dev3 = float(np.max(np.abs(anisotropic_rates(fam_pert, ts)
+                               - isotropic_rate(fam_sph.ensemble.radial, ts)[:, None])))
 
     ok = dev1 < 1e-4 and dev2 < 1e-10 and dev3 < 1e-4
     assert report(10, "reduction limits across symmetry classes",

@@ -226,9 +226,7 @@ def validate_rows(text):
     return {row.split(",")[0]: row.split(",")[1:] for row in text.strip().splitlines()[1:]}
 
 
-def test_round_trip_catches_flipped_level_spacing(capsys, monkeypatch):
-    # the round trip integrates the batched split that rates and scan use,
-    # so a sign error in its level spacing fails validate
+def _flip_level_spacing(monkeypatch):
     import hamens.generator as generator
     split = generator._split
 
@@ -237,10 +235,60 @@ def test_round_trip_catches_flipped_level_spacing(capsys, monkeypatch):
         return -h, k
 
     monkeypatch.setattr(generator, "_split", flipped)
+
+
+def test_round_trip_catches_flipped_level_spacing(capsys, monkeypatch):
+    # the round trip integrates the batched split that rates and scan use,
+    # so a sign error in its level spacing fails validate
+    _flip_level_spacing(monkeypatch)
     cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
     assert main(["validate", "--config", cfg, "--samples", "2000"]) == 1
     rows = validate_rows(capsys.readouterr().out)
     assert rows["integrator-roundtrip-trace-distance"][2] == "0"
+
+
+def validate_default_at(tmp_path, omega_c):
+    """validate_default.cfg with its cutoff frequency replaced."""
+    body = open(os.path.join(os.path.dirname(__file__), "..", "configs",
+                             "validate_default.cfg")).read()
+    assert "omega_c = 1.0\n" in body
+    return write_config(tmp_path, body.replace("omega_c = 1.0\n", f"omega_c = {omega_c}\n"))
+
+
+def test_validate_at_large_cutoff_passes(tmp_path, capsys):
+    # check_extraction compares rates in units of omega_c, so a relative
+    # error of 3e-15 at omega_c = 1e8 no longer reads as 3e-7 against 1e-8
+    cfg = validate_default_at(tmp_path, "1e8")
+    assert main(["validate", "--config", cfg, "--samples", "2000"]) == 0
+    rows = validate_rows(capsys.readouterr().out)
+    assert len(rows) == 4 and all(row[2] == "1" for row in rows.values())
+
+
+def _nan_at_one_regular_point(monkeypatch):
+    # check_extraction evaluates the closed forms only where the split is
+    # regular, so every time it passes is a regular point
+    import hamens.validation as validation
+    rate = validation.isotropic_rate
+
+    def patched(radial, t):
+        out = np.array(rate(radial, t))
+        out[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(validation, "isotropic_rate", patched)
+
+
+@pytest.mark.parametrize("mutation, omega_c", [(_flip_level_spacing, "1.0"),
+                                               (_flip_level_spacing, "1e8"),
+                                               (_nan_at_one_regular_point, "1.0")],
+                         ids=["flipped-h", "flipped-h-large-cutoff", "nan-closed-form"])
+def test_extraction_check_catches_mutations(tmp_path, capsys, monkeypatch, mutation, omega_c):
+    mutation(monkeypatch)
+    cfg = validate_default_at(tmp_path, omega_c)
+    assert main(["validate", "--config", cfg, "--samples", "2000"]) == 1
+    metric, _, passed = validate_rows(capsys.readouterr().out)["extraction-vs-closed-forms"]
+    assert passed == "0"
+    assert mutation is _flip_level_spacing or metric == "nan"
 
 
 def test_undetected_pole_exits_2_with_one_line(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, PoleError, ReciprocalSquareRadial, SeparableEnsemble,
-                    SphereAngular, anisotropic_rates, azimuthal_generator,
+                    SphereAngular, TabulatedRadial, anisotropic_rates, azimuthal_generator,
                     bloch_generators, extract_generator, isotropic_rate, map_matrices,
                     offdiagonal_rate, pole_scan, rate_trajectory)
 from hamens.dynmap import diagonal_components
@@ -131,7 +131,7 @@ def test_bagel_reciprocal_square_amplitude_ordering():
     # the wider equatorial moments make the transverse channel louder
     fam = family(ReciprocalSquareRadial(1.0), BagelAngular())
     xs = np.linspace(1e-3, 20.0, 40001)
-    rates = np.array([anisotropic_rates(fam, x) for x in xs])
+    rates = anisotropic_rates(fam, xs)
     assert np.max(np.abs(rates[:, 0])) > np.max(np.abs(rates[:, 2]))
 
 
@@ -140,27 +140,27 @@ def test_azimuthal_generator_initial_level_spacing():
     for radial_cls, mean in [(GaussianRadial, 2 * math.sqrt(2 / math.pi)),
                              (ExponentialCutoffRadial, 4.0)]:
         fam = family(radial_cls(1.0), CardioidAngular())
-        gen = azimuthal_generator(fam, 1e-12)
+        h, _ = azimuthal_generator(fam, 1e-12)
         oracle = RadialModel.expectations(fam.ensemble.radial, 0.0, derivative=True)[3]
-        assert gen.h[2] == pytest.approx(-mean / 3, rel=1e-9)
-        assert gen.h[2] == pytest.approx(-oracle / 3, rel=1e-9)
+        assert h[2] == pytest.approx(-mean / 3, rel=1e-9)
+        assert h[2] == pytest.approx(-oracle / 3, rel=1e-9)
 
 
 def test_azimuthal_generator_reduces_when_reflection_symmetric():
     for angular in (SphereAngular(), BagelAngular(), DumbbellAngular()):
         fam = family(GaussianRadial(), angular)
         for t in (0.4, 1.0):
-            gen = azimuthal_generator(fam, t)
-            assert np.all(gen.h == 0.0)
-            assert np.allclose(np.diag(gen.kossakowski), anisotropic_rates(fam, t), atol=1e-12)
+            h, k = azimuthal_generator(fam, t)
+            assert np.all(h == 0.0)
+            assert np.allclose(np.diag(k), anisotropic_rates(fam, t), atol=1e-12)
 
 
 def test_azimuthal_generator_transverse_rates_match_spherical():
     # balanced second moments: gamma_x equals the fully symmetric rate
     fam = family(GaussianRadial(), CardioidAngular())
     for t in (0.3, 0.9, 2.0):
-        gen = azimuthal_generator(fam, t)
-        assert gen.kossakowski[0, 0] == pytest.approx(isotropic_rate(fam.ensemble.radial, t), abs=1e-13)
+        _, k = azimuthal_generator(fam, t)
+        assert k[0, 0] == pytest.approx(isotropic_rate(fam.ensemble.radial, t), abs=1e-13)
 
 
 def test_offdiagonal_rate_vanishes_at_zero_asymmetry():
@@ -205,6 +205,56 @@ def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
         assert np.all(np.isfinite(batched[:grid.size]))
 
 
+#: each closed form, as f(fam, t), with the geometries it is an oracle for
+CLOSED_FORMS = {
+    "isotropic": (lambda fam, t: isotropic_rate(fam.ensemble.radial, t), [SphereAngular()]),
+    "anisotropic": (anisotropic_rates, [BagelAngular(), DumbbellAngular()]),
+    "azimuthal": (azimuthal_generator, [CardioidAngular(), BagelAngular()]),
+    "offdiagonal": (offdiagonal_rate, [KneadedCardioidAngular(0.3)]),
+}
+
+
+def _flat(value, n):
+    """A closed form's value(s) at n times as one row per time."""
+    parts = value if isinstance(value, tuple) else (value,)
+    return np.concatenate([np.reshape(p, (n, -1)) for p in parts], axis=1)
+
+
+def narrow_table():
+    """A tent of frequencies on [0.9, 1.1]: <cos omega t> nears cos t, so the
+    isotropic mixing weight (2 <cos omega t> + 1)/3 changes sign."""
+    omega, density = [0.9, 1.0, 1.1], [0.0, 1.0, 0.0]
+    return TabulatedRadial(omega, np.divide(density, TabulatedRadial(omega, density).mass()))
+
+
+@pytest.mark.parametrize("radial", ["gaussian", "exp-cutoff", "reciprocal-square", "narrow-table"])
+@pytest.mark.parametrize("form", list(CLOSED_FORMS))
+def test_closed_forms_on_an_array_equal_the_scalar_calls(form, radial):
+    # bit for bit at regular times; NaN in a row exactly where the scalar call
+    # raises PoleError, which it does at every pole of the map, except that
+    # gamma_xy has no f_z denominator, so an f_z root of det M = f_z D is
+    # regular for it
+    radial = {"gaussian": GaussianRadial(), "exp-cutoff": ExponentialCutoffRadial(),
+              "reciprocal-square": ReciprocalSquareRadial(), "narrow-table": narrow_table()}[radial]
+    closed_form, angulars = CLOSED_FORMS[form]
+    for angular in angulars:
+        fam = family(radial, angular)
+        poles = pole_scan(fam, (1e-6, 10.0))
+        ts = np.concatenate([np.linspace(0.0, 10.0, 501)[1:], poles])
+        batched = _flat(closed_form(fam, ts), ts.size)
+        raised = np.zeros(ts.size, dtype=bool)
+        for i, t in enumerate(ts):
+            try:
+                scalar = _flat(closed_form(fam, float(t)), 1)[0]
+            except PoleError:
+                raised[i] = True
+            else:
+                assert np.array_equal(batched[i], scalar), (form, t)
+        assert np.array_equal(np.isnan(batched).any(axis=1), raised), form
+        if form != "offdiagonal":
+            assert raised[ts.size - len(poles):].all()
+
+
 def test_diagonal_component_gap_is_linear_in_asymmetry():
     a = 0.37
     fam = family(GaussianRadial(), KneadedCardioidAngular(a))
@@ -219,31 +269,30 @@ def test_extract_generator_matches_closed_forms_everywhere():
         angular = name.split("+")[1]
         grid = pole_free_times(fam, np.linspace(0.05, 6.0, 60), margin=0.1)
         for t in grid:
-            gen = extract_generator(fam, t)
-            k = gen.kossakowski
+            h, k = extract_generator(fam, t)
             assert np.max(np.abs(k - k.T)) < 1e-12
             if angular == "sphere":
                 assert np.allclose(k, isotropic_rate(fam.ensemble.radial, t) * np.eye(3), atol=1e-8)
-                assert np.allclose(gen.h, 0.0, atol=1e-10)
+                assert np.allclose(h, 0.0, atol=1e-10)
             elif angular in ("bagel", "dumbbell"):
                 assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-8)
             elif angular == "cardioid":
-                ref = azimuthal_generator(fam, t)
-                assert np.allclose(k, ref.kossakowski, atol=1e-8)
-                assert np.allclose(gen.h, ref.h, atol=1e-8)
+                ref_h, ref_k = azimuthal_generator(fam, t)
+                assert np.allclose(k, ref_k, atol=1e-8)
+                assert np.allclose(h, ref_h, atol=1e-8)
             else:
                 assert k[0, 1] == pytest.approx(offdiagonal_rate(fam, t), abs=1e-8)
 
 
 def test_extract_generator_kneaded_example_point():
     fam = family(GaussianRadial(), KneadedCardioidAngular(0.3))
-    gen = extract_generator(fam, 0.4)
-    assert gen.kossakowski[0, 1] == pytest.approx(offdiagonal_rate(fam, 0.4), abs=1e-8)
+    _, k = extract_generator(fam, 0.4)
+    assert k[0, 1] == pytest.approx(offdiagonal_rate(fam, 0.4), abs=1e-8)
 
 
 def test_extract_generator_short_time_positivity():
     for _, fam in builtin_families():
-        eig = np.linalg.eigvalsh(extract_generator(fam, 1e-4).kossakowski)
+        eig = np.linalg.eigvalsh(extract_generator(fam, 1e-4)[1])
         assert eig[0] >= -1e-12
 
 
@@ -251,10 +300,10 @@ def test_reduction_kneaded_to_cardioid():
     fam_eps = family(GaussianRadial(), KneadedCardioidAngular(1e-6))
     fam_card = family(GaussianRadial(), CardioidAngular())
     for t in (0.2, 0.8, 1.7):
-        g_eps = extract_generator(fam_eps, t)
-        g_card = extract_generator(fam_card, t)
-        assert np.max(np.abs(g_eps.kossakowski - g_card.kossakowski)) < 1e-4
-        assert np.max(np.abs(g_eps.h - g_card.h)) < 1e-4
+        h_eps, k_eps = extract_generator(fam_eps, t)
+        h_card, k_card = extract_generator(fam_card, t)
+        assert np.max(np.abs(k_eps - k_card)) < 1e-4
+        assert np.max(np.abs(h_eps - h_card)) < 1e-4
 
 
 def test_reduction_zeroed_first_moment_gives_diagonal_rates():
@@ -263,11 +312,11 @@ def test_reduction_zeroed_first_moment_gives_diagonal_rates():
     fam = MapFamily(ensemble=base.ensemble,
                     moments=DirectionalMoments(np.zeros(3), base.moments.second))
     for t in (0.3, 1.2):
-        gen = extract_generator(fam, t)
-        assert np.all(gen.h == 0.0)
-        assert np.allclose(gen.kossakowski, np.diag(anisotropic_rates(fam, t)), atol=1e-12)
+        h, k = extract_generator(fam, t)
+        assert np.all(h == 0.0)
+        assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-12)
         # balanced moments: this is the fully symmetric rate again
-        assert np.allclose(np.diag(gen.kossakowski),
+        assert np.allclose(np.diag(k),
                            isotropic_rate(base.ensemble.radial, t), atol=1e-12)
 
 
@@ -323,9 +372,9 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
 
     grid = np.sort(np.concatenate([np.linspace(0.05, 4.0, 80), poles]))
     for t in pole_free_times(fam, grid, margin=0.1):
-        gen, gen_r = extract_generator(fam, t), extract_generator(rotated, t)
-        assert np.max(np.abs(gen_r.kossakowski - r @ gen.kossakowski @ r.T)) < 1e-9
-        assert np.max(np.abs(gen_r.h - r @ gen.h)) < 1e-9
+        (h, k), (h_r, k_r) = extract_generator(fam, t), extract_generator(rotated, t)
+        assert np.max(np.abs(k_r - r @ k @ r.T)) < 1e-9
+        assert np.max(np.abs(h_r - r @ h)) < 1e-9
 
     nan_rows = np.isnan(rate_trajectory(fam, grid).rates["gamma_x"])
     assert nan_rows.sum() >= len(poles)
@@ -448,10 +497,10 @@ def test_pole_scan_kneaded_ignores_harmless_fy_roots():
         harmless = nz * nz * fam.ensemble.radial.expectations(r)[1] ** 2
         assert det / diagonal_components(fam, r)[2] == pytest.approx(harmless, rel=1e-9)
         assert abs(det) > POLE_THRESHOLD
-        gen = extract_generator(fam, r)
-        assert np.all(np.isfinite(gen.h))
-        assert np.all(np.isfinite(gen.kossakowski))
-        assert gen.kossakowski[0, 1] == pytest.approx(offdiagonal_rate(fam, r), rel=1e-9)
+        h, k = extract_generator(fam, r)
+        assert np.all(np.isfinite(h))
+        assert np.all(np.isfinite(k))
+        assert k[0, 1] == pytest.approx(offdiagonal_rate(fam, r), rel=1e-9)
 
 
 def test_rates_raise_inside_pole_window():
@@ -485,27 +534,30 @@ def test_batched_generator_equals_one_point_route():
         traj = rate_trajectory(fam, grid)
         for i, t in enumerate(grid):
             try:
-                gen = extract_generator(fam, t)
+                h, k = extract_generator(fam, t)
             except PoleError:
                 assert all(np.isnan(v[i]) for v in traj.rates.values())
                 continue
-            k = gen.kossakowski
             expected = {"gamma_x": k[0, 0], "gamma_y": k[1, 1], "gamma_z": k[2, 2],
-                        "gamma_xy": k[0, 1], "omega_bar": gen.h[2],
+                        "gamma_xy": k[0, 1], "omega_bar": h[2],
                         "kossakowski_min": np.linalg.eigvalsh(k)[0]}
             for name, value in expected.items():
                 assert traj.rates[name][i] == value, (name, t)
 
 
 def test_bloch_generators_equal_the_one_point_route():
-    # the integrator's batched generators are the one-point generators,
-    # bit for bit, and a time inside a pole window raises PoleError
+    # the integrator's batched generators do not depend on the batch: each
+    # equals the one-point call bit for bit, and the split it is built from
+    # is [h]_x + K - tr(K) I; a time inside a pole window raises PoleError
     for name, fam in builtin_families():
         grid = pole_free_times(fam, np.linspace(0.0, 6.0, 61), margin=0.05)
         gens = bloch_generators(fam, grid)
         assert gens.shape == (grid.size, 3, 3)
         for t, g in zip(grid, gens):
-            assert np.array_equal(g, extract_generator(fam, t).bloch_generator()), (name, t)
+            assert np.array_equal(g, bloch_generators(fam, [t])[0]), (name, t)
+            h, k = extract_generator(fam, t)
+            cross = np.cross(h, np.eye(3)).T  # [h]_x r = h x r
+            assert np.array_equal(g, cross + k - np.trace(k) * np.eye(3)), (name, t)
     fam = family(GaussianRadial(), BagelAngular())
     pole = pole_scan(fam, (1e-6, 3.0))[0]
     with pytest.raises(PoleError) as err:
