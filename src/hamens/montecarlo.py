@@ -5,10 +5,12 @@ counter-based random stream (Philox keyed by (seed, chunk index)), and the
 chunk partials are reduced in index order.  The result is therefore
 bit-identical for a given SamplerConfig.
 
-Samplers invert exact CDFs, in closed form or by safeguarded Newton
-iteration; no rejection steps, so the draw count per sample is fixed.  One
-draw serves every time of a trajectory: each chunk is drawn once and evolved
-to all requested times.
+Every sampler draws from the exact model density with a fixed number of
+draws per sample and no rejection.  The built-in kinds use closed forms only:
+the bagel theta and the kneaded phi are the polar angle of a uniform point
+on S^3, the latter mixed with a uniform angle.  Safeguarded Newton iteration
+inverts the exact CDFs of tables only.  One draw serves every time of a
+trajectory: each chunk is drawn once and evolved to all requested times.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ SEED_LIMIT = 2 ** 64
 #: no array is sized by the sample count, so this cap bounds run time only:
 #: `validate` at the cap draws 1e7 realizations for each of 15 pairs
 MAX_SAMPLES = 10_000_000
-#: about 22 float64 arrays of the chunk length are live while a chunk is drawn
-#: and evolved (180 B per sample), so a chunk at the cap takes about 12 MB
+#: while a chunk is drawn and evolved, the peak is 22 float64 arrays of the chunk
+#: length for the built-in kinds (177 B per sample, in the evolve) and 37 for a
+#: table (294 B, in its Newton solve), so a chunk at the cap takes 12 or 19 MB
 MAX_CHUNK = 65_536
 #: stop a root once its Newton step or its bracket is this small
 _NEWTON_TOL = 1e-12
@@ -156,12 +159,7 @@ def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> 
         cos_t = rng.uniform(-1.0, 1.0, size)
         phi = rng.uniform(0.0, _TWO_PI, size)
     elif isinstance(model, BagelAngular):
-        u = rng.random(size)
-        # theta marginal ~ sin^2; CDF (theta - sin(theta)cos(theta))/pi
-        theta, _ = _newton_cdf(lambda th: (th - 0.5 * np.sin(2.0 * th)) / math.pi,
-                               lambda th: 2.0 * np.sin(th) ** 2 / math.pi,
-                               u, 0.0, math.pi, _bagel_guess(u))
-        cos_t = np.cos(theta)
+        cos_t = np.cos(_s3_polar_angle(rng, size))
         phi = rng.uniform(0.0, _TWO_PI, size)
     elif isinstance(model, DumbbellAngular):
         v = rng.uniform(-1.0, 1.0, size)
@@ -174,11 +172,12 @@ def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> 
     elif isinstance(model, KneadedCardioidAngular):
         u = rng.random(size)
         cos_t = 1.0 - 2.0 * np.sqrt(u)
-        v = rng.random(size)
-        a = model.a
-        phi, _ = _newton_cdf(lambda ph: (ph + 0.5 * a * np.sin(2.0 * ph)) / _TWO_PI,
-                             lambda ph: (1.0 + a * np.cos(2.0 * ph)) / _TWO_PI,
-                             v, 0.0, _TWO_PI, _TWO_PI * v)
+        # (1 + a cos 2phi)/2pi = (1 - a) U(0, 2pi) + a cos^2(phi)/pi.  The second
+        # part is the S^3 polar angle shifted by -pi/2, and by pi on a fair bit.
+        # Both parts are drawn for every sample, so the draw count does not depend on a.
+        shifted = _s3_polar_angle(rng, size) - _HALF_PI
+        pick, bit, flat = rng.random((3, size))
+        phi = np.where(pick < model.a, shifted + math.pi * (bit < 0.5), _TWO_PI * flat)
     elif isinstance(model, TabulatedAngular):
         return _sample_tabulated_angular(model, rng, size)
     else:
@@ -187,57 +186,78 @@ def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> 
     return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
 
 
-def _bagel_guess(u):
-    """Start for the bagel theta: y = theta - pi/2 solves y + sin(2y)/2 = pi(u - 1/2).
+def _s3_polar_angle(rng, size):
+    """Polar angle of a uniform point on S^3, whose density is (2/pi) sin^2 on [0, pi].
 
-    y + sin(2y)/2 is about 2y in the middle and pi/2 - (2/3)(pi/2 - |y|)^3
-    near the ends; each approximation is inverted where it holds.
+    The point is four normals over their norm (Marsaglia, Ann. Math. Stat. 43,
+    645 (1972)).
     """
-    s = math.pi * (u - 0.5)
-    end = np.sign(s) * (_HALF_PI - np.cbrt(1.5 * np.maximum(_HALF_PI - np.abs(s), 0.0)))
-    return _HALF_PI + np.where(np.abs(s) < 1.0, 0.5 * s, end)
+    g = rng.standard_normal((4, size))
+    return np.arctan2(np.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3]), g[0])
 
 
-def _refined(grid, target):
-    """Subdivide cells only as far as needed to reach the target spacing."""
-    pieces = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        pieces.append(np.linspace(a, b, max(2, int(np.ceil((b - a) / target)) + 1)))
-    return np.unique(np.concatenate(pieces))
+def _theta_cell_cdf(x, a0, b, s, c):
+    """Integral over [0, x] of (a0 + b t) sin(theta0 + t) dt, with s, c = sin, cos theta0.
+
+    Half angles give sin x and 1 - cos x without cancellation.
+    """
+    sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
+    sin_x, vers = 2.0 * sh * ch, 2.0 * sh * sh
+    return a0 * (s * sin_x + c * vers) + b * (s * (x * sin_x - vers) + c * (sin_x - x * (1.0 - vers)))
 
 
 def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
-    # theta from the phi-integrated marginal, then phi from the conditional
-    # at the drawn theta; piecewise-linear inverse CDFs on refined grids.
-    th_grid = _refined(model.theta, math.pi / 512)
-    ph_grid = _refined(model.phi, math.pi / 256)
-    dens = model.density(th_grid[:, None], ph_grid[None, :]) * np.sin(th_grid)[:, None]
-    marg = np.trapezoid(dens, ph_grid, axis=1)
-    cdf_t = np.concatenate([[0.0], np.cumsum(0.5 * (marg[1:] + marg[:-1]) * np.diff(th_grid))])
-    cdf_t /= cdf_t[-1]
-    theta = np.interp(rng.random(size), cdf_t, th_grid)
-    u = rng.random(size)
+    """Exact draw from the bilinear table: theta from its marginal, then phi given theta.
 
-    # conditional phi draw in blocks: the dense (samples x phi-grid) CDF
-    # table would not fit in memory in one piece
-    phi = np.empty(size)
-    block = max(1, 4_000_000 // ph_grid.size)
-    for start in range(0, size, block):
-        sel = slice(start, min(start + block, size))
-        cond = model.density(theta[sel, None], ph_grid[None, :])
-        n_sel = cond.shape[0]
-        cdf_p = np.concatenate(
-            [np.zeros((n_sel, 1)),
-             np.cumsum(0.5 * (cond[:, 1:] + cond[:, :-1]) * np.diff(ph_grid), axis=1)],
-            axis=1)
-        cdf_p /= cdf_p[:, -1:]
-        ub = u[sel]
-        idx = np.clip((cdf_p < ub[:, None]).sum(axis=1), 1, ph_grid.size - 1)
-        rows = np.arange(n_sel)
-        c0 = cdf_p[rows, idx - 1]
-        c1 = cdf_p[rows, idx]
-        frac = np.where(c1 > c0, (ub - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
-        phi[sel] = ph_grid[idx - 1] + frac * (ph_grid[idx] - ph_grid[idx - 1])
+    On theta-cell i the phi-integrated density is (A_i + b x) sin(theta_i + x),
+    with A the row masses and x = theta - theta_i.  The cell is picked by its
+    exact mass and its CDF inverted by Newton.  At the drawn theta the phi
+    density mixes rows i and i + 1 with weights (1 - w) A_i and w A_{i+1},
+    w = x / (theta_{i+1} - theta_i).  A row is picked, then a phi-cell by its
+    mass, and the cell's linear density is inverted in closed form.  Three
+    uniforms per sample, whatever the table.
+    """
+    th, ph, v = model.theta, model.phi, model.values
+    u_theta, u_row, u_phi = rng.random((3, size))
+    width = np.diff(ph)
+    cells = 0.5 * (v[:, 1:] + v[:, :-1]) * width          # (n_theta, n_phi - 1)
+    rows = cells.sum(axis=1)
+    h = np.diff(th)
+    a0, b = rows[:-1], np.diff(rows) / h
+    s, cos_th = np.sin(th[:-1]), np.cos(th)
+    c = cos_th[:-1]
+    cell_mass = _theta_cell_cdf(h, a0, b, s, c)
+    masses = np.concatenate([[0.0], np.cumsum(cell_mass)])
+    target = u_theta * masses[-1]
+    # side="right" never picks a zero-mass cell below the target
+    i = np.clip(np.searchsorted(masses, target, side="right") - 1, 0, h.size - 1)
+    a0, b, s, c, h = a0[i], b[i], s[i], c[i], h[i]
+    y = target - masses[i]
+    # start from the exact root for a density constant in theta (b = 0)
+    q = np.divide(y, cell_mass[i], out=np.zeros_like(y), where=cell_mass[i] > 0.0)
+    x0 = np.arccos(np.clip(c - q * (c - cos_th[i + 1]), -1.0, 1.0)) - th[i]
+    x, _ = _newton_cdf(lambda x: _theta_cell_cdf(x, a0, b, s, c),
+                       lambda x: (a0 + b * x) * (s * np.cos(x) + c * np.sin(x)),
+                       y, 0.0, h, x0)
+    theta = th[i] + x
+
+    w = x / h
+    lower, upper = (1.0 - w) * rows[i], w * rows[i + 1]
+    row = i + (u_row * (lower + upper) >= lower)
+    # one cumulative sum over all rows keeps every row's masses monotone, with
+    # no division by a row mass, which is 0 where the density vanishes on a row
+    n_cells = width.size
+    flat = np.concatenate([[0.0], np.cumsum(cells.ravel())])
+    start = row * n_cells
+    target = flat[start] + u_phi * (flat[start + n_cells] - flat[start])
+    k = np.clip(np.searchsorted(flat, target, side="right") - 1, start, start + n_cells - 1)
+    j = k - start
+    # the root t of v0 t + (v1 - v0) t^2 / 2 width = y, in a form without
+    # cancellation; 0 where the cell's density and y vanish together
+    v0, v1, y = v[row, j], v[row, j + 1], target - flat[k]
+    den = v0 + np.sqrt(np.maximum(v0 * v0 + 2.0 * (v1 - v0) * y / width[j], 0.0))
+    t = np.divide(2.0 * y, den, out=np.zeros_like(y), where=den > 0.0)
+    phi = ph[j] + np.minimum(t, width[j])
 
     sin_t = np.sin(theta)
     return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])

@@ -86,7 +86,14 @@ def check_radial_quadrature(omega_c: float = 1.0, threshold: float = 1e-9):
 
 def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
                     threshold: float = 4.0):
-    """Componentwise |MC - exact| in units of the MC standard error."""
+    """Componentwise |MC - exact| in units of the MC standard error.
+
+    The metric is the largest of 180 correlated z-scores (15 pairs, 4 times,
+    3 components), so the 4-sigma gate fails now and then by chance, with
+    exact samplers too: on validate_default.cfg, seed 145 of seeds 0-199
+    reads 4.16.  One failing seed is a reason to run others, not a proof of
+    a fault.
+    """
     worst = 0.0
     times = np.array([0.2, 1.0, 3.0, 8.0]) / omega_c
     for _, fam in builtin_families(omega_c, asymmetry):

@@ -6,23 +6,22 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
+from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, ReciprocalSquareRadial, SamplerConfig, SeparableEnsemble,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
-from hamens.montecarlo import (_NEWTON_CAP, _bagel_guess, _newton_cdf,
-                               _tabulated_radial_quantile, chunk_stream)
+from hamens.montecarlo import _NEWTON_CAP, _newton_cdf, _tabulated_radial_quantile, chunk_stream
 
 ANGULARS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
             KneadedCardioidAngular(0.3)]
 
 
-def moment_zscores(model, seed, n=200000):
+def moment_zscores(model, seed, n=200000, moments=None):
     """First and second sampled moments against the analytic values, in sigmas."""
     rng = chunk_stream(seed, 0)
     axes = sample_angular(model, rng, n)
-    m = directional_moments(model)
+    m = moments or directional_moments(model)
     scores = []
     for j in range(3):
         sample = axes[:, j]
@@ -108,22 +107,159 @@ def test_tabulated_radial_quantile_inverts_the_exact_cdf():
             assert np.max(np.abs(table_cdf(tab, omega) - u)) <= 1e-12
 
 
+def random_table(seed, n_theta, n_phi):
+    """Normalized random table on random grids; its second moments have off-diagonal parts."""
+    rng = np.random.default_rng(seed)
+    th = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n_theta - 2)), [math.pi]])
+    ph = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2 * math.pi, n_phi - 2)), [2 * math.pi]])
+    vals = rng.random((n_theta, n_phi))
+    return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).xi())
+
+
+TABLE_COARSE = random_table(45, 4, 5)
+
+
+def node_weights(grid, fn, order=20):
+    """Integrals of fn against each node's hat function on the grid (Gauss-Legendre per cell)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo, width = grid[:-1, None], np.diff(grid)[:, None]
+    pts = lo + 0.5 * width * (1 + x)
+    vals = 0.5 * width * w * fn(pts)
+    up = (pts - lo) / width
+    out = np.zeros(grid.size)
+    out[:-1] += (vals * (1 - up)).sum(axis=1)
+    out[1:] += (vals * up).sum(axis=1)
+    return out
+
+
+def table_moments(tab):
+    """Moments of the bilinear table, each a sum of products of 1-D integrals.
+
+    Every moment integrand is f(theta) g(phi) and the interpolant is a sum of
+    products of hat functions, so each moment is wt @ values @ wp; a 20-point
+    rule per cell is exact to rounding.  It costs milliseconds where
+    directional_moments spends seconds on a 241 x 241 table.
+    """
+    th = {"x": np.sin, "y": np.sin, "z": np.cos}
+    ph = {"x": np.cos, "y": np.sin, "z": np.ones_like}
+
+    def integral(f, g):
+        wt = node_weights(tab.theta, lambda t: f(t) * np.sin(t))
+        return wt @ tab.values @ node_weights(tab.phi, g)
+
+    names = "xyz"
+    first = np.array([integral(th[a], ph[a]) for a in names])
+    second = np.array([[integral(lambda t, a=a, b=b: th[a](t) * th[b](t),
+                                 lambda p, a=a, b=b: ph[a](p) * ph[b](p)) for b in names]
+                       for a in names])
+    return DirectionalMoments(first, second)
+
+
 def test_tabulated_angular_sampler():
+    # the fine table's first row is zero (theta = 0); the coarse one is tilted
     th = np.linspace(0, math.pi, 241)
     ph = np.linspace(0, 2 * math.pi, 241)
     vals = (1 - np.cos(th))[:, None] * (1 + 0.3 * np.cos(2 * ph))[None, :] / (4 * math.pi)
+    fine = TabulatedAngular(th, ph, vals)
+    coarse = directional_moments(TABLE_COARSE)
+    assert abs(coarse.second[0, 1]) > 1e-3
+    # up to the order-8 rule's error on wide cells (2.2e-11 here; see TabulatedAngular)
+    exact = table_moments(TABLE_COARSE)
+    assert np.allclose(exact.first, coarse.first, rtol=0, atol=1e-10)
+    assert np.allclose(exact.second, coarse.second, rtol=0, atol=1e-10)
+    assert np.max(moment_zscores(TABLE_COARSE, 13, n=150000, moments=coarse)) < 4.0
+    assert np.max(moment_zscores(fine, 13, n=150000, moments=table_moments(fine))) < 4.0
+
+
+def test_tabulated_angular_sampler_avoids_zero_density():
+    # zero rows at the poles and inside, and a zero phi-cell on a nonzero row
+    th = np.linspace(0, math.pi, 5)
+    ph = np.linspace(0, 2 * math.pi, 6)
+    vals = np.ones((5, 6))
+    vals[[0, 2, 4]] = 0.0
+    vals[3, 1:3] = 0.0
     tab = TabulatedAngular(th, ph, vals)
-    rng = chunk_stream(13, 0)
-    axes = sample_angular(tab, rng, 150000)
-    ref = directional_moments(KneadedCardioidAngular(0.3))
-    for j in range(3):
-        sample = axes[:, j]
-        err = sample.std(ddof=1) / math.sqrt(sample.size)
-        assert abs(sample.mean() - ref.first[j]) < 4 * err + 1e-3
-    for i in range(3):
-        sample = axes[:, i] * axes[:, i]
-        err = sample.std(ddof=1) / math.sqrt(sample.size)
-        assert abs(sample.mean() - ref.second[i, i]) < 4 * err + 1e-3
+    axes = sample_angular(tab, chunk_stream(4, 0), 100000)
+    assert np.max(np.abs(np.sum(axes * axes, axis=1) - 1.0)) < 1e-12
+    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(axes[:, 1], axes[:, 0]), 2 * math.pi)
+    assert np.min(tab.density(theta, phi)) > 0.0
+
+
+def test_fixed_draw_count():
+    # the stream position after a draw depends on the kind and size only,
+    # never on the model's parameters or the table's values
+    pairs = [(KneadedCardioidAngular(0.3), KneadedCardioidAngular(0.9)),
+             (TABLE_COARSE, random_table(46, 4, 5))]
+    for first, second in pairs:
+        after = []
+        for model in (first, second):
+            rng = chunk_stream(21, 0)
+            sample_angular(model, rng, 1000)
+            after.append(rng.random())
+        assert after[0] == after[1], type(first).__name__
+
+
+def test_bagel_theta_ks():
+    axes = sample_angular(BagelAngular(), chunk_stream(61, 0), 1_000_000)
+    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+    assert kstest(theta, lambda th: (th - np.sin(th) * np.cos(th)) / math.pi).pvalue > 0.01
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+def test_kneaded_phi_ks(a):
+    axes = sample_angular(KneadedCardioidAngular(a), chunk_stream(62, 0), 1_000_000)
+    phi = np.mod(np.arctan2(axes[:, 1], axes[:, 0]), 2 * math.pi)
+    assert kstest(phi, lambda ph: (ph + 0.5 * a * np.sin(2 * ph)) / (2 * math.pi)).pvalue > 0.01
+
+
+def table_theta_cdf(tab, theta):
+    """CDF of the theta marginal, (alpha + beta theta) sin(theta) on each theta-cell,
+    from its global antiderivative -alpha cos + beta (sin - theta cos)."""
+    # the trapezoid rule is exact for the linear rows
+    rows = np.trapezoid(tab.values, tab.phi, axis=1)
+    beta = np.diff(rows) / np.diff(tab.theta)
+    alpha = rows[:-1] - beta * tab.theta[:-1]
+
+    def anti(i, th):
+        return -alpha[i] * np.cos(th) + beta[i] * (np.sin(th) - th * np.cos(th))
+
+    cells = np.arange(alpha.size)
+    below = np.concatenate([[0.0], np.cumsum(anti(cells, tab.theta[1:]) - anti(cells, tab.theta[:-1]))])
+    assert abs(below[-1] - tab.xi()) <= 1e-12 * tab.xi()
+    i = np.clip(np.searchsorted(tab.theta, theta, side="right") - 1, 0, alpha.size - 1)
+    return (below[i] + anti(i, theta) - anti(i, tab.theta[i])) / below[-1]
+
+
+def table_phi_cdf(tab, i, phi):
+    """CDF of phi given theta in cell i: rows i and i + 1 weighted by the cell integrals
+    of (1 - w) sin(theta) and w sin(theta), w linear across the cell (Gauss-Legendre)."""
+    x, wts = np.polynomial.legendre.leggauss(20)
+    lo, hi = tab.theta[i], tab.theta[i + 1]
+    th = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+    w = (th - lo) / (hi - lo)
+    weights = [0.5 * (hi - lo) * wts @ ((1 - w) * np.sin(th)), 0.5 * (hi - lo) * wts @ (w * np.sin(th))]
+    j = np.clip(np.searchsorted(tab.phi, phi, side="right") - 1, 0, tab.phi.size - 2)
+    total = 0.0
+    cdf = np.zeros_like(phi)
+    for row, weight in zip((i, i + 1), weights):
+        node = tab.values[row]
+        below = np.concatenate([[0.0], np.cumsum(0.5 * (node[1:] + node[:-1]) * np.diff(tab.phi))])
+        partial = 0.5 * (phi - tab.phi[j]) * (node[j] + tab.density(np.full_like(phi, tab.theta[row]), phi))
+        cdf += weight * (below[j] + partial)
+        total += weight * below[-1]
+    return cdf / total
+
+
+def test_tabulated_angular_ks():
+    axes = sample_angular(TABLE_COARSE, chunk_stream(63, 0), 1_000_000)
+    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+    assert kstest(theta, lambda th: table_theta_cdf(TABLE_COARSE, th)).pvalue > 0.01
+    # the theta-cell with the most mass
+    i = int(np.argmax(np.diff(table_theta_cdf(TABLE_COARSE, TABLE_COARSE.theta))))
+    inside = (TABLE_COARSE.theta[i] < theta) & (theta < TABLE_COARSE.theta[i + 1])
+    phi = np.mod(np.arctan2(axes[inside, 1], axes[inside, 0]), 2 * math.pi)
+    assert kstest(phi, lambda ph: table_phi_cdf(TABLE_COARSE, i, ph)).pvalue > 0.01
 
 
 def test_mc_average_at_time_zero_is_exact():
@@ -210,10 +346,22 @@ def kneaded_case(a):
             {0.0: 0.0, 0.25: math.pi / 2, 0.75: 1.5 * math.pi, 1.0: 2 * math.pi})
 
 
+def bagel_guess(u):
+    """Start for the bagel theta: y = theta - pi/2 solves y + sin(2y)/2 = pi(u - 1/2).
+
+    y + sin(2y)/2 is about 2y in the middle and pi/2 - (2/3)(pi/2 - |y|)^3
+    near the ends; each approximation is inverted where it holds.
+    """
+    s = math.pi * (u - 0.5)
+    end = np.sign(s) * (math.pi / 2 - np.cbrt(1.5 * np.maximum(math.pi / 2 - np.abs(s), 0.0)))
+    return math.pi / 2 + np.where(np.abs(s) < 1.0, 0.5 * s, end)
+
+
+# CDFs whose pdf vanishes at some points: the hard cases for the safeguards
 NEWTON_CASES = {
     "bagel": (lambda th: (th - 0.5 * np.sin(2.0 * th)) / math.pi,
               lambda th: 2.0 * np.sin(th) ** 2 / math.pi,
-              math.pi, _bagel_guess,
+              math.pi, bagel_guess,
               # F' = 0 at both ends
               {0.0: 0.0, 0.5: math.pi / 2, 1.0: math.pi}),
     "kneaded0": kneaded_case(0.0),
