@@ -25,6 +25,14 @@ import numpy as np
 from .quadrature import _gauss_nodes, sphere_integral
 
 _FOUR_PI = 4.0 * math.pi
+#: the axis n = (sin th cos ph, sin th sin ph, cos th), one (theta, phi) factor pair per component
+_AXIS = ((np.sin, np.cos), (np.sin, np.sin), (np.cos, np.ones_like))
+#: the upper triangle of the second-moment matrix, and each matrix entry's place in it
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYMMETRIC = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+#: Gauss-Legendre order per table cell, exact to rounding for its integrands:
+#: trigonometric of frequency <= 3 times a linear hat, on cells at most 2pi wide
+_CELL_ORDER = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,12 +176,15 @@ class TabulatedAngular(AngularModel):
     """Density given on a rectangular (theta, phi) grid, bilinearly interpolated.
 
     The grid must cover the full sphere: theta from 0 to pi, phi from 0 to
-    2pi.  Moments and mass integrate the interpolant cell by cell with an
-    order-8 product Gauss-Legendre rule.  The rule is not exact for the
-    bilinear model, since the sin(theta) Jacobian and the moment factors are
-    not polynomials: against order 60 on random tables, mass and moments are
-    off by up to 6.4e-7 on a 2x2 grid, 9.2e-12 on 3x3, 7.6e-14 on 5x4, and
-    1e-15 on 9x9 and finer grids.
+    2pi.  The interpolant is a sum of products of 1-D hat functions and every
+    moment integrand is a product f(theta) g(phi), so the mass and each moment
+    are w_theta @ values @ w_phi, with w the integrals of f sin(theta) and of g
+    against each node's hat function, exact to rounding.  They are computed
+    once, with what the exact sampler in `montecarlo` draws from: row_mass, the
+    phi integral of each grid row; phi_cdf, the cumulative phi-cell masses of
+    all rows, flattened; theta_mass, the mass of the theta marginal
+    (row_mass_i + b_i x) sin(theta_i + x) on each theta-cell i, b_i the slope
+    of row_mass; and its cumulative sum theta_cdf.  Both CDFs start at 0.
     """
 
     theta: np.ndarray
@@ -196,12 +207,21 @@ class TabulatedAngular(AngularModel):
             raise ValueError("phi grid must span [0, 2pi]")
         if np.any(values < 0.0):
             raise ValueError("angular table density must be nonnegative")
-        for arr in (theta, phi, values):
+        # moment k is row k of both weight stacks: the mass, <n_a>, then <n_a n_b>
+        m = np.einsum("ki,ij,kj->k", _hat_weights(theta, 0), values, _hat_weights(phi, 1))
+        second = m[4:][_SYMMETRIC]
+        h = np.diff(theta)
+        # the trapezoid rule is exact for the rows, linear in phi on each cell
+        cells = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(phi)
+        rows = cells.sum(axis=1)
+        theta_mass = _theta_cell_cdf(h, rows[:-1], np.diff(rows) / h, np.sin(theta[:-1]), np.cos(theta[:-1]))
+        object.__setattr__(self, "_xi", float(m[0]))
+        for name, arr in (("theta", theta), ("phi", phi), ("values", values), ("_first", m[1:4]),
+                          ("_second", second), ("row_mass", rows), ("theta_mass", theta_mass),
+                          ("theta_cdf", np.concatenate([[0.0], np.cumsum(theta_mass)])),
+                          ("phi_cdf", np.concatenate([[0.0], np.cumsum(cells.ravel())]))):
             arr.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_xi", self._integrate(lambda th, ph: 1.0))
+            object.__setattr__(self, name, arr)
 
     def density(self, theta, phi):
         th = np.clip(theta, self.theta[0], self.theta[-1])
@@ -216,47 +236,41 @@ class TabulatedAngular(AngularModel):
         return ((1 - wt) * (1 - wp) * v[i, j] + wt * (1 - wp) * v[i + 1, j]
                 + (1 - wt) * wp * v[i, j + 1] + wt * wp * v[i + 1, j + 1])
 
-    def _integrate(self, fn, order=8) -> float:
-        """Integrate density * fn(theta, phi) * sin(theta) cell by cell."""
-        x, w = _gauss_nodes(order)
-        th_nodes = 0.5 * (self.theta[:-1, None] + self.theta[1:, None]) \
-            + 0.5 * np.diff(self.theta)[:, None] * x[None, :]
-        th_w = 0.5 * np.diff(self.theta)[:, None] * w[None, :]
-        ph_nodes = 0.5 * (self.phi[:-1, None] + self.phi[1:, None]) \
-            + 0.5 * np.diff(self.phi)[:, None] * x[None, :]
-        ph_w = 0.5 * np.diff(self.phi)[:, None] * w[None, :]
-        th_flat = th_nodes.ravel()
-        ph_flat = ph_nodes.ravel()
-        grid_t = th_flat[:, None]
-        grid_p = ph_flat[None, :]
-        integrand = self.density(grid_t, grid_p) * np.asarray(fn(grid_t, grid_p)) * np.sin(grid_t)
-        return float(th_w.ravel() @ integrand @ ph_w.ravel())
-
     def xi(self) -> float:
         return self._xi
 
     def first_moment(self):
-        return np.array([
-            self._integrate(lambda th, ph: np.sin(th) * np.cos(ph)),
-            self._integrate(lambda th, ph: np.sin(th) * np.sin(ph)),
-            self._integrate(lambda th, ph: np.cos(th) * np.ones_like(ph)),
-        ])
+        return self._first
 
     def second_moment(self):
-        comps = {
-            "x": lambda th, ph: np.sin(th) * np.cos(ph),
-            "y": lambda th, ph: np.sin(th) * np.sin(ph),
-            "z": lambda th, ph: np.cos(th) * np.ones_like(ph),
-        }
-        names = ["x", "y", "z"]
-        out = np.empty((3, 3))
-        for i, a in enumerate(names):
-            for j, b in enumerate(names):
-                if j < i:
-                    out[i, j] = out[j, i]
-                else:
-                    out[i, j] = self._integrate(lambda th, ph, a=a, b=b: comps[a](th, ph) * comps[b](th, ph))
-        return out
+        return self._second
+
+
+def _hat_weights(grid, side):
+    """Integrals over the grid of the (side 0) theta or (side 1) phi factors of 1, n_a
+    and n_a n_b (a <= b) against every node's hat function, sin(theta) included for
+    theta; one row per factor."""
+    x, w = _gauss_nodes(_CELL_ORDER)
+    up = 0.5 * (1.0 + x)
+    width = np.diff(grid)[:, None]
+    pts = grid[:-1, None] + width * up
+    comps = [pair[side](pts) for pair in _AXIS]
+    vals = np.stack([np.ones_like(pts)] + comps + [comps[a] * comps[b] for a, b in _UPPER])
+    vals *= 0.5 * width * w * (np.sin(pts) if side == 0 else 1.0)
+    out = np.zeros((vals.shape[0], grid.size))
+    out[:, :-1] += vals @ (1.0 - up)
+    out[:, 1:] += vals @ up
+    return out
+
+
+def _theta_cell_cdf(x, a0, b, s, c):
+    """Integral over [0, x] of (a0 + b t) sin(theta0 + t) dt, with s, c = sin, cos theta0.
+
+    Half angles give sin x and 1 - cos x without cancellation.
+    """
+    sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
+    sin_x, vers = 2.0 * sh * ch, 2.0 * sh * sh
+    return a0 * (s * sin_x + c * vers) + b * (s * (x * sin_x - vers) + c * (sin_x - x * (1.0 - vers)))
 
 
 def directional_moments(model: AngularModel) -> DirectionalMoments:
@@ -264,20 +278,16 @@ def directional_moments(model: AngularModel) -> DirectionalMoments:
     return DirectionalMoments(model.first_moment(), model.second_moment())
 
 
+def _axis(a, th, ph):
+    return _AXIS[a][0](th) * _AXIS[a][1](ph)
+
+
 def directional_moments_quadrature(model: AngularModel) -> DirectionalMoments:
     """Moments by solid-angle product quadrature on the density; oracle route."""
-    comps = {
-        0: lambda th, ph: np.sin(th) * np.cos(ph),
-        1: lambda th, ph: np.sin(th) * np.sin(ph),
-        2: lambda th, ph: np.cos(th) * np.ones(np.shape(ph)),
-    }
-    first = np.array([
-        sphere_integral(lambda th, ph, j=j: model.density(th, ph) * comps[j](th, ph))
-        for j in range(3)
-    ])
+    first = np.array([sphere_integral(lambda th, ph, a=a: model.density(th, ph) * _axis(a, th, ph))
+                      for a in range(3)])
     second = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            second[i, j] = second[j, i] = sphere_integral(
-                lambda th, ph, i=i, j=j: model.density(th, ph) * comps[i](th, ph) * comps[j](th, ph))
+    for a, b in _UPPER:
+        second[a, b] = second[b, a] = sphere_integral(
+            lambda th, ph, a=a, b=b: model.density(th, ph) * _axis(a, th, ph) * _axis(b, th, ph))
     return DirectionalMoments(first, second)

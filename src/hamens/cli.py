@@ -3,14 +3,15 @@
 Every command reads a configuration file (see `config`) and emits CSV with a
 single header row, '#'-prefixed comment lines, 17-significant-digit floats
 and '\\n' line endings, so output is byte-stable for a fixed configuration.
-Exit codes: 0 success, 1 failed validation check, 2 configuration error or
-any other error the library reports (a ValueError, such as a pole or a bad
-table, a QuadratureError or an IntegrationError), printed as one 'error:' line.
+Exit codes: 0 success, 1 failed validation check, 2 configuration error, an
+unwritable --out (OSError) or an error the library reports (a ValueError, such
+as a pole or a bad table, a QuadratureError or an IntegrationError): one 'error:' line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -131,9 +132,8 @@ def cmd_scan(cfg, out_path):
         fam = cfg.build_family(asymmetry=a)
         lines, traj = _rates_lines(cfg, fam, grid)
         if out_path:
-            stem, dot, ext = str(out_path).rpartition(".")
-            per_value = f"{stem}_a{a:g}.{ext}" if dot else f"{out_path}_a{a:g}"
-            _write_lines(lines, per_value)
+            stem, ext = os.path.splitext(out_path)
+            _write_lines(lines, f"{stem}_a{a:g}{ext}")
         # closed-form route: exactly zero at a = 0, not extraction roundoff;
         # NaN marks the points inside the pole window of its denominator
         gxy = np.abs(offdiagonal_rate(fam, grid[1:]))
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(cfg, args.out, sampler)
         return cmd_scan(cfg, args.out)
-    except (ConfigError, QuadratureError, IntegrationError, ValueError) as err:
+    except (ConfigError, QuadratureError, IntegrationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
-                      KneadedCardioidAngular, SphereAngular, TabulatedAngular)
+                      KneadedCardioidAngular, SphereAngular, TabulatedAngular, _theta_cell_cdf)
 from .ensemble import SeparableEnsemble
 from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial)
@@ -123,12 +123,8 @@ def sample_radial(model: RadialModel, rng: np.random.Generator, size: int) -> np
     if isinstance(model, ReciprocalSquareRadial):
         return model.omega_c * rng.random(size)
     if isinstance(model, TabulatedRadial):
-        return _sample_tabulated_radial(model, rng, size)
+        return _tabulated_radial_quantile(model, rng.random(size))
     raise TypeError(f"no sampler for {type(model).__name__}")
-
-
-def _sample_tabulated_radial(model: TabulatedRadial, rng, size):
-    return _tabulated_radial_quantile(model, rng.random(size))
 
 
 def _tabulated_radial_quantile(model: TabulatedRadial, u):
@@ -196,16 +192,6 @@ def _s3_polar_angle(rng, size):
     return np.arctan2(np.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3]), g[0])
 
 
-def _theta_cell_cdf(x, a0, b, s, c):
-    """Integral over [0, x] of (a0 + b t) sin(theta0 + t) dt, with s, c = sin, cos theta0.
-
-    Half angles give sin x and 1 - cos x without cancellation.
-    """
-    sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
-    sin_x, vers = 2.0 * sh * ch, 2.0 * sh * sh
-    return a0 * (s * sin_x + c * vers) + b * (s * (x * sin_x - vers) + c * (sin_x - x * (1.0 - vers)))
-
-
 def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     """Exact draw from the bilinear table: theta from its marginal, then phi given theta.
 
@@ -215,27 +201,21 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     density mixes rows i and i + 1 with weights (1 - w) A_i and w A_{i+1},
     w = x / (theta_{i+1} - theta_i).  A row is picked, then a phi-cell by its
     mass, and the cell's linear density is inverted in closed form.  Three
-    uniforms per sample, whatever the table.
+    uniforms per sample, whatever the table; the masses come with the model.
     """
-    th, ph, v = model.theta, model.phi, model.values
+    th, ph, v, rows, masses = model.theta, model.phi, model.values, model.row_mass, model.theta_cdf
     u_theta, u_row, u_phi = rng.random((3, size))
-    width = np.diff(ph)
-    cells = 0.5 * (v[:, 1:] + v[:, :-1]) * width          # (n_theta, n_phi - 1)
-    rows = cells.sum(axis=1)
-    h = np.diff(th)
-    a0, b = rows[:-1], np.diff(rows) / h
-    s, cos_th = np.sin(th[:-1]), np.cos(th)
-    c = cos_th[:-1]
-    cell_mass = _theta_cell_cdf(h, a0, b, s, c)
-    masses = np.concatenate([[0.0], np.cumsum(cell_mass)])
     target = u_theta * masses[-1]
     # side="right" never picks a zero-mass cell below the target
-    i = np.clip(np.searchsorted(masses, target, side="right") - 1, 0, h.size - 1)
-    a0, b, s, c, h = a0[i], b[i], s[i], c[i], h[i]
+    i = np.clip(np.searchsorted(masses, target, side="right") - 1, 0, th.size - 2)
+    h = th[i + 1] - th[i]
+    a0, b = rows[i], (rows[i + 1] - rows[i]) / h
+    s, c = np.sin(th[i]), np.cos(th[i])
     y = target - masses[i]
     # start from the exact root for a density constant in theta (b = 0)
-    q = np.divide(y, cell_mass[i], out=np.zeros_like(y), where=cell_mass[i] > 0.0)
-    x0 = np.arccos(np.clip(c - q * (c - cos_th[i + 1]), -1.0, 1.0)) - th[i]
+    cell_mass = model.theta_mass[i]
+    q = np.divide(y, cell_mass, out=np.zeros_like(y), where=cell_mass > 0.0)
+    x0 = np.arccos(np.clip(c - q * (c - np.cos(th[i + 1])), -1.0, 1.0)) - th[i]
     x, _ = _newton_cdf(lambda x: _theta_cell_cdf(x, a0, b, s, c),
                        lambda x: (a0 + b * x) * (s * np.cos(x) + c * np.sin(x)),
                        y, 0.0, h, x0)
@@ -246,18 +226,17 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     row = i + (u_row * (lower + upper) >= lower)
     # one cumulative sum over all rows keeps every row's masses monotone, with
     # no division by a row mass, which is 0 where the density vanishes on a row
-    n_cells = width.size
-    flat = np.concatenate([[0.0], np.cumsum(cells.ravel())])
+    n_cells, flat = ph.size - 1, model.phi_cdf
     start = row * n_cells
     target = flat[start] + u_phi * (flat[start + n_cells] - flat[start])
     k = np.clip(np.searchsorted(flat, target, side="right") - 1, start, start + n_cells - 1)
     j = k - start
     # the root t of v0 t + (v1 - v0) t^2 / 2 width = y, in a form without
     # cancellation; 0 where the cell's density and y vanish together
-    v0, v1, y = v[row, j], v[row, j + 1], target - flat[k]
-    den = v0 + np.sqrt(np.maximum(v0 * v0 + 2.0 * (v1 - v0) * y / width[j], 0.0))
+    v0, v1, y, width = v[row, j], v[row, j + 1], target - flat[k], ph[j + 1] - ph[j]
+    den = v0 + np.sqrt(np.maximum(v0 * v0 + 2.0 * (v1 - v0) * y / width, 0.0))
     t = np.divide(2.0 * y, den, out=np.zeros_like(y), where=den > 0.0)
-    phi = ph[j] + np.minimum(t, width[j])
+    phi = ph[j] + np.minimum(t, width)
 
     sin_t = np.sin(theta)
     return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])

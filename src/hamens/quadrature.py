@@ -17,6 +17,16 @@ from functools import lru_cache
 
 import numpy as np
 
+#: panel_integrate: a panel's coarse Gauss-Legendre estimate has order _PANEL_ORDER and
+#: the fine one twice that; refinement stops once their summed gap is within
+#: max(_PANEL_ABS_TOL, _PANEL_REL_TOL |I|) and gives up after _PANEL_SPLITS splits
+_PANEL_ORDER, _PANEL_REL_TOL, _PANEL_ABS_TOL, _PANEL_SPLITS = 24, 1e-11, 1e-14, 2000
+#: panels whose weight envelope is below this fraction of its peak are dropped
+_WEIGHT_FLOOR = 1e-14
+#: sphere_integral starts from this many theta nodes and phi intervals and doubles
+#: both, at most _SPHERE_DOUBLINGS times, until two levels agree to _SPHERE_REL_TOL
+_SPHERE_N_THETA, _SPHERE_N_PHI, _SPHERE_REL_TOL, _SPHERE_DOUBLINGS = 64, 128, 1e-11, 5
+
 
 class QuadratureError(RuntimeError):
     """Integration failed to converge; carries the residual error estimate."""
@@ -47,13 +57,12 @@ def _batch_panel_values(f, lo, hi, order):
     return (half[:, 0]) * (vals @ w)
 
 
-def panel_integrate(f, a, b, *, breakpoints=(), rel_tol=1e-11, abs_tol=1e-14,
-                    order=24, max_splits=2000, weight=None, weight_floor=1e-14):
+def panel_integrate(f, a, b, *, breakpoints=(), weight=None):
     """Integrate ``f`` over [a, b] with adaptive panel refinement.
 
     ``breakpoints`` pre-split the interval (typically at half-periods of an
     oscillatory factor).  If ``weight`` is given, panels whose weight envelope
-    is below ``weight_floor`` times the global peak are discarded: the tail
+    is below _WEIGHT_FLOOR times the global peak are discarded: the tail
     contributes nothing at the target accuracy.  Raises QuadratureError with
     the residual estimate when refinement stalls.
     """
@@ -67,23 +76,23 @@ def panel_integrate(f, a, b, *, breakpoints=(), rel_tol=1e-11, abs_tol=1e-14,
         peak = float(np.max(env_pts))
         if peak > 0.0:
             env = np.maximum(np.maximum(edge_env[:-1], edge_env[1:]), mid_env)
-            keep = env >= weight_floor * peak
+            keep = env >= _WEIGHT_FLOOR * peak
             if np.any(keep):
                 lo, hi = lo[keep], hi[keep]
 
     # one refinement pass: coarse/fine estimate per panel, split the bad ones
-    coarse = _batch_panel_values(f, lo, hi, order)
-    fine = _batch_panel_values(f, lo, hi, 2 * order)
+    coarse = _batch_panel_values(f, lo, hi, _PANEL_ORDER)
+    fine = _batch_panel_values(f, lo, hi, 2 * _PANEL_ORDER)
     work = [(lo[i], hi[i], coarse[i], fine[i]) for i in range(lo.size)]
     splits = 0
     while True:
         total = sum(fine for _, _, _, fine in work)
         errors = [abs(fine - coarse) for _, _, coarse, fine in work]
         residual = sum(errors)
-        tol = max(abs_tol, rel_tol * abs(total))
+        tol = max(_PANEL_ABS_TOL, _PANEL_REL_TOL * abs(total))
         if residual <= tol:
             return total
-        if splits >= max_splits:
+        if splits >= _PANEL_SPLITS:
             raise QuadratureError(
                 f"panel refinement stalled after {splits} splits (residual {residual:.3e})",
                 residual=residual)
@@ -91,17 +100,18 @@ def panel_integrate(f, a, b, *, breakpoints=(), rel_tol=1e-11, abs_tol=1e-14,
         lo, hi, _, _ = work.pop(worst)
         mid = 0.5 * (lo + hi)
         for p, q in ((lo, mid), (mid, hi)):
-            work.append((p, q, _panel_values(f, p, q, order), _panel_values(f, p, q, 2 * order)))
+            work.append((p, q, _panel_values(f, p, q, _PANEL_ORDER),
+                         _panel_values(f, p, q, 2 * _PANEL_ORDER)))
         splits += 1
 
 
-def sphere_integral(fn, *, n_theta=64, n_phi=128, rel_tol=1e-11, max_doublings=5):
+def sphere_integral(fn):
     """Integrate ``fn(theta, phi)`` over the solid angle sin(theta) dtheta dphi.
 
     Gauss-Legendre in theta (the sin(theta) Jacobian kept explicit, so ring
     and lobe profiles stay entire functions of the node variable) crossed
     with a trapezoid rule in phi, doubling both orders until two successive
-    refinements differ by less than ``rel_tol`` (relative to max(1, |I|)).
+    refinements differ by less than _SPHERE_REL_TOL (relative to max(1, |I|)).
     """
     def evaluate(nt, nph):
         x, wx = _gauss_nodes(nt)
@@ -115,10 +125,10 @@ def sphere_integral(fn, *, n_theta=64, n_phi=128, rel_tol=1e-11, max_doublings=5
         vals = np.broadcast_to(vals, (nt, nph + 1))
         return float(wtheta @ vals @ wphi)
 
-    prev = evaluate(n_theta, n_phi)
-    for level in range(1, max_doublings + 1):
-        cur = evaluate(n_theta * 2 ** level, n_phi * 2 ** level)
-        if abs(cur - prev) < rel_tol * max(1.0, abs(cur)):
+    prev = evaluate(_SPHERE_N_THETA, _SPHERE_N_PHI)
+    for level in range(1, _SPHERE_DOUBLINGS + 1):
+        cur = evaluate(_SPHERE_N_THETA * 2 ** level, _SPHERE_N_PHI * 2 ** level)
+        if abs(cur - prev) < _SPHERE_REL_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise QuadratureError(f"solid-angle quadrature did not settle at {rel_tol}", residual=abs(cur - prev))
+    raise QuadratureError(f"solid-angle quadrature did not settle at {_SPHERE_REL_TOL}", residual=abs(cur - prev))

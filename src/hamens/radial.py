@@ -86,7 +86,7 @@ def _dawsn(x):
     Exactly odd (the sign is copied on at the end).  An array gives bit for bit
     its scalar calls: the arithmetic is elementwise and in the same order, and a
     scalar takes its 28 Gaussians from one numpy call and sums them on Python
-    floats, which keeps the scalar calls of an ODE integrator cheap.
+    floats, so that the scalar calls of pole_scan's bisection stay cheap.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)

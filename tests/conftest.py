@@ -37,6 +37,15 @@ def d_denominator(fam):
     return d
 
 
+def random_table(seed, n_theta, n_phi):
+    """Normalized random table on random grids; its second moments have off-diagonal parts."""
+    rng = np.random.default_rng(seed)
+    th = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n_theta - 2)), [math.pi]])
+    ph = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2 * math.pi, n_phi - 2)), [2 * math.pi]])
+    vals = rng.random((n_theta, n_phi))
+    return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).xi())
+
+
 @pytest.fixture(scope="session")
 def tilted_table():
     """37 x 49 table of 3 (n.m)^2 (1 + n.m/2) / 4pi about a tilted axis m, scaled to xi = 1.

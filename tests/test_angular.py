@@ -10,6 +10,8 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     directional_moments, directional_moments_quadrature)
 from hamens.quadrature import sphere_integral
 
+from conftest import random_table
+
 BUILTINS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
             KneadedCardioidAngular(0.3)]
 
@@ -120,3 +122,59 @@ def test_tabulated_angular_validation():
         TabulatedAngular(th[:-1], ph, np.ones((4, 5)))  # theta does not reach pi
     with pytest.raises(ValueError):
         TabulatedAngular(th, ph, np.ones((5, 4)))
+
+
+def referee_moments(tab, mpmath):
+    """Mass, <n_a> and <n_a n_b> (a <= b) of the bilinear table in 30-digit arithmetic.
+
+    A 24 x 24 Gauss-Legendre product rule on every cell, with the interpolant
+    evaluated at each node pair; no use is made of its separation into 1-D
+    factors.  The integrands are entire and the cells at most 2pi wide, so the
+    rule's error is below 1e-30.
+    """
+    mp = mpmath.mp
+    upper = [(a, b) for a in range(3) for b in range(a, 3)]
+    total = [0] * 10
+    with mp.workdps(30):
+        # degree 4 is the 24-point rule, its nodes mapped to [0, 1]
+        nodes = [((x + 1) / 2, w / 2) for x, w in
+                 mpmath.calculus.quadrature.GaussLegendre(mp).calc_nodes(4, mp.prec)]
+        for i in range(tab.theta.size - 1):
+            for j in range(tab.phi.size - 1):
+                t0, t1, p0, p1 = (mp.mpf(float(x)) for x in (tab.theta[i], tab.theta[i + 1],
+                                                              tab.phi[j], tab.phi[j + 1]))
+                v00, v10, v01, v11 = (mp.mpf(float(tab.values[i + di, j + dj]))
+                                      for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)))
+                phis = [(up, wp, mp.cos(p0 + (p1 - p0) * up), mp.sin(p0 + (p1 - p0) * up))
+                        for up, wp in nodes]
+                for ut, wt in nodes:
+                    st, ct = mp.sin(t0 + (t1 - t0) * ut), mp.cos(t0 + (t1 - t0) * ut)
+                    for up, wp, cp, sp in phis:
+                        dens = (1 - ut) * ((1 - up) * v00 + up * v01) + ut * ((1 - up) * v10 + up * v11)
+                        weight = wt * wp * (t1 - t0) * (p1 - p0) * dens * st
+                        n = (st * cp, st * sp, ct)
+                        for k, val in enumerate([1, *n] + [n[a] * n[b] for a, b in upper]):
+                            total[k] += weight * val
+        return np.array([float(x) for x in total])
+
+
+@pytest.mark.parametrize("seed, n_theta, n_phi", [(40, 2, 2), (41, 3, 4), (45, 4, 5)])
+def test_tabulated_moments_match_a_2d_mpmath_referee(seed, n_theta, n_phi):
+    mpmath = pytest.importorskip("mpmath")
+    tab = random_table(seed, n_theta, n_phi)
+    ref = referee_moments(tab, mpmath)
+    m = directional_moments(tab)
+    assert abs(m.second[0, 1]) > 1e-3
+    assert abs(tab.xi() - ref[0]) <= 1e-13
+    assert np.max(np.abs(m.first - ref[1:4])) <= 1e-13
+    upper = m.second[np.triu_indices(3)]
+    assert np.max(np.abs(upper - ref[4:])) <= 1e-13
+
+
+def test_tabulated_moments_need_no_density_calls(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the table's moments evaluated its density")
+
+    monkeypatch.setattr(TabulatedAngular, "density", forbidden)
+    tab = random_table(7, 6, 9)
+    directional_moments(tab)

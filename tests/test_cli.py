@@ -393,6 +393,18 @@ def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_scan_per_value_names_take_the_extension_from_the_basename(tmp_path):
+    # a dot in a directory name is not an extension
+    body = SCAN_CFG.replace("values = 0 0.1 0.3", "values = 0.1").replace("n_points = 401", "n_points = 21")
+    cfg = write_config(tmp_path, body)
+    out_dir = tmp_path / "x.d"
+    out_dir.mkdir()
+    assert main(["scan", "--config", cfg, "--out", str(out_dir / "out")]) == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == ["out", "out_a0.1"]
+    assert main(["scan", "--config", cfg, "--out", str(out_dir / "s.v1.csv")]) == 0
+    assert (out_dir / "s.v1_a0.1.csv").exists()
+
+
 def test_scan_rejects_unknown_parameter(tmp_path, capsys):
     cfg = write_config(tmp_path, SCAN_CFG.replace("parameter = a", "parameter = omega_c"))
     assert main(["scan", "--config", cfg]) == 2
@@ -425,6 +437,17 @@ def test_bad_grid_is_rejected(tmp_path):
 def test_kneaded_requires_asymmetry(tmp_path):
     cfg = write_config(tmp_path, SPHERE_CFG.replace("kind = sphere", "kind = kneaded"))
     assert main(["moments", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command", ["moments", "simulate", "scan"])
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, SCAN_CFG.replace("n_points = 401", "n_points = 21"))
+    out = tmp_path / "no-such-dir" / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "no-such-dir" in err[0]
+    assert captured.out == ""
 
 
 def test_missing_config_file(tmp_path):

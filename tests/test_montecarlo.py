@@ -13,6 +13,8 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
 from hamens.montecarlo import _NEWTON_CAP, _newton_cdf, _tabulated_radial_quantile, chunk_stream
 
+from conftest import random_table
+
 ANGULARS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
             KneadedCardioidAngular(0.3)]
 
@@ -107,15 +109,6 @@ def test_tabulated_radial_quantile_inverts_the_exact_cdf():
             assert np.max(np.abs(table_cdf(tab, omega) - u)) <= 1e-12
 
 
-def random_table(seed, n_theta, n_phi):
-    """Normalized random table on random grids; its second moments have off-diagonal parts."""
-    rng = np.random.default_rng(seed)
-    th = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n_theta - 2)), [math.pi]])
-    ph = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2 * math.pi, n_phi - 2)), [2 * math.pi]])
-    vals = rng.random((n_theta, n_phi))
-    return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).xi())
-
-
 TABLE_COARSE = random_table(45, 4, 5)
 
 
@@ -137,8 +130,9 @@ def table_moments(tab):
 
     Every moment integrand is f(theta) g(phi) and the interpolant is a sum of
     products of hat functions, so each moment is wt @ values @ wp; a 20-point
-    rule per cell is exact to rounding.  It costs milliseconds where
-    directional_moments spends seconds on a 241 x 241 table.
+    rule per cell is exact to rounding.  TabulatedAngular computes the same
+    contraction with its own code and a 16-point rule; test_angular holds a
+    2-D referee that does not use the separation.
     """
     th = {"x": np.sin, "y": np.sin, "z": np.cos}
     ph = {"x": np.cos, "y": np.sin, "z": np.ones_like}
@@ -163,10 +157,10 @@ def test_tabulated_angular_sampler():
     fine = TabulatedAngular(th, ph, vals)
     coarse = directional_moments(TABLE_COARSE)
     assert abs(coarse.second[0, 1]) > 1e-3
-    # up to the order-8 rule's error on wide cells (2.2e-11 here; see TabulatedAngular)
+    # both are exact to rounding
     exact = table_moments(TABLE_COARSE)
-    assert np.allclose(exact.first, coarse.first, rtol=0, atol=1e-10)
-    assert np.allclose(exact.second, coarse.second, rtol=0, atol=1e-10)
+    assert np.allclose(exact.first, coarse.first, rtol=0, atol=1e-14)
+    assert np.allclose(exact.second, coarse.second, rtol=0, atol=1e-14)
     assert np.max(moment_zscores(TABLE_COARSE, 13, n=150000, moments=coarse)) < 4.0
     assert np.max(moment_zscores(fine, 13, n=150000, moments=table_moments(fine))) < 4.0
 
