@@ -1,6 +1,7 @@
 """Stochastic oracle: sampler distributions, determinism, map agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     MapFamily, ReciprocalSquareRadial, SamplerConfig, SeparableEnsemble,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
-from hamens.montecarlo import _NEWTON_CAP, _newton_cdf, _tabulated_radial_quantile, chunk_stream
+from hamens.montecarlo import (MAX_CHUNK, _NEWTON_CAP, _cos_sin, _newton_cdf,
+                               _tabulated_radial_quantile, chunk_stream)
 
 from conftest import random_table
 
@@ -321,6 +323,99 @@ def test_mc_trajectory_bit_identical_across_runs():
     for a, b in zip(first, second):
         assert np.array_equal(a.bloch_mean, b.bloch_mean)
         assert np.array_equal(a.bloch_stderr, b.bloch_stderr)
+
+
+def test_cos_sin_matches_libm():
+    angle = np.random.default_rng(71).uniform(-1e4, 1e4, 1_000_000)
+    c, s = _cos_sin(angle)
+    assert np.max(np.abs(c - np.cos(angle))) <= 4.5e-16
+    assert np.max(np.abs(s - np.sin(angle))) <= 4.5e-16
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * np.spacing(1.0)
+    c, s = _cos_sin(np.array(0.0))
+    assert c == 1.0 and s == 0.0
+    assert np.array_equal(_cos_sin(np.array([math.pi, -math.pi]))[0], [-1.0, -1.0])
+
+
+def test_cos_sin_against_mpmath_where_the_tangent_is_largest():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    # odd multiples of fl(pi) put the half angle next to a pole of tan
+    k = np.concatenate([np.arange(1, 2001, 2), np.arange(999_001, 1_000_001, 2),
+                        2 * np.random.default_rng(72).integers(0, 500_000, 1000) + 1])
+    angle = np.concatenate([k * math.pi, -k * math.pi])
+    assert np.max(np.abs(np.tan(0.5 * angle))) > 1e17
+    c, s = _cos_sin(angle)
+    ref_c = np.array([float(mpmath.cos(mpmath.mpf(float(a)))) for a in angle])
+    ref_s = np.array([float(mpmath.sin(mpmath.mpf(float(a)))) for a in angle])
+    assert np.array_equal(c, ref_c)
+    assert np.all(np.abs(s - ref_s) <= 2 * np.spacing(np.abs(ref_s)))
+    with np.errstate(invalid="ignore"):
+        bad = np.array([np.inf, -np.inf, np.nan])
+        c, s = _cos_sin(bad)
+        assert np.all(np.isnan(c)) and np.all(np.isnan(s)) and np.all(np.isnan(np.cos(bad)))
+
+
+def cos_sin_trajectory(ensemble, rho0, times, cfg):
+    """mc_trajectory as it was with np.cos and np.sin of the angle: the oracle for _cos_sin."""
+    n, r0 = cfg.n_samples, rho0.bloch
+    times = np.asarray(times, dtype=float)
+    total = np.zeros((times.size, 3))
+    total_sq = np.zeros((times.size, 3))
+    for index in range((n + cfg.chunk - 1) // cfg.chunk):
+        rng = chunk_stream(cfg.seed, index)
+        count = min(cfg.chunk, n - index * cfg.chunk)
+        omega = sample_radial(ensemble.radial, rng, count)
+        axes = np.ascontiguousarray(sample_angular(ensemble.angular, rng, count).T)
+        cross = np.cross(axes, r0, axisa=0, axisc=0)
+        along = (r0 @ axes) * axes
+        for k, t in enumerate(times):
+            angle = omega * t
+            c = np.cos(angle)
+            r_t = c * r0[:, None] + np.sin(angle) * cross + (1.0 - c) * along
+            total[k] += r_t.sum(axis=1)
+            total_sq[k] += (r_t * r_t).sum(axis=1)
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq - n * mean * mean, 0.0) / (n - 1) / n)
+
+
+def seeded_tabulated_ensemble():
+    rng = np.random.default_rng(73)
+    omega = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.6, 7))])
+    density = rng.uniform(0.0, 1.0, 8)
+    radial = TabulatedRadial(omega, density / TabulatedRadial(omega, density).mass())
+    return SeparableEnsemble(radial, random_table(47, 5, 6))
+
+
+@pytest.mark.parametrize("ensemble, times", [
+    (SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3)), [-1.3, 0.0, 0.25, 2.0, 8.0]),
+    (SeparableEnsemble(ReciprocalSquareRadial(), BagelAngular()), [0.2, 1.0, 3.0, 8.0]),
+    (seeded_tabulated_ensemble(), [0.5, 4.0, 30.0]),
+], ids=["gaussian-kneaded", "reciprocal-square-bagel", "tables"])
+def test_mc_trajectory_matches_the_cos_sin_evolve(ensemble, times):
+    rho0 = DensityMatrix([0.6, -0.2, 0.7])
+    cfg = SamplerConfig(seed=74, n_samples=20001, chunk=4096)
+    mean, stderr = cos_sin_trajectory(ensemble, rho0, times, cfg)
+    for t, est, m, e in zip(times, mc_trajectory(ensemble, rho0, times, cfg), mean, stderr):
+        assert np.max(np.abs(est.bloch_mean - m)) <= 1e-15, t
+        if t != 0.0:
+            assert np.max(np.abs(est.bloch_stderr - e) / e) <= 1e-12, t
+
+
+@pytest.mark.parametrize("angular, per_sample", [(KneadedCardioidAngular(0.3), 184), (TABLE_COARSE, 296)],
+                         ids=["kneaded", "table"])
+def test_chunk_peak_memory_is_as_documented(angular, per_sample):
+    # the figures of the MAX_CHUNK comment: the tracemalloc peak of one chunk
+    # at the cap, evolved to two times, in bytes per sample
+    ensemble = SeparableEnsemble(GaussianRadial(), angular)
+    rho0 = DensityMatrix([0.3, -0.4, 0.5])
+    cfg = SamplerConfig(seed=3, n_samples=MAX_CHUNK, chunk=MAX_CHUNK)
+    tracemalloc.start()
+    try:
+        mc_trajectory(ensemble, rho0, [0.5, 2.0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert round(peak / MAX_CHUNK) == per_sample
 
 
 def bisect_60(cdf, u, lo, hi):
