@@ -27,10 +27,16 @@ from .validation import run_checks
 _MOMENT_ROWS = ("first_x", "first_y", "first_z",
                 "second_xx", "second_yy", "second_zz",
                 "second_xy", "second_xz", "second_yz")
+_RATE_COLUMNS = ("gamma_x", "gamma_y", "gamma_z", "gamma_xy", "omega_bar", "kossakowski_min")
 
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
+
+
+def _rows(*columns):
+    """One CSV row per index of the columns, every cell through _fmt."""
+    return [",".join(map(_fmt, row)) for row in zip(*columns)]
 
 
 def _write_lines(lines, out_path):
@@ -68,10 +74,7 @@ def cmd_simulate(cfg, out_path):
     grid = cfg.time_grid()
     bloch = bloch_trajectory(fam, rho0, grid)
     pur = purity_trajectory(fam, rho0, grid)
-    lines = ["t,wc_t,r_x,r_y,r_z,purity"]
-    for t, r, p in zip(grid, bloch, pur):
-        lines.append(",".join([_fmt(t), _fmt(cfg.omega_c * t),
-                               _fmt(r[0]), _fmt(r[1]), _fmt(r[2]), _fmt(p)]))
+    lines = ["t,wc_t,r_x,r_y,r_z,purity", *_rows(grid, cfg.omega_c * grid, *bloch.T, pur)]
     _write_lines(lines, out_path)
     return 0
 
@@ -81,14 +84,8 @@ def _rates_lines(cfg, fam, grid):
     flags = np.zeros(grid.size, dtype=int)
     for pole in traj.poles:
         flags[int(np.argmin(np.abs(grid - pole)))] = 1
-    lines = ["t,wc_t,gamma_x,gamma_y,gamma_z,gamma_xy,omega_bar,kossakowski_min,pole_flag"]
-    r = traj.rates
-    for i, t in enumerate(grid):
-        lines.append(",".join([
-            _fmt(t), _fmt(cfg.omega_c * t),
-            _fmt(r["gamma_x"][i]), _fmt(r["gamma_y"][i]), _fmt(r["gamma_z"][i]),
-            _fmt(r["gamma_xy"][i]), _fmt(r["omega_bar"][i]), _fmt(r["kossakowski_min"][i]),
-            str(flags[i])]))
+    lines = [",".join(["t", "wc_t", *_RATE_COLUMNS, "pole_flag"]),
+             *_rows(grid, cfg.omega_c * grid, *(traj.rates[name] for name in _RATE_COLUMNS), flags)]
     if traj.poles:
         lines.append("# poles: " + " ".join(_fmt(p) for p in traj.poles))
     else:

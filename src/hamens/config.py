@@ -15,31 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
-                      KneadedCardioidAngular, SphereAngular)
 from .dynmap import MapFamily
-from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
+from .ensemble import (ANGULAR_KINDS, RADIAL_KINDS, SeparableEnsemble, load_angular_table,
+                       load_radial_table)
 from .montecarlo import MAX_CHUNK, MAX_SAMPLES, SEED_LIMIT, SamplerConfig
-from .radial import ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial
 from .su2 import DensityMatrix
 
 
 class ConfigError(Exception):
     """Anything wrong with a configuration file; message carries diagnostics."""
 
-
-_RADIAL_KINDS = ("gaussian", "exp-cutoff", "exponential-cutoff", "reciprocal-square", "tabulated")
-_ANGULAR_KINDS = ("sphere", "bagel", "dumbbell", "cardioid", "kneaded", "tabulated")
-
-_SCHEMA = {
-    "radial": {"kind", "omega_c", "table"},
-    "angular": {"kind", "a", "table"},
-    "state": {"theta0", "bloch"},
-    "grid": {"t_max", "n_points"},
-    "mc": {"seed", "samples", "chunk"},
-    "scan": {"parameter", "values"},
-    "output": set(),
-}
 
 #: `rates`, the largest user of an n-point grid, holds a few (n, 3, 3) float64
 #: stacks (72 B per point each) while it splits the generator, and then the
@@ -96,13 +81,8 @@ class RunConfig:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
     def build_radial(self):
-        kind = self.radial_kind
-        if kind == "gaussian":
-            return GaussianRadial(self.omega_c)
-        if kind in ("exp-cutoff", "exponential-cutoff"):
-            return ExponentialCutoffRadial(self.omega_c)
-        if kind == "reciprocal-square":
-            return ReciprocalSquareRadial(self.omega_c)
+        if self.radial_kind != "tabulated":
+            return RADIAL_KINDS[self.radial_kind](self.omega_c)
         try:
             return load_radial_table(self._resolve(self.radial_table))
         except (OSError, ValueError) as err:
@@ -110,17 +90,10 @@ class RunConfig:
 
     def build_angular(self, asymmetry=None):
         kind = self.angular_kind
-        if kind == "sphere":
-            return SphereAngular()
-        if kind == "bagel":
-            return BagelAngular()
-        if kind == "dumbbell":
-            return DumbbellAngular()
-        if kind == "cardioid":
-            return CardioidAngular()
         if kind == "kneaded":
-            a = self.asymmetry if asymmetry is None else asymmetry
-            return KneadedCardioidAngular(a)
+            return ANGULAR_KINDS[kind](self.asymmetry if asymmetry is None else asymmetry)
+        if kind != "tabulated":
+            return ANGULAR_KINDS[kind]()
         try:
             return load_angular_table(self._resolve(self.angular_table))
         except (OSError, ValueError) as err:
@@ -149,24 +122,33 @@ class RunConfig:
                              chunk=self.chunk)
 
 
-def _get(parser, section, key, convert, default, errors):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return convert(raw)
-    except ConfigError as err:
-        errors.append(f"[{section}] {key}: {err}")
-    except ValueError:
-        errors.append(f"[{section}] {key}: cannot parse {raw!r}")
-    return default
-
-
 def _float_list(text: str):
     parts = [p for chunk in text.split(",") for p in chunk.split()]
     if not parts:
         raise ValueError("empty list")
     return [_finite(p) for p in parts]
+
+
+#: every [section] key, with the RunConfig field it sets and its parser;
+#: [output] takes no keys
+_SCHEMA = {
+    ("radial", "kind"): ("radial_kind", str.strip),
+    ("radial", "omega_c"): ("omega_c", _finite),
+    ("radial", "table"): ("radial_table", str.strip),
+    ("angular", "kind"): ("angular_kind", str.strip),
+    ("angular", "a"): ("asymmetry", _finite),
+    ("angular", "table"): ("angular_table", str.strip),
+    ("state", "theta0"): ("theta0", parse_angle),
+    ("state", "bloch"): ("bloch", _float_list),
+    ("grid", "t_max"): ("t_max", _finite),
+    ("grid", "n_points"): ("n_points", int),
+    ("mc", "seed"): ("seed", int),
+    ("mc", "samples"): ("samples", int),
+    ("mc", "chunk"): ("chunk", int),
+    ("scan", "parameter"): ("scan_parameter", str.strip),
+    ("scan", "values"): ("scan_values", _float_list),
+}
+_SECTIONS = {section for section, _ in _SCHEMA} | {"output"}
 
 
 def load_config(path) -> RunConfig:
@@ -181,55 +163,41 @@ def load_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"config parse failure: {err}") from err
 
+    cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
     errors = []
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
             continue
         for key in parser.options(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _SCHEMA:
                 errors.append(f"[{section}] unknown key {key!r}")
-
-    cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
-
-    if parser.has_section("radial"):
-        cfg.radial_kind = _get(parser, "radial", "kind", str.strip, cfg.radial_kind, errors)
-        cfg.omega_c = _get(parser, "radial", "omega_c", _finite, cfg.omega_c, errors)
-        cfg.radial_table = _get(parser, "radial", "table", str.strip, None, errors)
-    if parser.has_section("angular"):
-        cfg.angular_kind = _get(parser, "angular", "kind", str.strip, cfg.angular_kind, errors)
-        cfg.asymmetry = _get(parser, "angular", "a", _finite, None, errors)
-        cfg.angular_table = _get(parser, "angular", "table", str.strip, None, errors)
-    if parser.has_section("state"):
-        cfg.theta0 = _get(parser, "state", "theta0", parse_angle, cfg.theta0, errors)
-        bloch = _get(parser, "state", "bloch", _float_list, None, errors)
-        if bloch is not None:
-            if len(bloch) != 3:
-                errors.append("[state] bloch: need exactly three components")
-            elif parser.has_option("state", "theta0"):
-                errors.append("[state] give either theta0 or bloch, not both")
-            elif math.hypot(*bloch) > 1.0 + 1e-12:
-                errors.append("[state] bloch: the vector lies outside the unit ball")
-            else:
-                cfg.bloch = tuple(bloch)
-    if parser.has_section("grid"):
-        cfg.t_max = _get(parser, "grid", "t_max", _finite, cfg.t_max, errors)
-        cfg.n_points = _get(parser, "grid", "n_points", int, cfg.n_points, errors)
-    if parser.has_section("mc"):
-        cfg.seed = _get(parser, "mc", "seed", int, cfg.seed, errors)
-        cfg.samples = _get(parser, "mc", "samples", int, cfg.samples, errors)
-        cfg.chunk = _get(parser, "mc", "chunk", int, cfg.chunk, errors)
-    if parser.has_section("scan"):
-        cfg.scan_parameter = _get(parser, "scan", "parameter", str.strip, None, errors)
-        cfg.scan_values = _get(parser, "scan", "values", _float_list, [], errors)
+                continue
+            name, convert = _SCHEMA[section, key]
+            raw = parser.get(section, key)
+            try:
+                setattr(cfg, name, convert(raw))
+            except ConfigError as err:
+                errors.append(f"[{section}] {key}: {err}")
+            except ValueError:
+                errors.append(f"[{section}] {key}: cannot parse {raw!r}")
 
     # cross-field validation
-    if cfg.radial_kind not in _RADIAL_KINDS:
-        errors.append(f"[radial] kind must be one of {', '.join(_RADIAL_KINDS)}")
+    if cfg.bloch is not None:
+        if len(cfg.bloch) != 3:
+            errors.append("[state] bloch: need exactly three components")
+        elif parser.has_option("state", "theta0"):
+            errors.append("[state] give either theta0 or bloch, not both")
+        elif math.hypot(*cfg.bloch) > 1.0 + 1e-12:
+            errors.append("[state] bloch: the vector lies outside the unit ball")
+        cfg.bloch = tuple(cfg.bloch)
+    radial_kinds, angular_kinds = (*RADIAL_KINDS, "tabulated"), (*ANGULAR_KINDS, "tabulated")
+    if cfg.radial_kind not in radial_kinds:
+        errors.append(f"[radial] kind must be one of {', '.join(radial_kinds)}")
     elif cfg.radial_kind == "tabulated" and not cfg.radial_table:
         errors.append("[radial] tabulated kind needs a table path")
-    if cfg.angular_kind not in _ANGULAR_KINDS:
-        errors.append(f"[angular] kind must be one of {', '.join(_ANGULAR_KINDS)}")
+    if cfg.angular_kind not in angular_kinds:
+        errors.append(f"[angular] kind must be one of {', '.join(angular_kinds)}")
     elif cfg.angular_kind == "tabulated" and not cfg.angular_table:
         errors.append("[angular] tabulated kind needs a table path")
     if cfg.angular_kind == "kneaded":

@@ -13,8 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import AngularModel, TabulatedAngular
-from .radial import RadialModel, TabulatedRadial
+from .angular import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
+                      KneadedCardioidAngular, SphereAngular, TabulatedAngular)
+from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
+                     ReciprocalSquareRadial, TabulatedRadial)
+
+#: built-in radial models by config name; each takes omega_c, and
+#: "exponential-cutoff" is a second name of "exp-cutoff"
+RADIAL_KINDS = {"gaussian": GaussianRadial, "exp-cutoff": ExponentialCutoffRadial,
+                "exponential-cutoff": ExponentialCutoffRadial,
+                "reciprocal-square": ReciprocalSquareRadial}
+#: built-in angular models by config name; only "kneaded" takes an argument, its asymmetry a
+ANGULAR_KINDS = {"sphere": SphereAngular, "bagel": BagelAngular, "dumbbell": DumbbellAngular,
+                 "cardioid": CardioidAngular, "kneaded": KneadedCardioidAngular}
 
 
 @dataclass(frozen=True)

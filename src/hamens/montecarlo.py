@@ -12,10 +12,13 @@ on S^3, the latter mixed with a uniform angle.  Safeguarded Newton iteration
 inverts the exact CDFs of tables only.  One draw serves every time of a
 trajectory: each chunk is drawn once and evolved to all requested times.
 
-The evolve forms cos and sin of each rotation angle from one tangent of the
-half angle (_cos_sin).  numpy vectorizes float64 tan on common x86 hosts but
-calls scalar libm for cos and sin, which would take most of the evolve's
-time; where tan is not vectorized, one libm call still replaces two.
+The evolve sums each realization's displacement d = r_t - r0 from one
+tangent of the half angle, tau = tan(omega t / 2): with sin = 2 tau / (1 + tau^2),
+cos - 1 = -tau sin exactly, so d = sin (n x r0 - tau (r0 - (r0.n) n)).  d is
+O(omega t) with no cancellation as omega t -> 0, and its sums give the mean
+and a variance that keep their relative accuracy at small times.  numpy
+vectorizes float64 tan on common x86 hosts but calls scalar libm for cos and
+sin, which would take most of the evolve's time.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ SEED_LIMIT = 2 ** 64
 #: no array is sized by the sample count, so this cap bounds run time only:
 #: `validate` at the cap draws 1e7 realizations for each of 15 pairs
 MAX_SAMPLES = 10_000_000
-#: while a chunk is drawn and evolved, the tracemalloc peak is 23 float64 arrays
-#: of the chunk length for the built-in kinds (184 B per sample, in the evolve)
+#: while a chunk is drawn and evolved, the tracemalloc peak is 16 float64 arrays
+#: of the chunk length for the built-in kinds (128 B per sample, in the evolve)
 #: and 37 for a table (296 B, in its Newton solve), so a chunk at the cap takes
-#: 12 or 19 MB
+#: 8.4 or 19 MB
 MAX_CHUNK = 65_536
 #: stop a root once its Newton step or its bracket is this small
 _NEWTON_TOL = 1e-12
@@ -248,20 +251,6 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
 
 
-def _cos_sin(angle):
-    """cos and sin of an array of angles from one tangent of the half angle.
-
-    With tau = tan(angle / 2) and w = 2 / (1 + tau^2), cos = w - 1 and
-    sin = w tau: one vectorized tan in place of two libm calls.  Each value
-    is within 4.5e-16 of libm's.  cos is exactly 1 at 0 and -1 at +-fl(pi),
-    where |tau| ~ 1e16 and sin = 2 / tau keeps its relative accuracy; inf
-    and NaN give NaN, as np.cos does.
-    """
-    tau = np.tan(0.5 * angle)
-    w = 2.0 / (1.0 + tau * tau)
-    return w - 1.0, w * tau
-
-
 def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
                   cfg: SamplerConfig) -> list[MCEstimate]:
     """Ensemble averages of the evolved Bloch vector at each time, one MCEstimate per time.
@@ -269,42 +258,37 @@ def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
     Deterministic for a fixed config: chunk i is drawn once from the stream
     keyed by (seed, i) and evolved to every time, and each time's chunk
     partials are summed in index order, so an entry does not depend on the
-    other times.  At t == 0 every realization is the identity, and the
-    estimate is r0 with no spread.
+    other times.  At t == 0 every displacement d is exactly 0, so the
+    estimate is r0 with no spread; one sample has no spread either.
     """
     n = cfg.n_samples
     r0 = rho0.bloch
     times = np.asarray(times, dtype=float).ravel()
-    moving = np.flatnonzero(times != 0.0)
     total = np.zeros((times.size, 3))
     total_sq = np.zeros((times.size, 3))
-    for index in range((n + cfg.chunk - 1) // cfg.chunk if moving.size else 0):
+    for index in range((n + cfg.chunk - 1) // cfg.chunk):
         rng = chunk_stream(cfg.seed, index)
         count = min(cfg.chunk, n - index * cfg.chunk)
-        omega = sample_radial(ensemble.radial, rng, count)
+        half_omega = 0.5 * sample_radial(ensemble.radial, rng, count)
         # one row per component, so that the sums over samples run along rows
         axes = np.ascontiguousarray(sample_angular(ensemble.angular, rng, count).T)
-        # time-independent parts of the axis-angle rotation
         cross = np.cross(axes, r0, axisa=0, axisc=0)
-        along = (r0 @ axes) * axes
         # the loop needs no axes, so across takes their memory
-        across = np.subtract(r0[:, None], along, out=axes)
-        # r_t = along + c across + s cross, written into two arrays per chunk
-        # rather than four fresh temporaries per time, which is slower
-        r_t, term = np.empty_like(across), np.empty_like(across)
-        for k in moving:
-            c, s = _cos_sin(omega * times[k])
-            np.multiply(c, across, out=r_t)
-            r_t += along
-            r_t += np.multiply(s, cross, out=term)
-            total[k] += r_t.sum(axis=1)
-            total_sq[k] += np.multiply(r_t, r_t, out=term).sum(axis=1)
-    mean = total / n
-    var = np.maximum(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
-    still = (times == 0.0)[:, None]
-    mean = np.where(still, r0, mean)
-    stderr = np.where(still | (n == 1), 0.0, np.sqrt(var / n))
-    return [MCEstimate(bloch_mean=m, bloch_stderr=e, n=n) for m, e in zip(mean, stderr)]
+        across = np.subtract(r0[:, None], (r0 @ axes) * axes, out=axes)
+        # d is written into two arrays per chunk rather than fresh
+        # temporaries per time, which is slower
+        d, d_sq = np.empty_like(across), np.empty_like(across)
+        for k, t in enumerate(times):
+            tau = np.tan(half_omega * t)
+            np.multiply(tau, across, out=d)
+            np.subtract(cross, d, out=d)
+            d *= 2.0 * tau / (1.0 + tau * tau)
+            total[k] += d.sum(axis=1)
+            total_sq[k] += np.multiply(d, d, out=d_sq).sum(axis=1)
+    mean_d = total / n
+    var = np.maximum(total_sq - n * mean_d * mean_d, 0.0) / max(n - 1, 1)
+    return [MCEstimate(bloch_mean=r0 + m, bloch_stderr=e, n=n)
+            for m, e in zip(mean_d, np.sqrt(var / n))]
 
 
 def mc_average(ensemble: SeparableEnsemble, rho0: DensityMatrix, t: float,

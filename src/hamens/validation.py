@@ -14,16 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
-                      KneadedCardioidAngular, SphereAngular)
 from .dynmap import MapFamily, bloch_trajectory
-from .ensemble import SeparableEnsemble
+from .ensemble import ANGULAR_KINDS, RADIAL_KINDS, SeparableEnsemble
 from .generator import (_generators, anisotropic_rates, azimuthal_generator, bloch_generators,
                         isotropic_rate, offdiagonal_rate, pole_scan)
 from .montecarlo import mc_trajectory
 from .propagation import integrate_master
-from .radial import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
-                     expectation_quadrature)
+from .radial import expectation_quadrature
 
 
 @dataclass(frozen=True)
@@ -40,17 +37,14 @@ def _result(check, metric, threshold):
 
 
 def builtin_radials(omega_c: float):
-    return [("gaussian", GaussianRadial(omega_c)),
-            ("exp-cutoff", ExponentialCutoffRadial(omega_c)),
-            ("reciprocal-square", ReciprocalSquareRadial(omega_c))]
+    # the second name of exp-cutoff would run its model twice
+    return [(name, kind(omega_c)) for name, kind in RADIAL_KINDS.items()
+            if name != "exponential-cutoff"]
 
 
 def builtin_angulars(asymmetry: float = 0.3):
-    return [("sphere", SphereAngular()),
-            ("bagel", BagelAngular()),
-            ("dumbbell", DumbbellAngular()),
-            ("cardioid", CardioidAngular()),
-            ("kneaded", KneadedCardioidAngular(asymmetry))]
+    return [(name, kind(asymmetry) if name == "kneaded" else kind())
+            for name, kind in ANGULAR_KINDS.items()]
 
 
 def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):

@@ -12,8 +12,8 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     MapFamily, ReciprocalSquareRadial, SamplerConfig, SeparableEnsemble,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
-from hamens.montecarlo import (MAX_CHUNK, _NEWTON_CAP, _cos_sin, _newton_cdf,
-                               _tabulated_radial_quantile, chunk_stream)
+from hamens.montecarlo import (MAX_CHUNK, _NEWTON_CAP, _newton_cdf, _tabulated_radial_quantile,
+                               chunk_stream)
 
 from conftest import random_table
 
@@ -325,38 +325,52 @@ def test_mc_trajectory_bit_identical_across_runs():
         assert np.array_equal(a.bloch_stderr, b.bloch_stderr)
 
 
-def test_cos_sin_matches_libm():
-    angle = np.random.default_rng(71).uniform(-1e4, 1e4, 1_000_000)
-    c, s = _cos_sin(angle)
-    assert np.max(np.abs(c - np.cos(angle))) <= 4.5e-16
-    assert np.max(np.abs(s - np.sin(angle))) <= 4.5e-16
-    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * np.spacing(1.0)
-    c, s = _cos_sin(np.array(0.0))
-    assert c == 1.0 and s == 0.0
-    assert np.array_equal(_cos_sin(np.array([math.pi, -math.pi]))[0], [-1.0, -1.0])
+def test_mc_trajectory_stderr_scales_with_small_times():
+    # the spread of r_t is O(t) next to an O(1) mean, so a one-pass variance
+    # of r_t cancels (its stderr reads exactly 0 at t = 1e-8); one of
+    # d = r_t - r0 keeps its relative accuracy
+    ens = SeparableEnsemble(GaussianRadial(), BagelAngular())
+    fam = MapFamily.from_ensemble(ens)
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    times = [1e-5, 1e-7, 1e-8, 1e-9]
+    estimates = mc_trajectory(ens, rho0, times, SamplerConfig(seed=3, n_samples=8192))
+    slopes = np.array([est.bloch_stderr / t for t, est in zip(times, estimates)])
+    assert np.all(slopes > 0.0)
+    assert np.max(np.abs(slopes / slopes[0] - 1.0)) <= 1e-5
+    for t, est in zip(times, estimates):
+        exact = map_matrices(fam, t) @ rho0.bloch
+        assert np.max(np.abs(est.bloch_mean - exact) / est.bloch_stderr) < 4.0, t
 
 
-def test_cos_sin_against_mpmath_where_the_tangent_is_largest():
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    # odd multiples of fl(pi) put the half angle next to a pole of tan
+    ens = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+    # the one realization that mc_trajectory draws for n = 1
+    stream = chunk_stream(seed, 0)
+    omega = sample_radial(ens.radial, stream, 1)[0]
+    axis = sample_angular(ens.angular, stream, 1)[0]
+    # odd multiples of pi put the half angle next to a pole of tan
     k = np.concatenate([np.arange(1, 2001, 2), np.arange(999_001, 1_000_001, 2),
                         2 * np.random.default_rng(72).integers(0, 500_000, 1000) + 1])
-    angle = np.concatenate([k * math.pi, -k * math.pi])
-    assert np.max(np.abs(np.tan(0.5 * angle))) > 1e17
-    c, s = _cos_sin(angle)
-    ref_c = np.array([float(mpmath.cos(mpmath.mpf(float(a)))) for a in angle])
-    ref_s = np.array([float(mpmath.sin(mpmath.mpf(float(a)))) for a in angle])
-    assert np.array_equal(c, ref_c)
-    assert np.all(np.abs(s - ref_s) <= 2 * np.spacing(np.abs(ref_s)))
-    with np.errstate(invalid="ignore"):
-        bad = np.array([np.inf, -np.inf, np.nan])
-        c, s = _cos_sin(bad)
-        assert np.all(np.isnan(c)) and np.all(np.isnan(s)) and np.all(np.isnan(np.cos(bad)))
+    times = np.concatenate([k * math.pi / omega, -k * math.pi / omega])
+    angles = omega * times
+    assert np.max(np.abs(np.tan(0.5 * angles))) > 1e16
+    r0 = np.array([0.6, -0.2, 0.7])
+    cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
+    estimates = mc_trajectory(ens, DensityMatrix(r0), times, cfg)
+    n, r = [[mpmath.mpf(float(x)) for x in v] for v in (axis, r0)]
+    cross = [n[(j + 1) % 3] * r[(j + 2) % 3] - n[(j + 2) % 3] * r[(j + 1) % 3] for j in range(3)]
+    along = [(n[0] * r[0] + n[1] * r[1] + n[2] * r[2]) * n[j] for j in range(3)]
+    for angle, est in zip(angles, estimates):
+        c, s = mpmath.cos(float(angle)), mpmath.sin(float(angle))
+        ref = [float(c * r[j] + s * cross[j] + (1 - c) * along[j]) for j in range(3)]
+        assert np.max(np.abs(est.bloch_mean - ref)) <= 1e-15, angle
 
 
 def cos_sin_trajectory(ensemble, rho0, times, cfg):
-    """mc_trajectory as it was with np.cos and np.sin of the angle: the oracle for _cos_sin."""
+    """mc_trajectory as r_t = c r0 + s (n x r0) + (1 - c) (r0.n) n with np.cos and np.sin."""
     n, r0 = cfg.n_samples, rho0.bloch
     times = np.asarray(times, dtype=float)
     total = np.zeros((times.size, 3))
@@ -401,7 +415,7 @@ def test_mc_trajectory_matches_the_cos_sin_evolve(ensemble, times):
             assert np.max(np.abs(est.bloch_stderr - e) / e) <= 1e-12, t
 
 
-@pytest.mark.parametrize("angular, per_sample", [(KneadedCardioidAngular(0.3), 184), (TABLE_COARSE, 296)],
+@pytest.mark.parametrize("angular, per_sample", [(KneadedCardioidAngular(0.3), 128), (TABLE_COARSE, 296)],
                          ids=["kneaded", "table"])
 def test_chunk_peak_memory_is_as_documented(angular, per_sample):
     # the figures of the MAX_CHUNK comment: the tracemalloc peak of one chunk
