@@ -153,7 +153,10 @@ _SECTIONS = {section for section, _ in _SCHEMA} | {"output"}
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file; raises ConfigError with diagnostics."""
-    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    # no section name matches "", so [DEFAULT] is read as an ordinary section,
+    # and refused as unknown, instead of having its keys copied into every other
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                       default_section="")
     parser.optionxform = str
     try:
         with open(path) as handle:

@@ -245,10 +245,9 @@ def pole_scan(fam: MapFamily, window):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive length")
-    omega_c = getattr(fam.ensemble.radial, "omega_c", 1.0)
-    n = int(min(200001, max(2001, 400 * (hi - lo) * omega_c)))
-    grid = np.linspace(lo, hi, n)
     radial = fam.ensemble.radial
+    n = int(min(200001, max(2001, 400 * (hi - lo) * radial.omega_c)))
+    grid = np.linspace(lo, hi, n)
     sigma = np.linalg.eigvalsh(fam.moments.second)
 
     def branches(c):
@@ -261,7 +260,7 @@ def pole_scan(fam: MapFamily, window):
 
     c, s = radial.expectations(grid)
     f = branches(c)
-    unit = 1.0 / omega_c
+    unit = 1.0 / radial.omega_c
     roots = _sign_change_roots(det_at, grid, _determinant(fam, c, s, f), unit)
     for j in range(3):
         roots += _sign_change_roots(

@@ -58,7 +58,7 @@ def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
 
 
 def pole_free_times(fam, times, margin):
-    start = float(times[0]) if times[0] > 0 else 1e-9 / getattr(fam.ensemble.radial, "omega_c", 1.0)
+    start = float(times[0]) if times[0] > 0 else 1e-9 / fam.ensemble.radial.omega_c
     poles = pole_scan(fam, (start, float(times[-1])))
     if not poles:
         return np.asarray(times)

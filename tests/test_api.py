@@ -66,3 +66,15 @@ def test_bench_tracer_installs_on_the_package():
     proc = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "bench")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_dop853_and_numpy_polynomial():
+    # the collocation tableau is built on first use, so only a run that
+    # integrates loads numpy.polynomial (7 ms); the DOP853 stepper is gone
+    code = ("import importlib.util, sys, hamens.cli; "
+            "print(importlib.util.find_spec('hamens.dop853'), 'numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["None", "False"]

@@ -423,6 +423,19 @@ def test_unknown_key_is_rejected(tmp_path, capsys):
     assert "thta0" in err
 
 
+@pytest.mark.parametrize("body", [SPHERE_CFG.replace("[radial]", "[mc]\nsamples = 10\n\n[radial]"),
+                                  "[radial]\nkind = gaussian\n", ""])
+def test_default_section_is_rejected(tmp_path, capsys, body):
+    # configparser would copy [DEFAULT] keys into every other section: with
+    # [mc] the seed changed the run, with only [radial] it failed as an
+    # unknown [radial] key, and alone it vanished without an error
+    cfg = write_config(tmp_path, "[DEFAULT]\nseed = 5\n\n" + body)
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["error: unknown section [DEFAULT]"]
+    assert captured.out == ""
+
+
 def test_duplicate_section_parse_error(tmp_path, capsys):
     cfg = write_config(tmp_path, SPHERE_CFG + "\n[state]\ntheta0 = 1\n", name="dup.cfg")
     assert main(["moments", "--config", cfg]) == 2
@@ -640,7 +653,7 @@ def test_gaussian_commands_load_no_scipy(tmp_path, command):
     QuadratureError("panel refinement stalled after 2000 splits"),
     PoleError("map not invertible at t=1.0"),
     np.linalg.LinAlgError("Singular matrix"),
-    IntegrationError("step size underflow at t=1.0"),
+    IntegrationError("no convergence after 40 rounds, 2 intervals pending, at t=1.0"),
 ])
 def test_library_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch, error):
     import hamens.cli as cli

@@ -1,4 +1,5 @@
-"""Master-equation integration against the exact channel."""
+"""Master-equation integration against the exact channel, against scipy's
+DOP853 as a referee, and the shape of its batched generator calls."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCutoffRadial,
                     GaussianRadial, IntegrationError, MapFamily,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
-                    bloch_generators, integrate_master, isotropic_rate, pole_scan)
+                    bloch_generators, integrate_master, isotropic_rate, map_matrices, pole_scan)
+from hamens import propagation
 from hamens.dynmap import bloch_trajectory
+from hamens.generator import POLE_THRESHOLD
+from hamens.validation import builtin_families
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -112,3 +116,162 @@ def test_pole_window_hit_becomes_integration_error():
         integrate_master(genfn, rho0, (0.0, pole + 0.05))
     assert err.value.time == pytest.approx(pole, abs=1e-6)
 
+
+
+def test_matches_scipy_dop853_referee():
+    # the round trips of the validation suite, against scipy's DOP853 run
+    # at much tighter tolerances on the same generators
+    from scipy.integrate import solve_ivp
+
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    for name, fam in builtin_families():
+        poles = pole_scan(fam, (1e-9, 6.0))
+        t_end = min(0.9 * poles[0], 4.0) if poles else 4.0
+        t_eval = np.linspace(0.0, t_end, 21)
+        traj = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
+                                rho0, (0.0, t_end), t_eval=t_eval)
+        ref = solve_ivp(lambda t, r, fam=fam: bloch_generators(fam, [t])[0] @ r,
+                        (0.0, t_end), rho0.bloch, method="DOP853", rtol=1e-12, atol=1e-14,
+                        t_eval=t_eval)
+        assert ref.success, name
+        assert np.max(np.abs(traj.bloch - ref.y.T)) <= 1e-9, name
+
+
+def test_tableau_order_conditions():
+    # Gauss-Legendre collocation: the quadrature (b, c) is exact for degree
+    # 2s - 1, B(2s), and each row of a integrates the interpolant exactly up
+    # to degree s - 1, C(s); both hold to 3.1e-16 with the linear solve
+    c, b, a = propagation._tableau()
+    s = propagation._STAGES
+    assert np.all(np.diff(c) > 0.0) and 0.0 < c[0] and c[-1] < 1.0
+    for k in range(1, 2 * s + 1):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) <= 1e-14, k
+    for k in range(1, s + 1):
+        assert np.max(np.abs(a @ c ** (k - 1) - c ** k / k)) <= 1e-14, k
+
+
+def intervals(ts):
+    """The intervals [lo, lo + h] of one generator call, recovered from the
+    nodes of each interval, of its first half and of its second half."""
+    c = propagation._tableau()[0]
+    nodes = np.asarray(ts).reshape(-1, 3, propagation._STAGES)
+    h = (nodes[:, 0, -1] - nodes[:, 0, 0]) / (c[-1] - c[0])
+    lo = nodes[:, 0, 0] - h * c[0]
+    expected = np.stack([lo[:, None] + h[:, None] * c,
+                         lo[:, None] + 0.5 * h[:, None] * c,
+                         lo[:, None] + 0.5 * h[:, None] * (1.0 + c)], axis=1)
+    assert np.allclose(nodes, expected, rtol=0.0, atol=1e-12)
+    return lo, h
+
+
+def test_time_dependent_rotation_one_call_per_round():
+    # G(t) = phi'(t) [n]_x rotates r about the fixed axis n by the angle
+    # phi(t) = 2t + 3 sin t (Rodrigues).  Each genfn call is one round: the
+    # first holds the intervals between the output times, and every later
+    # one holds halves of intervals of the round before
+    n = np.array([1.0, 2.0, 2.0]) / 3.0
+    cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
+    calls = []
+
+    def genfn(ts):
+        calls.append(np.array(ts))
+        return (2.0 + 3.0 * np.cos(ts))[:, None, None] * cross
+
+    rho0 = DensityMatrix([0.5, -0.3, 0.4])
+    # h max|G| = 5/3 on intervals of 1/2, so the steep ones take a second
+    # round; over these 25 rad the global error is 1.2e-15
+    t_eval = np.linspace(0.0, 10.0, 21)
+    traj = integrate_master(genfn, rho0, (0.0, 10.0), t_eval=t_eval)
+    phi = 2.0 * t_eval + 3.0 * np.sin(t_eval)
+    r0 = rho0.bloch
+    exact = (np.cos(phi)[:, None] * r0 + np.sin(phi)[:, None] * np.cross(n, r0)
+             + (1.0 - np.cos(phi))[:, None] * (n @ r0) * n)
+    assert np.max(np.abs(traj.bloch - exact)) <= 1e-10
+
+    assert len(calls) == 2, [ts.size for ts in calls]
+    for ts in calls:
+        assert np.all((0.0 < ts) & (ts < 10.0))
+    lo, h = intervals(calls[0])
+    assert np.allclose(lo, t_eval[:-1], rtol=0.0, atol=1e-12)
+    assert np.allclose(lo + h, t_eval[1:], rtol=0.0, atol=1e-12)
+    for before, after in zip(calls, calls[1:]):
+        (lo0, h0), (lo1, h1) = intervals(before), intervals(after)
+        # each interval is a half of the one that holds its midpoint
+        parent = np.searchsorted(lo0, lo1 + 0.5 * h1) - 1
+        assert np.allclose(h1, 0.5 * h0[parent], rtol=0.0, atol=1e-12)
+        offset = lo1 - lo0[parent]
+        assert np.allclose(np.minimum(np.abs(offset), np.abs(offset - h1)), 0.0,
+                           rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("omega_c", [1.0, 1e8])
+def test_every_builtin_stops_at_its_pole_or_matches_the_map(omega_c):
+    # a pole that the caller missed ends in the pole window, whatever the
+    # order of the families: the solution M(t) M(0)^-1 r0 is smooth across
+    # a pole, and only the h max|G| <= 1 rule keeps collocation from
+    # stepping over it.  At a double root of det M (dumbbell) the window is
+    # about 2e-4/omega_c wide, so the hit lies that far from the pole.
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    t_end = 4.0 / omega_c
+    stopped = []
+    for name, fam in builtin_families(omega_c):
+        poles = pole_scan(fam, (1e-9 / omega_c, t_end))
+        genfn = lambda ts, fam=fam: bloch_generators(fam, ts)
+        if poles:
+            with pytest.raises(IntegrationError, match="stepped into a pole window") as err:
+                integrate_master(genfn, rho0, (0.0, t_end))
+            t = err.value.time
+            assert abs(np.linalg.det(map_matrices(fam, [t])[0])) < POLE_THRESHOLD, name
+            assert np.min(np.abs(np.array(poles) - t)) <= 1e-3 / omega_c, name
+            stopped.append(name)
+        else:
+            traj = integrate_master(genfn, rho0, (0.0, t_end))
+            exact = bloch_trajectory(fam, rho0, traj.times)
+            assert np.max(np.abs(traj.bloch - exact)) <= 1e-12, name
+    assert stopped == ["gaussian+bagel", "gaussian+dumbbell", "gaussian+kneaded",
+                       "exp-cutoff+bagel", "exp-cutoff+dumbbell"]
+
+
+def test_no_convergence_is_an_integration_error(monkeypatch):
+    # G = [e_z]_x / |t - 1/3| is singular with no pole window, and h max|G|
+    # stays above 1 on the interval at 1/3 however short: the round cap ends
+    # the run there
+    cross = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    calls = []
+
+    def singular(ts):
+        calls.append(ts.size)
+        return (1.0 / np.abs(ts - 1.0 / 3.0))[:, None, None] * cross
+
+    rho0 = DensityMatrix([0.5, 0.0, 0.5])
+    with pytest.raises(IntegrationError, match="no convergence after 40 rounds") as err:
+        integrate_master(singular, rho0, (0.0, 1.0))
+    assert err.value.time == pytest.approx(1.0 / 3.0, abs=1e-9)
+    assert len(calls) == 40
+
+    # a generator steep everywhere doubles the pending intervals every round
+    monkeypatch.setattr(propagation, "_MAX_PENDING", 64)
+    with pytest.raises(IntegrationError, match="no convergence after 7 rounds, 128 intervals"):
+        integrate_master(lambda ts: 1e30 * singular(ts), rho0, (0.0, 1.0))
+
+
+def test_blocks_bound_memory_and_keep_the_result(monkeypatch):
+    # the generator calls and solves go in blocks of _BLOCK intervals: the
+    # result is the same, and 2,400 output times peak at ~25 MB, not 110 MB
+    import tracemalloc
+
+    fam = family(GaussianRadial(), CardioidAngular())
+    rho0 = DensityMatrix([0.0, 0.0, 1.0])
+    t_eval = np.linspace(0.0, 6.0, 2401)
+    tracemalloc.start()
+    try:
+        whole = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
+                                 t_eval=t_eval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    monkeypatch.setattr(propagation, "_BLOCK", 7)
+    blocked = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
+                               t_eval=t_eval)
+    assert np.max(np.abs(blocked.bloch - whole.bloch)) <= 1e-15
