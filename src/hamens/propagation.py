@@ -8,17 +8,21 @@ Math. Comp. 18, 50 (1964); Hairer, Norsett and Wanner, Solving ODEs I,
 section II.7): the stage propagators solve Y_i = I + h sum_j a_ij G_j Y_j with
 G_j = G(a + c_j h), one (3s x 3s) linear system, and P = I + h sum_i b_i G_i Y_i.
 
-The span is cut at its ends and at every output time.  Each round takes the
-generators at the nodes of every pending interval and of its two halves in
-one batched call, and solves all their systems in one stacked solve.  An
-interval is accepted when the product of its two half propagators agrees with
-its whole one to atol + rtol max|P|, and h max|G| <= 1 at its nodes; the others
-are halved.  The accepted (two-halves) propagators are chained in time order.
+The intervals start as the span alone.  Each round takes the generators at the
+nodes of the earliest pending intervals and of their two halves in one batched
+call, and solves all their systems in one stacked solve.  An interval is
+accepted when h max|G| <= 1 at its nodes and the product of its two half
+propagators agrees with its whole one to atol + rtol max|P|.  The others are
+cut: a steep one into about h max|G| pieces, an inaccurate one into halves.
+The accepted (two-halves) propagators are chained in time order.  Each output
+time closes one more interval, from the start of the accepted interval that
+holds it; being no longer than that interval, its propagator is within the
+tolerance that the acceptance test gauged on the whole one.
 
 The h max|G| bound is the only guard against a pole the caller missed.  G
 diverges there like 1/(t - t_p) while the solution M(t) M(0)^-1 r0 stays
 smooth, so without the bound the two estimates agree and collocation steps
-over the pole unseen.  With it, the interval holding the pole is halved until
+over the pole unseen.  With it, the interval holding the pole is cut until
 a node falls in the pole window, where the generator function raises
 PoleError; that surfaces as IntegrationError at the node's time.  So callers
 split spans at the output of `pole_scan` and bridge poles with the exact map.
@@ -35,13 +39,11 @@ from .generator import PoleError
 from .quadrature import _gauss_nodes
 from .su2 import DensityMatrix
 
-#: collocation stages s (order 2s); intervals per generator call and solve, since
-#: one batch takes ~46 KB per interval (454 MB for 10,000 output times)
-_STAGES, _BLOCK = 8, 512
-#: give up when intervals still pend after _MAX_ROUNDS halvings (from [0, 4/omega_c]
-#: the built-ins reach a pole window within 17; 40 leave intervals 1e-12 of the first
-#: one's length, above rounding), or when more than _MAX_PENDING do (runaway doubling)
-_MAX_ROUNDS, _MAX_PENDING = 40, 1 << 12
+#: collocation stages s (order 2s); intervals per round and output times per call,
+#: which bounds the memory of one generator call and solve (~21 KB per interval,
+#: ~7 KB per output time) and how fast the pending list grows; the most pieces a
+#: steep interval is cut into
+_STAGES, _BLOCK, _PIECES = 8, 512, 16
 
 
 class IntegrationError(RuntimeError):
@@ -73,33 +75,52 @@ def _tableau():
 
 
 def _propagators(gens, h):
-    """Collocation propagators of intervals of lengths h, shape (n,), from the
-    generators at their nodes, shape (n, s, 3, 3); returns shape (n, 3, 3)."""
+    """Collocation propagators of intervals of lengths h, shape (...), from the
+    generators at their nodes, shape (..., s, 3, 3); returns shape (..., 3, 3)."""
     _, b, a = _tableau()
-    n, s = h.size, _STAGES
-    hg = h[:, None, None, None] * gens
+    n = 3 * _STAGES
+    hg = h[..., None, None, None] * gens
     # block (i, j) of the system is delta_ij I - a_ij h G_j
-    lhs = np.einsum("ij,njkl->nikjl", -a, hg).reshape(n, 3 * s, 3 * s)
-    lhs[:, range(3 * s), range(3 * s)] += 1.0
-    rhs = np.broadcast_to(np.tile(np.eye(3), (s, 1)), (n, 3 * s, 3))
-    y = np.linalg.solve(lhs, rhs).reshape(n, s, 3, 3)
-    return np.eye(3) + np.einsum("i,nijk,nikl->njl", b, hg, y)
+    lhs = np.einsum("ij,...jkl->...ikjl", -a, hg, order="C").reshape(h.shape + (n, n))
+    lhs[..., range(n), range(n)] += 1.0
+    rhs = np.broadcast_to(np.tile(np.eye(3), (_STAGES, 1)), h.shape + (n, 3))
+    y = np.linalg.solve(lhs, rhs).reshape(hg.shape)
+    return np.eye(3) + np.einsum("i,...ijk,...ikl->...jl", b, hg, y)
+
+
+def _generators(genfn, firsts, lengths):
+    """Generators at the nodes of the intervals [firsts, firsts + lengths], both
+    of shape (...), from one call; returns shape (..., s, 3, 3)."""
+    nodes = firsts[..., None] + lengths[..., None] * _tableau()[0]
+    return genfn(nodes.ravel()).reshape(lengths.shape + (_STAGES, 3, 3))
 
 
 def _round(genfn, lo, hi, rtol, atol):
-    """Accept mask and two-halves propagators of the intervals [lo, hi], from
-    one generator call at the nodes of each interval and of its two halves."""
-    c = _tableau()[0]
+    """h max|G| at the nodes of each interval [lo, hi] and of its two halves,
+    the accept mask, and the two-halves propagators of the accepted ones."""
     h = hi - lo
-    firsts = np.stack([lo, lo, lo + 0.5 * h], axis=1)
     lengths = h[:, None] * [1.0, 0.5, 0.5]
-    gens = genfn((firsts[..., None] + lengths[..., None] * c).ravel())
-    p = _propagators(gens.reshape(-1, _STAGES, 3, 3), lengths.ravel()).reshape(-1, 3, 3, 3)
+    gens = _generators(genfn, np.stack([lo, lo, lo + lengths[:, 2]], axis=1), lengths)
+    steepness = h * np.max(np.abs(gens), axis=(1, 2, 3, 4))
+    # steep intervals are cut without a solve, which can be singular there
+    ok = steepness <= 1.0
+    p = _propagators(gens[ok], lengths[ok])
     halves = p[:, 2] @ p[:, 1]
     gap = np.max(np.abs(halves - p[:, 0]), axis=(1, 2))
-    scale = np.max(np.abs(halves), axis=(1, 2))
-    steep = h * np.max(np.abs(gens).reshape(h.size, -1), axis=1) > 1.0
-    return (gap <= atol + rtol * scale) & ~steep, halves
+    close = gap <= atol + rtol * np.max(np.abs(halves), axis=(1, 2))
+    ok[ok] = close
+    return steepness, ok, halves[close]
+
+
+def _cut(lo, hi, pieces):
+    """Cut each interval [lo, hi] into its number of equal pieces."""
+    which = np.repeat(np.arange(lo.size), pieces)
+    ends = np.cumsum(pieces)
+    part = (np.arange(which.size) - (ends - pieces)[which]) / pieces[which]
+    starts = lo[which] + (hi - lo)[which] * part
+    stops = np.roll(starts, -1)
+    stops[ends - 1] = hi
+    return starts, stops
 
 
 def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
@@ -116,34 +137,47 @@ def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
     t_eval = np.array([t0, t1] if t_eval is None else t_eval, dtype=float).reshape(-1)
     if np.any(np.diff(t_eval) < 0.0) or (t_eval.size and not t0 <= t_eval[0] <= t_eval[-1] <= t1):
         raise ValueError("t_eval must be sorted and inside the span")
-    edges = np.unique(np.concatenate([[t0, t1], t_eval]))
-    lo, hi = edges[:-1], edges[1:]
+    # below this length the pieces of an interval no longer have distinct nodes
+    shortest = 16.0 * np.finfo(float).eps * max(abs(t0), abs(t1))
+    lo, hi = np.array([t0]), np.array([t1])
     starts, props = [], []
     try:
-        for rounds in range(1, _MAX_ROUNDS + 1):
-            parts = [_round(genfn, lo[k:k + _BLOCK], hi[k:k + _BLOCK], rtol, atol)
-                     for k in range(0, lo.size, _BLOCK)]
-            ok, halves = (np.concatenate(part) for part in zip(*parts))
-            starts.append(lo[ok])
-            props.append(halves[ok])
-            # halve the rest, keeping the pending intervals in time order, so a
-            # pole-window error names the earliest interval that reached one
-            mid = 0.5 * (lo[~ok] + hi[~ok])
-            lo = np.column_stack([lo[~ok], mid]).ravel()
-            hi = np.column_stack([mid, hi[~ok]]).ravel()
-            if not lo.size:
-                break
-            if rounds == _MAX_ROUNDS or lo.size > _MAX_PENDING:
-                raise IntegrationError(f"no convergence after {rounds} rounds, {lo.size} "
-                                       f"intervals pending, at t={float(lo[0])!r}",
-                                       time=float(lo[0]))
+        while lo.size:
+            # each round takes the earliest pending intervals, so a pole-window
+            # error names the earliest interval that reached one
+            steepness, ok, halves = _round(genfn, lo[:_BLOCK], hi[:_BLOCK], rtol, atol)
+            starts.append(lo[:_BLOCK][ok])
+            props.append(halves)
+            a, b, steepness = lo[:_BLOCK][~ok], hi[:_BLOCK][~ok], steepness[~ok]
+            short = np.flatnonzero(b - a <= shortest)
+            if short.size:
+                t = float(a[short[0]])
+                raise IntegrationError(f"no convergence at t={t!r}: the interval there "
+                                       f"is down to {shortest:.3g}", time=t)
+            # a steep interval into as many pieces as h max|G| <= 1 asks for,
+            # an inaccurate one into halves
+            pieces = np.where(steepness > 2.0, np.minimum(np.ceil(steepness), _PIECES), 2.0)
+            a, b = _cut(a, b, pieces.astype(int))
+            lo, hi = np.concatenate([a, lo[_BLOCK:]]), np.concatenate([b, hi[_BLOCK:]])
+        starts = np.concatenate(starts)
+        order = np.argsort(starts)
+        states = [rho0.bloch]
+        for p in np.concatenate(props)[order]:
+            states.append(p @ states[-1])
+        states = np.array(states)
+        # each output time closes one more interval, from the start of the
+        # accepted interval that holds it (or from t1)
+        edges = np.append(starts[order], t1)
+        held = np.searchsorted(edges, t_eval, side="right") - 1
+        h = t_eval - edges[held]
+        bloch = np.empty((t_eval.size, 3))
+        for k in range(0, t_eval.size, _BLOCK):
+            part = slice(k, k + _BLOCK)
+            gens = _generators(genfn, edges[held[part]], h[part])
+            bloch[part] = np.einsum("njk,nk->nj", _propagators(gens, h[part]), states[held[part]])
     except PoleError as err:
         raise IntegrationError(f"stepped into a pole window at t={err.time!r}",
                                time=err.time) from err
-    starts = np.concatenate(starts)
-    order = np.argsort(starts)
-    states = [rho0.bloch]
-    for p in np.concatenate(props)[order]:
-        states.append(p @ states[-1])
-    bloch = np.array(states)[np.searchsorted(starts[order], t_eval)]
+    except np.linalg.LinAlgError as err:
+        raise IntegrationError(f"collocation failed: {err}") from err
     return StateTrajectory(times=t_eval, bloch=bloch)

@@ -151,8 +151,8 @@ def test_tableau_order_conditions():
 
 
 def intervals(ts):
-    """The intervals [lo, lo + h] of one generator call, recovered from the
-    nodes of each interval, of its first half and of its second half."""
+    """The intervals [lo, lo + h] of one round's generator call, recovered from
+    the nodes of each interval, of its first half and of its second half."""
     c = propagation._tableau()[0]
     nodes = np.asarray(ts).reshape(-1, 3, propagation._STAGES)
     h = (nodes[:, 0, -1] - nodes[:, 0, 0]) / (c[-1] - c[0])
@@ -166,9 +166,10 @@ def intervals(ts):
 
 def test_time_dependent_rotation_one_call_per_round():
     # G(t) = phi'(t) [n]_x rotates r about the fixed axis n by the angle
-    # phi(t) = 2t + 3 sin t (Rodrigues).  Each genfn call is one round: the
-    # first holds the intervals between the output times, and every later
-    # one holds halves of intervals of the round before
+    # phi(t) = 2t + 3 sin t (Rodrigues).  Each genfn call but the last is one
+    # round: the first holds the span, and every later one holds equal pieces
+    # of intervals of the round before.  The last call closes one interval
+    # per output time, from the start of an accepted interval or from t1
     n = np.array([1.0, 2.0, 2.0]) / 3.0
     cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     calls = []
@@ -178,8 +179,7 @@ def test_time_dependent_rotation_one_call_per_round():
         return (2.0 + 3.0 * np.cos(ts))[:, None, None] * cross
 
     rho0 = DensityMatrix([0.5, -0.3, 0.4])
-    # h max|G| = 5/3 on intervals of 1/2, so the steep ones take a second
-    # round; over these 25 rad the global error is 1.2e-15
+    # over these 25 rad the global error is 1.4e-15
     t_eval = np.linspace(0.0, 10.0, 21)
     traj = integrate_master(genfn, rho0, (0.0, 10.0), t_eval=t_eval)
     phi = 2.0 * t_eval + 3.0 * np.sin(t_eval)
@@ -188,20 +188,29 @@ def test_time_dependent_rotation_one_call_per_round():
              + (1.0 - np.cos(phi))[:, None] * (n @ r0) * n)
     assert np.max(np.abs(traj.bloch - exact)) <= 1e-10
 
-    assert len(calls) == 2, [ts.size for ts in calls]
+    *rounds, outputs = calls
+    assert len(rounds) >= 2, [ts.size for ts in calls]
     for ts in calls:
-        assert np.all((0.0 < ts) & (ts < 10.0))
-    lo, h = intervals(calls[0])
-    assert np.allclose(lo, t_eval[:-1], rtol=0.0, atol=1e-12)
-    assert np.allclose(lo + h, t_eval[1:], rtol=0.0, atol=1e-12)
-    for before, after in zip(calls, calls[1:]):
+        assert np.all((0.0 <= ts) & (ts <= 10.0))
+    lo, h = intervals(rounds[0])
+    assert np.array_equal(lo, [0.0]) and np.allclose(h, [10.0], rtol=0.0, atol=1e-12)
+    for before, after in zip(rounds, rounds[1:]):
         (lo0, h0), (lo1, h1) = intervals(before), intervals(after)
-        # each interval is a half of the one that holds its midpoint
+        # each interval is one of 2 to _PIECES equal pieces of the interval
+        # that holds its midpoint
         parent = np.searchsorted(lo0, lo1 + 0.5 * h1) - 1
-        assert np.allclose(h1, 0.5 * h0[parent], rtol=0.0, atol=1e-12)
-        offset = lo1 - lo0[parent]
-        assert np.allclose(np.minimum(np.abs(offset), np.abs(offset - h1)), 0.0,
-                           rtol=0.0, atol=1e-12)
+        pieces, offset = h0[parent] / h1, (lo1 - lo0[parent]) / h1
+        assert np.allclose(pieces, np.round(pieces), rtol=0.0, atol=1e-9)
+        assert np.all((1.5 < pieces) & (pieces < propagation._PIECES + 0.5))
+        assert np.allclose(offset, np.round(offset), rtol=0.0, atol=1e-9)
+    c = propagation._tableau()[0]
+    nodes = outputs.reshape(t_eval.size, propagation._STAGES)
+    h = (nodes[:, -1] - nodes[:, 0]) / (c[-1] - c[0])
+    lo = nodes[:, 0] - h * c[0]
+    assert np.allclose(nodes, lo[:, None] + h[:, None] * c, rtol=0.0, atol=1e-12)
+    assert np.allclose(lo + h, t_eval, rtol=0.0, atol=1e-12)
+    starts = np.concatenate([intervals(ts)[0] for ts in rounds] + [[10.0]])
+    assert np.all(np.min(np.abs(lo[:, None] - starts), axis=1) <= 1e-12)
 
 
 @pytest.mark.parametrize("omega_c", [1.0, 1e8])
@@ -232,10 +241,10 @@ def test_every_builtin_stops_at_its_pole_or_matches_the_map(omega_c):
                        "exp-cutoff+bagel", "exp-cutoff+dumbbell"]
 
 
-def test_no_convergence_is_an_integration_error(monkeypatch):
+def test_no_convergence_is_an_integration_error():
     # G = [e_z]_x / |t - 1/3| is singular with no pole window, and h max|G|
-    # stays above 1 on the interval at 1/3 however short: the round cap ends
-    # the run there
+    # stays above 1 on the interval at 1/3 however short: the run ends when
+    # that interval is down to the resolution of the span's times
     cross = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     calls = []
 
@@ -244,20 +253,58 @@ def test_no_convergence_is_an_integration_error(monkeypatch):
         return (1.0 / np.abs(ts - 1.0 / 3.0))[:, None, None] * cross
 
     rho0 = DensityMatrix([0.5, 0.0, 0.5])
-    with pytest.raises(IntegrationError, match="no convergence after 40 rounds") as err:
+    with pytest.raises(IntegrationError, match=r"no convergence at t=0\.333") as err:
         integrate_master(singular, rho0, (0.0, 1.0))
-    assert err.value.time == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert len(calls) == 40
+    assert err.value.time == pytest.approx(1.0 / 3.0, abs=1e-12)
 
-    # a generator steep everywhere doubles the pending intervals every round
-    monkeypatch.setattr(propagation, "_MAX_PENDING", 64)
-    with pytest.raises(IntegrationError, match="no convergence after 7 rounds, 128 intervals"):
+    # a generator steep everywhere: every interval is cut, none is solved
+    # (such a system can be singular), and a round never holds more than
+    # _BLOCK intervals, so the run ends at t = 0 in bounded memory
+    calls.clear()
+    with pytest.raises(IntegrationError, match=r"no convergence at t=0\.0:") as err:
         integrate_master(lambda ts: 1e30 * singular(ts), rho0, (0.0, 1.0))
+    assert err.value.time == 0.0
+    assert max(calls) <= 3 * propagation._STAGES * propagation._BLOCK
+    assert len(calls) <= 20, len(calls)
+
+
+def test_singular_solve_is_an_integration_error(monkeypatch):
+    propagation._tableau()
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(IntegrationError, match="collocation failed: Singular matrix"):
+        integrate_master(still, DensityMatrix([0.5, 0.0, 0.5]), (0.0, 1.0))
+
+
+def test_thousands_of_steep_output_intervals_integrate():
+    # G = 2 [e_z]_x over [0, 3000] needs ~6,000 intervals, and every one of
+    # the 3,000 gaps between the output times is steep: the run does not
+    # depend on the number of output times, and a round holds at most _BLOCK
+    # intervals
+    cross = 2.0 * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    calls = []
+
+    def genfn(ts):
+        calls.append(ts.size)
+        return np.broadcast_to(cross, (ts.size, 3, 3))
+
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    t_eval = np.arange(3001.0)
+    traj = integrate_master(genfn, rho0, (0.0, 3000.0), t_eval=t_eval)
+    x, y, z = rho0.bloch
+    cos, sin = np.cos(2.0 * t_eval), np.sin(2.0 * t_eval)
+    exact = np.stack([cos * x - sin * y, sin * x + cos * y, np.full_like(cos, z)], axis=1)
+    assert np.max(np.abs(traj.bloch - exact)) <= 1e-9
+    assert max(calls) <= 3 * propagation._STAGES * propagation._BLOCK
 
 
 def test_blocks_bound_memory_and_keep_the_result(monkeypatch):
-    # the generator calls and solves go in blocks of _BLOCK intervals: the
-    # result is the same, and 2,400 output times peak at ~25 MB, not 110 MB
+    # the output times go to the generator and the solve in blocks of _BLOCK:
+    # the result is the same, and 2,401 of them peak at ~3.5 MB (~16 MB as
+    # one block)
     import tracemalloc
 
     fam = family(GaussianRadial(), CardioidAngular())
@@ -270,7 +317,7 @@ def test_blocks_bound_memory_and_keep_the_result(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 8e6
     monkeypatch.setattr(propagation, "_BLOCK", 7)
     blocked = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
                                t_eval=t_eval)
