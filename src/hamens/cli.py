@@ -121,11 +121,18 @@ def cmd_scan(cfg, out_path):
         raise ConfigError("[scan] over 'a' needs [angular] kind = kneaded")
     if not cfg.scan_values:
         raise ConfigError("[scan] values list is empty")
-    grid = cfg.time_grid()
-    summary = ["a,max_abs_gamma_xy,pole_count"]
+    # refuse, before any work, two values whose per-value files, named by {a:g}, coincide
+    names = {}
     for a in cfg.scan_values:
         if not 0.0 <= a <= 1.0:
             raise ConfigError(f"[scan] value {a!r} outside [0, 1]")
+        if f"{a:g}" in names:
+            raise ConfigError(f"[scan] values {names[f'{a:g}']!r} and {a!r} give the same "
+                              f"file name suffix _a{a:g}")
+        names[f"{a:g}"] = a
+    grid = cfg.time_grid()
+    summary = ["a,max_abs_gamma_xy,pole_count"]
+    for a in cfg.scan_values:
         fam = cfg.build_family(asymmetry=a)
         lines, traj = _rates_lines(cfg, fam, grid)
         if out_path:

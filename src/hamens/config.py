@@ -1,6 +1,6 @@
 """Run configuration: line-oriented `key = value` files with [section] headers.
 
-Sections: radial, angular, state, grid, mc, scan, output.  Unknown sections,
+Sections: radial, angular, state, grid, mc, scan.  Unknown sections,
 unknown keys and malformed values are hard errors, so a typo cannot silently
 change a run.  All times in a config are in units of 1/omega_c.
 """
@@ -129,8 +129,7 @@ def _float_list(text: str):
     return [_finite(p) for p in parts]
 
 
-#: every [section] key, with the RunConfig field it sets and its parser;
-#: [output] takes no keys
+#: every [section] key, with the RunConfig field it sets and its parser
 _SCHEMA = {
     ("radial", "kind"): ("radial_kind", str.strip),
     ("radial", "omega_c"): ("omega_c", _finite),
@@ -148,7 +147,7 @@ _SCHEMA = {
     ("scan", "parameter"): ("scan_parameter", str.strip),
     ("scan", "values"): ("scan_values", _float_list),
 }
-_SECTIONS = {section for section, _ in _SCHEMA} | {"output"}
+_SECTIONS = {section for section, _ in _SCHEMA}
 
 
 def load_config(path) -> RunConfig:

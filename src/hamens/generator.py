@@ -198,39 +198,9 @@ def _determinant(fam: MapFamily, c, s, f):
     return np.prod(f, axis=-1) + s * s * (c * (xi * float(n @ n) - nsn) + nsn / xi)
 
 
-def _bisect(func, lo, hi, unit, iterations=100):
-    """A root of func in [lo, hi] to 1e-12 relative, or 1e-12 * unit near t = 0."""
-    flo = func(lo)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(unit, abs(mid)):
-            break
-        fmid = func(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
-def _sign_change_roots(func, grid, values, unit):
-    """Bisected roots of func in every grid cell where its sampled values flip sign.
-
-    A cell is bracketed only when both end values are finite and the left one
-    is nonzero (a zero at the right end is a root on the node); a NaN or
-    infinite sample brackets nothing.
-    """
-    signs = np.sign(values)
-    finite = np.isfinite(values)
-    flips = np.nonzero((signs[:-1] != signs[1:]) & (signs[:-1] != 0.0)
-                       & finite[:-1] & finite[1:])[0]
-    return [_bisect(func, grid[i], grid[i + 1], unit) for i in flips]
-
-
 def pole_scan(fam: MapFamily, window):
-    """Generator singularities in a time window, by sign-change bracketing + bisection.
+    """Generator singularities in a time window, by sign-change bracketing and
+    batched multisection.
 
     The candidates are the sign changes of det M and of the three
     eigen-branches f_j of the symmetric part of M, and a candidate is kept
@@ -238,37 +208,50 @@ def pole_scan(fam: MapFamily, window):
     of det M (f_x = f_y with no first moment, as in bagel and dumbbell), where
     det M touches zero without changing sign; a branch root where the first
     moment keeps the map invertible (det M = s^2 n^T P n there) is dropped.
-    Roots are bisected to 1e-12 and merged within 1e-9, relative to t or to
-    1/omega_c, whichever is larger, so the scan commutes with rescaling time
-    by omega_c.  Sorted, deduplicated; empty when the generator is regular.
+
+    A cell brackets a root when both end values are finite, differ in sign and
+    the left one is nonzero (a zero at the right end is a root on the node).
+    That rule runs on the sampled grid, then on each round that cuts every
+    open bracket into 64 cells, all evaluated in one `expectations` call.  A
+    bracket closes at its midpoint once no wider than 1e-12 of t or of
+    1/omega_c, whichever is larger, and roots are merged within 1e-9 on the
+    same scale, so the scan commutes with rescaling time by omega_c.
+    Sorted, deduplicated; empty when the generator is regular.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive length")
     radial = fam.ensemble.radial
     n = int(min(200001, max(2001, 400 * (hi - lo) * radial.omega_c)))
-    grid = np.linspace(lo, hi, n)
     sigma = np.linalg.eigvalsh(fam.moments.second)
-
-    def branches(c):
-        # eigenvalues f_j of the symmetric part of M; c = <cos omega t>
-        return np.asarray(c)[..., None] * (fam.xi - sigma) + sigma / fam.xi
-
-    def det_at(t):
-        c, s = radial.expectations(t)
-        return float(_determinant(fam, c, s, branches(c)))
-
-    c, s = radial.expectations(grid)
-    f = branches(c)
     unit = 1.0 / radial.omega_c
-    roots = _sign_change_roots(det_at, grid, _determinant(fam, c, s, f), unit)
-    for j in range(3):
-        roots += _sign_change_roots(
-            lambda t, j=j: float(branches(radial.expectations(t)[0])[j]), grid, f[:, j], unit)
-    roots = [r for r in roots if abs(det_at(r)) < POLE_THRESHOLD]
-    roots.sort()
+
+    def values(t):
+        # det M, then the eigenvalues f_j of the symmetric part of M, on the last axis
+        c, s = radial.expectations(t)
+        f = c[..., None] * (fam.xi - sigma) + sigma / fam.xi
+        return np.concatenate([_determinant(fam, c, s, f)[..., None], f], axis=-1)
+
+    # one row per open bracket, its sample times along the row
+    t = np.linspace(lo, hi, n)[None, :]
+    cuts = np.linspace(0.0, 1.0, 65)  # 64 equal cells per bracket
+    roots = []
+    while t.size:
+        v = values(t)
+        left, right = v[:, :-1], v[:, 1:]
+        flips = ((np.sign(left) != np.sign(right)) & (left != 0.0)
+                 & np.isfinite(left) & np.isfinite(right))
+        row, cell = np.nonzero(np.any(flips, axis=-1))
+        a, b = t[row, cell], t[row, cell + 1]
+        mid = 0.5 * (a + b)
+        closed = b - a <= 1e-12 * np.maximum(unit, np.abs(mid))
+        roots.append(mid[closed])
+        a, b = a[~closed, None], b[~closed, None]
+        t = a + (b - a) * cuts
+    roots = np.sort(np.concatenate(roots))
+    roots = roots[np.abs(values(roots)[:, 0]) < POLE_THRESHOLD]
     merged = []
-    for r in roots:
+    for r in roots.tolist():
         if not merged or abs(r - merged[-1]) > 1e-9 * max(unit, abs(r)):
             merged.append(r)
     return merged

@@ -12,7 +12,7 @@ The intervals start as the span alone.  Each round takes the generators at the
 nodes of the earliest pending intervals and of their two halves in one batched
 call, and solves all their systems in one stacked solve.  An interval is
 accepted when h max|G| <= 1 at its nodes and the product of its two half
-propagators agrees with its whole one to atol + rtol max|P|.  The others are
+propagators agrees with its whole one to _ATOL + _RTOL max|P|.  The others are
 cut: a steep one into about h max|G| pieces, an inaccurate one into halves.
 The accepted (two-halves) propagators are chained in time order.  Each output
 time closes one more interval, from the start of the accepted interval that
@@ -44,6 +44,8 @@ from .su2 import DensityMatrix
 #: ~7 KB per output time) and how fast the pending list grows; the most pieces a
 #: steep interval is cut into
 _STAGES, _BLOCK, _PIECES = 8, 512, 16
+#: relative and absolute tolerance of the two-halves acceptance test
+_RTOL, _ATOL = 1e-9, 1e-12
 
 
 class IntegrationError(RuntimeError):
@@ -95,7 +97,7 @@ def _generators(genfn, firsts, lengths):
     return genfn(nodes.ravel()).reshape(lengths.shape + (_STAGES, 3, 3))
 
 
-def _round(genfn, lo, hi, rtol, atol):
+def _round(genfn, lo, hi):
     """h max|G| at the nodes of each interval [lo, hi] and of its two halves,
     the accept mask, and the two-halves propagators of the accepted ones."""
     h = hi - lo
@@ -107,7 +109,7 @@ def _round(genfn, lo, hi, rtol, atol):
     p = _propagators(gens[ok], lengths[ok])
     halves = p[:, 2] @ p[:, 1]
     gap = np.max(np.abs(halves - p[:, 0]), axis=(1, 2))
-    close = gap <= atol + rtol * np.max(np.abs(halves), axis=(1, 2))
+    close = gap <= _ATOL + _RTOL * np.max(np.abs(halves), axis=(1, 2))
     ok[ok] = close
     return steepness, ok, halves[close]
 
@@ -123,8 +125,7 @@ def _cut(lo, hi, pieces):
     return starts, stops
 
 
-def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
-                     atol: float = 1e-12, t_eval=None) -> StateTrajectory:
+def integrate_master(genfn, rho0: DensityMatrix, span, *, t_eval=None) -> StateTrajectory:
     """Propagate rho0 forward across a pole-free span.
 
     genfn(times) returns the Bloch generators at an array of times, stacked
@@ -145,7 +146,7 @@ def integrate_master(genfn, rho0: DensityMatrix, span, *, rtol: float = 1e-9,
         while lo.size:
             # each round takes the earliest pending intervals, so a pole-window
             # error names the earliest interval that reached one
-            steepness, ok, halves = _round(genfn, lo[:_BLOCK], hi[:_BLOCK], rtol, atol)
+            steepness, ok, halves = _round(genfn, lo[:_BLOCK], hi[:_BLOCK])
             starts.append(lo[:_BLOCK][ok])
             props.append(halves)
             a, b, steepness = lo[:_BLOCK][~ok], hi[:_BLOCK][~ok], steepness[~ok]

@@ -411,6 +411,21 @@ def test_scan_rejects_unknown_parameter(tmp_path, capsys):
     assert "parameter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values", ["0.1234567 0.1234568", "0.3 0.1 0.3"])
+def test_scan_refuses_values_that_share_a_file_name(tmp_path, capsys, values):
+    # each value writes <stem>_a{a:g}<ext>, so two values with one name would
+    # overwrite a series; nothing is computed or written
+    cfg = write_config(tmp_path, SCAN_CFG.replace("values = 0 0.1 0.3", f"values = {values}"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["scan", "--config", cfg, "--out", str(out_dir / "scan.csv")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [scan] values ")
+    assert captured.out == ""
+    assert list(out_dir.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 # ---------------------------------------------------------------------------
@@ -433,6 +448,15 @@ def test_default_section_is_rejected(tmp_path, capsys, body):
     assert main(["simulate", "--config", cfg]) == 2
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == ["error: unknown section [DEFAULT]"]
+    assert captured.out == ""
+
+
+def test_output_section_is_rejected(tmp_path, capsys):
+    # [output] took no keys and set nothing
+    cfg = write_config(tmp_path, SPHERE_CFG + "\n[output]\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["error: unknown section [output]"]
     assert captured.out == ""
 
 

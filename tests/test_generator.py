@@ -12,7 +12,7 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     bloch_generators, extract_generator, isotropic_rate, map_matrices,
                     offdiagonal_rate, pole_scan, rate_trajectory)
 from hamens.dynmap import diagonal_components
-from hamens.generator import POLE_THRESHOLD, _sign_change_roots
+from hamens.generator import POLE_THRESHOLD
 from hamens.radial import RadialModel
 from hamens.validation import builtin_families, pole_free_times
 
@@ -386,23 +386,95 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
 # poles
 # ---------------------------------------------------------------------------
 
+class StubRadial(RadialModel):
+    """Radial model whose <cos omega t> is given pointwise: with the sphere, every
+    f_j = (2 c + 1)/3 equals `branch(t)` and det M = branch(t)^3.  Records the
+    times of each `expectations` call."""
+
+    omega_c = 1.0
+
+    def __init__(self, branch):
+        self.branch = branch
+        self.calls = []
+
+    def mass(self):
+        return 1.0
+
+    def expectations(self, t, derivative=False):
+        t = np.asarray(t, dtype=float)
+        self.calls.append(t.ravel())
+        return (3.0 * self.branch(t) - 1.0) / 2.0, np.zeros(t.shape)
+
+
 def test_sign_change_bracketing_skips_non_finite_samples():
+    radial = StubRadial(lambda t: np.full(t.shape, np.nan))
+    assert pole_scan(family(radial, SphereAngular()), (0.0, 1.0)) == []
+    grid = np.linspace(0.0, 1.0, 2001)
+    assert np.array_equal(radial.calls[0], grid)
+    assert all(c.size == 0 for c in radial.calls[1:])
+
+    # positive, then NaN, then one root at 0.5503, then +inf and -inf, then
+    # positive: only the finite cell around the root is refined
+    root = 0.5503
+
+    def branch(t):
+        value = np.where(t < 0.2, 1.0, t - root)
+        value = np.where((t >= 0.2) & (t < 0.3), np.nan, value)
+        value = np.where((t >= 0.8) & (t <= 0.85), np.inf, value)
+        value = np.where((t > 0.85) & (t <= 0.9), -np.inf, value)
+        return np.where(t > 0.9, 1.0, value)
+
+    radial = StubRadial(branch)
+    with np.errstate(invalid="ignore"):  # det M is inf * 0 = NaN where c is infinite
+        poles = pole_scan(family(radial, SphereAngular()), (0.0, 1.0))
+    assert poles == [pytest.approx(root, rel=0.0, abs=1e-12)]
+    i = int(np.searchsorted(grid, root)) - 1
+    refined = np.concatenate(radial.calls[1:])
+    assert refined.size and np.all((grid[i] <= refined) & (refined <= grid[i + 1]))
+
+
+@pytest.mark.parametrize("omega_c", [1.0, 1e8])
+def test_pole_scan_evaluates_in_few_batched_calls(omega_c, monkeypatch):
+    # one call for the grid, one per multisection round, one for the |det M| filter
     calls = []
+    for cls in (GaussianRadial, ExponentialCutoffRadial, ReciprocalSquareRadial):
+        def counted(self, t, derivative=False, expectations=cls.expectations):
+            calls.append(np.size(t))
+            return expectations(self, t, derivative)
+        monkeypatch.setattr(cls, "expectations", counted)
+    for name, fam in builtin_families(omega_c):
+        calls.clear()
+        pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
+        assert len(calls) <= 8, (name, calls)
 
-    def func(t):
-        calls.append(t)
-        return 0.55 - t
 
-    grid = np.linspace(0.0, 1.0, 11)
-    assert _sign_change_roots(func, grid, np.full(11, np.nan), 1.0) == []
-    assert calls == []
-    # only the finite cell around the true root is bisected
-    values = func(grid)
-    calls.clear()
-    values[[2, 3, 8]] = [np.nan, np.inf, -np.inf]
-    roots = _sign_change_roots(func, grid, values, 1.0)
-    assert roots == [pytest.approx(0.55, abs=1e-12)]
-    assert all(0.5 <= t <= 0.6 for t in calls)
+@pytest.mark.parametrize("omega_c", [1.0, 1e8])
+def test_pole_scan_roots_match_brentq(omega_c):
+    # each pole against brentq on det M or on an eigenvalue of the symmetric
+    # part of M (numpy's, not the scan's branches) that changes sign across it
+    from scipy.optimize import brentq
+
+    unit = 1.0 / omega_c
+
+    def symmetric_eigenvalue(fam, t, j):
+        m = map_matrices(fam, t)
+        return np.linalg.eigvalsh(0.5 * (m + m.T))[j]
+
+    def funcs(fam):
+        yield lambda t: np.linalg.det(map_matrices(fam, t))
+        for j in range(3):
+            yield lambda t, j=j: symmetric_eigenvalue(fam, t, j)
+
+    found = 0
+    for name, fam in builtin_families(omega_c):
+        for pole in pole_scan(fam, (1e-9 * unit, 6.0 * unit)):
+            scale = max(unit, pole)
+            lo, hi = pole - 1e-9 * scale, pole + 1e-9 * scale
+            roots = [brentq(g, lo, hi, xtol=1e-15 * unit) for g in funcs(fam) if g(lo) * g(hi) < 0.0]
+            assert roots, (name, pole)
+            assert min(abs(pole - r) for r in roots) <= 1e-12 * scale, (name, pole, roots)
+            found += 1
+    assert found >= 10
 
 
 def test_pole_scan_sphere_is_regular():
