@@ -6,19 +6,21 @@ chunk partials are reduced in index order.  The result is therefore
 bit-identical for a given SamplerConfig.
 
 Every sampler draws from the exact model density with a fixed number of
-draws per sample and no rejection.  The built-in kinds use closed forms only:
-the bagel theta and the kneaded phi are the polar angle of a uniform point
-on S^3, the latter mixed with a uniform angle.  Safeguarded Newton iteration
+draws per sample and no rejection.  The built-in kinds use closed forms only,
+with the cos and sin of each angle as ratios of the draws: a uniform phi as
+(1 - tau^2, 2 tau) / (1 + tau^2) with tau = tan(phi / 2), and the polar angle
+of a uniform point on S^3 (the bagel theta, and the kneaded phi mixed with a
+uniform one) as ratios of four normals.  Safeguarded Newton iteration
 inverts the exact CDFs of tables only.  One draw serves every time of a
 trajectory: each chunk is drawn once and evolved to all requested times.
 
-The evolve sums each realization's displacement d = r_t - r0 from one
+The evolve sums each realization's displacement d = r_t - r0 from the same
 tangent of the half angle, tau = tan(omega t / 2): with sin = 2 tau / (1 + tau^2),
 cos - 1 = -tau sin exactly, so d = sin (n x r0 - tau (r0 - (r0.n) n)).  d is
 O(omega t) with no cancellation as omega t -> 0, and its sums give the mean
 and a variance that keep their relative accuracy at small times.  numpy
 vectorizes float64 tan on common x86 hosts but calls scalar libm for cos and
-sin, which would take most of the evolve's time.
+sin, which would take most of the samplers' and the evolve's time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
 from .su2 import DensityMatrix
 
 _TWO_PI = 2.0 * math.pi
-_HALF_PI = 0.5 * math.pi
 #: Philox keys are pairs of uint64 words, so seeds lie in [0, SEED_LIMIT)
 SEED_LIMIT = 2 ** 64
 #: no array is sized by the sample count, so this cap bounds run time only:
@@ -124,8 +125,8 @@ def _newton_cdf(cdf, pdf, u, lo, hi, x0):
 def sample_radial(model: RadialModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw frequencies from the effective measure P(omega) omega^2 domega."""
     if isinstance(model, GaussianRadial):
-        g = rng.standard_normal((size, 3))
-        return model.omega_c * np.linalg.norm(g, axis=1)
+        g = np.square(rng.standard_normal((size, 3)))
+        return model.omega_c * np.sqrt(g[:, 0] + g[:, 1] + g[:, 2])
     if isinstance(model, ExponentialCutoffRadial):
         u = rng.random((size, 4))
         return -model.omega_c * np.log(u).sum(axis=1)
@@ -159,46 +160,57 @@ def _tabulated_radial_quantile(model: TabulatedRadial, u):
 
 
 def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw axis directions from Theta(theta, phi) sin(theta); returns (size, 3)."""
-    if isinstance(model, SphereAngular):
-        cos_t = rng.uniform(-1.0, 1.0, size)
-        phi = rng.uniform(0.0, _TWO_PI, size)
-    elif isinstance(model, BagelAngular):
-        cos_t = np.cos(_s3_polar_angle(rng, size))
-        phi = rng.uniform(0.0, _TWO_PI, size)
-    elif isinstance(model, DumbbellAngular):
-        v = rng.uniform(-1.0, 1.0, size)
-        cos_t = np.cbrt(v)
-        phi = rng.uniform(0.0, _TWO_PI, size)
-    elif isinstance(model, CardioidAngular):
-        u = rng.random(size)
-        cos_t = 1.0 - 2.0 * np.sqrt(u)
-        phi = rng.uniform(0.0, _TWO_PI, size)
-    elif isinstance(model, KneadedCardioidAngular):
-        u = rng.random(size)
-        cos_t = 1.0 - 2.0 * np.sqrt(u)
-        # (1 + a cos 2phi)/2pi = (1 - a) U(0, 2pi) + a cos^2(phi)/pi.  The second
-        # part is the S^3 polar angle shifted by -pi/2, and by pi on a fair bit.
-        # Both parts are drawn for every sample, so the draw count does not depend on a.
-        shifted = _s3_polar_angle(rng, size) - _HALF_PI
-        pick, bit, flat = rng.random((3, size))
-        phi = np.where(pick < model.a, shifted + math.pi * (bit < 0.5), _TWO_PI * flat)
-    elif isinstance(model, TabulatedAngular):
+    """Draw axis directions from Theta(theta, phi) sin(theta); returns (size, 3).
+
+    The built-in kinds take cos and sin of theta and phi as ratios of the draws."""
+    if isinstance(model, TabulatedAngular):
         return _sample_tabulated_angular(model, rng, size)
+    if isinstance(model, BagelAngular):
+        cos_t, sin_t = _s3_polar(rng, size)
     else:
-        raise TypeError(f"no sampler for {type(model).__name__}")
-    sin_t = np.sqrt(np.clip(1.0 - cos_t * cos_t, 0.0, 1.0))
-    return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t])
+        if isinstance(model, SphereAngular):
+            cos_t = rng.uniform(-1.0, 1.0, size)
+        elif isinstance(model, DumbbellAngular):
+            cos_t = np.cbrt(rng.uniform(-1.0, 1.0, size))
+        elif isinstance(model, (CardioidAngular, KneadedCardioidAngular)):
+            cos_t = 1.0 - 2.0 * np.sqrt(rng.random(size))
+        else:
+            raise TypeError(f"no sampler for {type(model).__name__}")
+        # unlike 1 - cos^2, keeps its relative accuracy at the poles
+        sin_t = np.sqrt((1.0 - cos_t) * (1.0 + cos_t))
+    if isinstance(model, KneadedCardioidAngular):
+        # (1 + a cos 2phi)/2pi = (1 - a) U(0, 2pi) + a cos^2(phi)/pi.  The second
+        # part is the S^3 polar angle shifted by -pi/2, and by pi on a fair bit,
+        # so (cos, sin) = +-(sin, -cos) of that angle.  Both parts are drawn for
+        # every sample, so the draw count does not depend on a.
+        cos_s, sin_s = _s3_polar(rng, size)
+        pick, bit, flat = rng.random((3, size))
+        flip, shifted = np.where(bit < 0.5, -1.0, 1.0), pick < model.a
+        cos_p, sin_p = _unit_circle(_TWO_PI * flat)
+        np.copyto(cos_p, flip * sin_s, where=shifted)
+        np.copyto(sin_p, flip * -cos_s, where=shifted)
+    else:
+        cos_p, sin_p = _unit_circle(rng.uniform(0.0, _TWO_PI, size))
+    cos_p *= sin_t
+    sin_p *= sin_t
+    return np.column_stack([cos_p, sin_p, cos_t])
 
 
-def _s3_polar_angle(rng, size):
-    """Polar angle of a uniform point on S^3, whose density is (2/pi) sin^2 on [0, pi].
+def _unit_circle(phi):
+    """cos and sin of phi as (1 - tau^2, 2 tau) / (1 + tau^2), tau = tan(phi / 2)."""
+    tau = np.tan(0.5 * phi)
+    den = 1.0 + tau * tau
+    return (1.0 - tau * tau) / den, 2.0 * tau / den
 
-    The point is four normals over their norm (Marsaglia, Ann. Math. Stat. 43,
-    645 (1972)).
-    """
+
+def _s3_polar(rng, size):
+    """cos and sin of the polar angle of a uniform point on S^3, whose density is
+    (2/pi) sin^2 on [0, pi]: g_0 / |g| and rho / |g| for four normals g,
+    rho^2 = g_1^2 + g_2^2 + g_3^2 (Marsaglia, Ann. Math. Stat. 43, 645 (1972))."""
     g = rng.standard_normal((4, size))
-    return np.arctan2(np.sqrt(g[1] * g[1] + g[2] * g[2] + g[3] * g[3]), g[0])
+    rho_sq = g[1] * g[1] + g[2] * g[2] + g[3] * g[3]
+    norm = np.sqrt(g[0] * g[0] + rho_sq)
+    return g[0] / norm, np.sqrt(rho_sq) / norm
 
 
 def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
@@ -272,7 +284,8 @@ def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
         half_omega = 0.5 * sample_radial(ensemble.radial, rng, count)
         # one row per component, so that the sums over samples run along rows
         axes = np.ascontiguousarray(sample_angular(ensemble.angular, rng, count).T)
-        cross = np.cross(axes, r0, axisa=0, axisc=0)
+        x, y, z = axes  # n x r0 as np.cross forms it, which is slower
+        cross = np.array([y * r0[2] - z * r0[1], z * r0[0] - x * r0[2], x * r0[1] - y * r0[0]])
         # the loop needs no axes, so across takes their memory
         across = np.subtract(r0[:, None], (r0 @ axes) * axes, out=axes)
         # d is written into two arrays per chunk rather than fresh

@@ -57,9 +57,17 @@ def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
     return out
 
 
-def pole_free_times(fam, times, margin):
-    start = float(times[0]) if times[0] > 0 else 1e-9 / fam.ensemble.radial.omega_c
-    poles = pole_scan(fam, (start, float(times[-1])))
+def builtin_poles(omega_c: float = 1.0, asymmetry: float = 0.3):
+    """Poles of each built-in family on (1e-9, 6)/omega_c, the window of the
+    extraction and round-trip checks."""
+    return [pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
+            for _, fam in builtin_families(omega_c, asymmetry)]
+
+
+def pole_free_times(fam, times, margin, poles=None):
+    if poles is None:
+        start = float(times[0]) if times[0] > 0 else 1e-9 / fam.ensemble.radial.omega_c
+        poles = pole_scan(fam, (start, float(times[-1])))
     if not poles:
         return np.asarray(times)
     times = np.asarray(times)
@@ -86,7 +94,9 @@ def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
     3 components), so the 4-sigma gate fails now and then by chance, with
     exact samplers too: on validate_default.cfg, seed 145 of seeds 0-199
     reads 4.16.  One failing seed is a reason to run others, not a proof of
-    a fault.
+    a fault.  Rounding in the sampled axes moves the metric in its last
+    digits only: seed 145 reads 4.1600742391878427, and 4.1600742391878418
+    from axes built with libm cos and sin of the drawn angles.
     """
     worst = 0.0
     times = np.array([0.2, 1.0, 3.0, 8.0]) / omega_c
@@ -98,7 +108,8 @@ def check_mc_vs_map(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3,
     return [_result("mc-vs-map-stderr-units", worst, threshold)]
 
 
-def check_extraction(omega_c: float = 1.0, asymmetry: float = 0.3, threshold: float = 1e-8):
+def check_extraction(omega_c: float = 1.0, asymmetry: float = 0.3, threshold: float = 1e-8,
+                     poles=None):
     """The batched generator split vs the per-class closed forms, away from
     poles, in units of omega_c (rates scale with it).
 
@@ -106,8 +117,9 @@ def check_extraction(omega_c: float = 1.0, asymmetry: float = 0.3, threshold: fl
     """
     worst = 0.0
     grid = np.linspace(0.05, 6.0, 80) / omega_c
-    for name, fam in builtin_families(omega_c, asymmetry):
-        times = pole_free_times(fam, grid, margin=0.1 / omega_c)
+    poles = builtin_poles(omega_c, asymmetry) if poles is None else poles
+    for (name, fam), fam_poles in zip(builtin_families(omega_c, asymmetry), poles):
+        times = pole_free_times(fam, grid, margin=0.1 / omega_c, poles=fam_poles)
         ok, h, k = _generators(fam, times)
         t, angular = times[ok], name.split("+")[1]
         if angular == "sphere":
@@ -125,12 +137,12 @@ def check_extraction(omega_c: float = 1.0, asymmetry: float = 0.3, threshold: fl
 
 
 def check_roundtrip(rho0, omega_c: float = 1.0, asymmetry: float = 0.3,
-                    threshold: float = 1e-6):
+                    threshold: float = 1e-6, poles=None):
     """Integrated master equation vs direct map application on pole-free spans."""
     worst = 0.0
-    for name, fam in builtin_families(omega_c, asymmetry):
-        poles = pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
-        t_end = min(0.9 * poles[0], 4.0 / omega_c) if poles else 4.0 / omega_c
+    poles = builtin_poles(omega_c, asymmetry) if poles is None else poles
+    for (_, fam), fam_poles in zip(builtin_families(omega_c, asymmetry), poles):
+        t_end = min(0.9 * fam_poles[0], 4.0 / omega_c) if fam_poles else 4.0 / omega_c
         t_eval = np.linspace(0.0, t_end, 21)
         traj = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
                                 rho0, (0.0, t_end), t_eval=t_eval)
@@ -145,6 +157,7 @@ def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3):
     results = []
     results += check_radial_quadrature(omega_c)
     results += check_mc_vs_map(rho0, cfg, omega_c, asymmetry)
-    results += check_extraction(omega_c, asymmetry)
-    results += check_roundtrip(rho0, omega_c, asymmetry)
+    poles = builtin_poles(omega_c, asymmetry)
+    results += check_extraction(omega_c, asymmetry, poles=poles)
+    results += check_roundtrip(rho0, omega_c, asymmetry, poles=poles)
     return results

@@ -303,6 +303,47 @@ def test_undetected_pole_exits_2_with_one_line(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_validate_scans_each_family_once(capsys, monkeypatch):
+    # the extraction and round-trip checks share one scan per family
+    import hamens.validation as validation
+    scan, windows = validation.pole_scan, []
+
+    def counted(fam, window):
+        windows.append(window)
+        return scan(fam, window)
+
+    monkeypatch.setattr(validation, "pole_scan", counted)
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    assert main(["validate", "--config", cfg, "--samples", "2000"]) == 0
+    capsys.readouterr()
+    assert windows == [(1e-9, 6.0)] * 15
+
+
+# validate_default.cfg at two seeds, recorded from samplers that took libm cos
+# and sin of the drawn angles; seed 145 fails the 4-sigma gate by chance
+# (see check_mc_vs_map)
+PINNED_VALIDATE = """check,metric,threshold,pass
+radial-closed-form-vs-quadrature,4.2188474935755949e-15,1.0000000000000001e-09,1
+mc-vs-map-stderr-units,{mc},4,{passed}
+extraction-vs-closed-forms,1.9984014443252818e-15,1e-08,1
+integrator-roundtrip-trace-distance,8.7694003603086982e-16,9.9999999999999995e-07,1
+"""
+
+
+@pytest.mark.parametrize("seed, mc_metric, code", [(11, 2.5762458209965931, 0),
+                                                   (145, 4.1600742391878418, 1)],
+                         ids=["seed11", "seed145"])
+def test_validate_default_matches_the_pinned_rows(capsys, seed, mc_metric, code):
+    # every cell byte for byte, but the Monte-Carlo metric, which moves with
+    # the rounding of the sampled axes, within 2e-15 relative
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    assert main(["validate", "--config", cfg, "--seed", str(seed)]) == code
+    out = capsys.readouterr().out
+    mc = validate_rows(out)["mc-vs-map-stderr-units"][0]
+    assert abs(float(mc) - mc_metric) <= 2e-15 * mc_metric
+    assert out == PINNED_VALIDATE.format(mc=mc, passed=1 - code)
+
+
 def test_large_cutoff_finds_the_scaled_poles(tmp_path, capsys):
     # pole_scan's floors are in units of 1/omega_c: at omega_c = 1e8 the
     # bagel poles were lost, and the round trip stepped into the first one

@@ -52,6 +52,49 @@ def test_angular_samples_are_unit_vectors():
         assert np.max(np.abs(np.sum(axes * axes, axis=1) - 1.0)) < 1e-12
 
 
+def angle_construction_axes(model, rng, n, mpmath):
+    """The axes as theta and phi, then their cos and sin, in mpmath from the
+    draws that sample_angular makes: the S^3 polar angle is atan2(rho, g_0),
+    and a shifted kneaded phi is that angle - pi/2, plus pi on the bit."""
+    mpf, two_pi = mpmath.mpf, 2 * math.pi
+
+    def s3_polar(g):
+        return [mpmath.atan2(mpmath.sqrt(mpf(a) ** 2 + mpf(b) ** 2 + mpf(c) ** 2), mpf(d))
+                for d, a, b, c in g.T]
+
+    if isinstance(model, BagelAngular):
+        theta = s3_polar(rng.standard_normal((4, n)))
+    else:
+        if isinstance(model, SphereAngular):
+            cos_t = rng.uniform(-1.0, 1.0, n)
+        elif isinstance(model, DumbbellAngular):
+            cos_t = np.cbrt(rng.uniform(-1.0, 1.0, n))
+        else:
+            cos_t = 1.0 - 2.0 * np.sqrt(rng.random(n))
+        theta = [mpmath.acos(mpf(c)) for c in cos_t]
+    if isinstance(model, KneadedCardioidAngular):
+        shifted = [th - mpmath.pi / 2 for th in s3_polar(rng.standard_normal((4, n)))]
+        pick, bit, flat = rng.random((3, n))
+        phi = [sh + mpmath.pi * (b < 0.5) if p < model.a else mpf(two_pi * f)
+               for sh, p, b, f in zip(shifted, pick, bit, flat)]
+    else:
+        phi = [mpf(p) for p in rng.uniform(0.0, two_pi, n)]
+    return np.array([[float(mpmath.sin(th) * mpmath.cos(ph)), float(mpmath.sin(th) * mpmath.sin(ph)),
+                      float(mpmath.cos(th))] for th, ph in zip(theta, phi)])
+
+
+@pytest.mark.parametrize("model", ANGULARS, ids=lambda m: type(m).__name__)
+def test_angular_samples_match_the_angle_construction(model):
+    # the samplers form cos and sin with no angle; against the angles
+    # evaluated in 30 digits from the same draws they keep 4e-16, where
+    # sqrt(1 - cos^2 theta) would be off by up to 1.3e-15 near the poles
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = angle_construction_axes(model, chunk_stream(64, 0), 2000, mpmath)
+    axes = sample_angular(model, chunk_stream(64, 0), 2000)
+    assert np.max(np.abs(axes - ref)) <= 4e-16
+
+
 def test_radial_sampler_means():
     cases = [
         (GaussianRadial(1.3), 1.3 * 2 * math.sqrt(2 / math.pi)),
