@@ -14,7 +14,7 @@ uniform one) as ratios of four normals.  Safeguarded Newton iteration
 inverts the exact CDFs of tables only.  One draw serves every time of a
 trajectory: each chunk is drawn once and evolved to all requested times.
 
-The evolve sums each realization's displacement d = r_t - r0 from the same
+The evolve sums each realization's displacement d = r_t - r0 from one
 tangent of the half angle, tau = tan(omega t / 2): with sin = 2 tau / (1 + tau^2),
 cos - 1 = -tau sin exactly, so d = sin (n x r0 - tau (r0 - (r0.n) n)).  d is
 O(omega t) with no cancellation as omega t -> 0, and its sums give the mean
