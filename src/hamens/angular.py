@@ -199,6 +199,8 @@ class TabulatedAngular(AngularModel):
             raise ValueError("angular table needs at least a 2x2 grid")
         if values.shape != (theta.size, phi.size):
             raise ValueError("angular table values must be laid out as (n_theta, n_phi)")
+        if not (np.isfinite(theta).all() and np.isfinite(phi).all() and np.isfinite(values).all()):
+            raise ValueError("angular table entries must be finite")
         if np.any(np.diff(theta) <= 0.0) or np.any(np.diff(phi) <= 0.0):
             raise ValueError("angular table grids must be strictly increasing")
         if abs(theta[0]) > 1e-9 or abs(theta[-1] - math.pi) > 1e-9:

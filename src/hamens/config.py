@@ -48,7 +48,10 @@ def parse_angle(text: str) -> float:
     if m:
         num = float(m.group(1)) if m.group(1) else 1.0
         den = float(m.group(2)) if m.group(2) else 1.0
-        return num * math.pi / den
+        value = num * math.pi / den if den else math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"must be a finite angle, got {text.strip()!r}")
+        return value
     try:
         return _finite(text)
     except ValueError:

@@ -43,7 +43,7 @@ class SeparableEnsemble:
     def __post_init__(self):
         xi = float(self.angular.xi())
         joint = self.radial.mass() * xi
-        if abs(joint - 1.0) > 1e-9:
+        if not abs(joint - 1.0) <= 1e-9:  # a NaN mass fails too
             raise ValueError(
                 f"joint normalization violated: radial mass * angular mass = {joint!r}")
         object.__setattr__(self, "xi", xi)
@@ -91,10 +91,12 @@ def load_angular_table(path) -> TabulatedAngular:
     phis = np.unique(data[:, 1])
     if thetas.size * phis.size != data.shape[0]:
         raise ValueError(f"{path}: rows do not form a rectangular (theta, phi) grid")
-    values = np.full((thetas.size, phis.size), np.nan)
     ti = np.searchsorted(thetas, data[:, 0])
     pi = np.searchsorted(phis, data[:, 1])
-    values[ti, pi] = data[:, 2]
-    if np.any(np.isnan(values)):
+    filled = np.zeros((thetas.size, phis.size), dtype=bool)
+    filled[ti, pi] = True
+    if not filled.all():
         raise ValueError(f"{path}: duplicate or missing grid nodes")
+    values = np.zeros(filled.shape)
+    values[ti, pi] = data[:, 2]
     return TabulatedAngular(theta=thetas, phi=phis, values=values)

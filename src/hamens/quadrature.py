@@ -57,19 +57,19 @@ def _batch_panel_values(f, lo, hi, order):
     return (half[:, 0]) * (vals @ w)
 
 
-def panel_integrate(f, a, b, *, breakpoints=(), weight=None):
+def panel_integrate(f, a, b, *, breakpoints=(), weight):
     """Integrate ``f`` over [a, b] with adaptive panel refinement.
 
     ``breakpoints`` pre-split the interval (typically at half-periods of an
-    oscillatory factor).  If ``weight`` is given, panels whose weight envelope
-    is below _WEIGHT_FLOOR times the global peak are discarded: the tail
-    contributes nothing at the target accuracy.  Raises QuadratureError with
-    the residual estimate when refinement stalls.
+    oscillatory factor).  When there is more than one panel, those whose
+    ``weight`` envelope is below _WEIGHT_FLOOR times the global peak are
+    discarded: the tail contributes nothing at the target accuracy.  Raises
+    QuadratureError with the residual estimate when refinement stalls.
     """
     edges = np.array([a] + [float(t) for t in sorted(breakpoints) if a < t < b] + [b])
     lo, hi = edges[:-1], edges[1:]
 
-    if weight is not None and lo.size > 1:
+    if lo.size > 1:
         mids = 0.5 * (lo + hi)
         env_pts = np.abs(weight(np.concatenate([edges, mids])))
         edge_env, mid_env = env_pts[: edges.size], env_pts[edges.size:]

@@ -7,9 +7,10 @@ measure every expectation integrates against) and one method,
     <cos omega t>,  <sin omega t>,  and with ``derivative`` their time derivatives
 
 for a scalar or an array t; <omega> is the derivative of <sin omega t> at 0.
-The generic quadrature route (`expectation`, and `RadialModel.expectations`)
-is independent of the exact forms and no model's expectations use it: it is
-the oracle for them.  Three built-in families have closed forms:
+`expectation_quadrature(model, f, t)` integrates f(omega t) against the
+weight by adaptive panel quadrature, for one scalar t.  It uses nothing of
+the exact forms and no model's expectations use it: it is the oracle for
+them.  Three built-in families have closed forms:
 
 * Gaussian with cutoff omega_c (effective weight is a Maxwell distribution),
 * exponential cutoff (effective weight is a Gamma(4) distribution),
@@ -121,11 +122,11 @@ def _scalarize(t, value):
 
 
 class RadialModel:
-    """Base class; subclasses override `expectations` with their exact forms."""
+    """Base class of the weight and its support; each subclass adds `mass()`
+    and `expectations` in exact form."""
 
     omega_c: float
 
-    # -- measure -----------------------------------------------------------
     def weight(self, omega):
         """Effective weight P(omega) * omega^2 (vectorized)."""
         raise NotImplementedError
@@ -133,49 +134,6 @@ class RadialModel:
     def support(self) -> tuple[float, float]:
         """Interval outside of which the weight vanishes (or is negligible)."""
         raise NotImplementedError
-
-    def mass(self) -> float:
-        """Total weight, equal to 1/xi of the normalization split."""
-        lo, hi = self.support()
-        return panel_integrate(self.weight, lo, hi, breakpoints=self._grid_breakpoints())
-
-    def _grid_breakpoints(self):
-        return ()
-
-    # -- quadrature route (shared; also the oracle for the closed forms) ----
-    def _integrate(self, g, t: float) -> float:
-        lo, hi = self.support()
-        breaks = list(self._grid_breakpoints())
-        if t > 0.0:
-            half_period = math.pi / t
-            k0 = int(math.floor(lo / half_period)) + 1
-            k1 = int(math.ceil(hi / half_period))
-            if k1 - k0 <= 20000:
-                breaks.extend(k * half_period for k in range(k0, k1))
-        return panel_integrate(g, lo, hi, breakpoints=breaks, weight=self.weight)
-
-    def _quadrature(self, g, t):
-        """Quadrature of g(omega, t) * weight over omega; an array t is done one
-        element at a time on this route, never through a subclass override."""
-        if np.ndim(t) > 0:
-            return np.array([self._quadrature(g, ti) for ti in np.asarray(t).ravel()]).reshape(np.shape(t))
-        t = float(t)
-        return self._integrate(lambda w: g(w, t) * self.weight(w), abs(t))
-
-    def expectation(self, f, t: float) -> float:
-        """Quadrature evaluation of the radial expectation of f(omega*t)."""
-        return self._quadrature(lambda w, t: f(w * t), t)
-
-    # -- expectations (quadrature default, overridden by exact forms) -------
-    def expectations(self, t, derivative: bool = False):
-        """(<cos omega t>, <sin omega t>), and with ``derivative`` also their time
-        derivatives -<omega sin omega t> and <omega cos omega t> (differentiation
-        under the integral): floats for a scalar t, arrays of t's shape otherwise."""
-        out = (self.expectation(np.cos, t), self.expectation(np.sin, t))
-        if derivative:
-            out += (self._quadrature(lambda w, t: -w * np.sin(w * t), t),
-                    self._quadrature(lambda w, t: w * np.cos(w * t), t))
-        return out
 
 
 def _positive_cutoff(omega_c) -> float:
@@ -417,6 +375,8 @@ class TabulatedRadial(RadialModel):
         density = np.asarray(self.density, dtype=float).ravel()
         if omega.size < 2 or density.size != omega.size:
             raise ValueError("radial table needs at least two (omega, P) rows")
+        if not (np.isfinite(omega).all() and np.isfinite(density).all()):
+            raise ValueError("radial table entries must be finite")
         if np.any(np.diff(omega) <= 0.0):
             raise ValueError("radial table frequencies must be strictly increasing")
         if omega[0] < 0.0:
@@ -451,9 +411,6 @@ class TabulatedRadial(RadialModel):
 
     def support(self):
         return float(self.omega[0]), float(self.omega[-1])
-
-    def _grid_breakpoints(self):
-        return tuple(self.omega[1:-1])
 
     def mass(self):
         return self._mass
@@ -501,9 +458,21 @@ class TabulatedRadial(RadialModel):
 
 
 def expectation_quadrature(model: RadialModel, f, t: float) -> float:
-    """Radial expectation of f(omega*t) by adaptive panel quadrature.
+    """Radial expectation of f(omega t) by adaptive panel quadrature.
 
     Independent of any closed form the model may carry; this is the oracle
-    route for every built-in expectation.
+    route for every model's `expectations`.  The panels break at the nodes of
+    a table and, for t != 0, at the half-periods of f(omega t), unless there
+    are more than 20,000 of them.
     """
-    return RadialModel.expectation(model, f, t)
+    t = float(t)
+    lo, hi = model.support()
+    breaks = list(model.omega[1:-1]) if isinstance(model, TabulatedRadial) else []
+    if abs(t) > 0.0:
+        half_period = math.pi / abs(t)
+        k0 = int(math.floor(lo / half_period)) + 1
+        k1 = int(math.ceil(hi / half_period))
+        if k1 - k0 <= 20000:
+            breaks.extend(k * half_period for k in range(k0, k1))
+    return panel_integrate(lambda w: f(w * t) * model.weight(w), lo, hi,
+                           breakpoints=breaks, weight=model.weight)

@@ -9,6 +9,10 @@ from hamens import TabulatedAngular
 
 #: polar angle and azimuth of the tilted symmetry axis m
 TILT = (0.7, 0.4)
+#: the smallest valid CSV table of each side, with its last entry left as X
+TABLES_WITH_X = {"radial": "omega,P\n0,1\n1,X\n",
+                 "angular": "theta,phi,Theta\n0,0,1\n0,6.283185307179586,1\n"
+                            "3.141592653589793,0,1\n3.141592653589793,6.283185307179586,X\n"}
 
 
 def sign_change_roots(func, lo, hi):

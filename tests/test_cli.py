@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from hamens import (DensityMatrix, IntegrationError, PoleError, QuadratureError, TabulatedAngular,
-                    directional_moments)
+                    directional_moments, pole_scan)
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
-from hamens.validation import check_roundtrip
+from hamens.validation import THRESHOLDS, builtin_families, check_roundtrip
 
-from conftest import d_denominator, sign_change_roots
+from conftest import TABLES_WITH_X, d_denominator, sign_change_roots
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -193,6 +193,20 @@ def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
         assert np.all(np.isfinite(values[regular]))
 
 
+@pytest.mark.parametrize("table, entry", [("radial", "nan"), ("angular", "inf")])
+def test_non_finite_table_entry_exits_2_with_one_line(tmp_path, capsys, table, entry):
+    # float() reads nan and inf; a NaN P used to pass every table check and
+    # give all-NaN rows with exit 0
+    (tmp_path / "table.csv").write_text(TABLES_WITH_X[table].replace("X", entry))
+    kind = "kind = gaussian" if table == "radial" else "kind = sphere"
+    cfg = write_config(tmp_path, SPHERE_CFG.replace(kind, "kind = tabulated\ntable = table.csv"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: {table} table: {table} table entries must be finite"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -325,23 +339,29 @@ def test_validate_scans_each_family_once(capsys, monkeypatch):
 PINNED_VALIDATE = """check,metric,threshold,pass
 radial-closed-form-vs-quadrature,4.2188474935755949e-15,1.0000000000000001e-09,1
 mc-vs-map-stderr-units,{mc},4,{passed}
-extraction-vs-closed-forms,1.9984014443252818e-15,1e-08,1
-integrator-roundtrip-trace-distance,8.7694003603086982e-16,9.9999999999999995e-07,1
+extraction-vs-closed-forms,{extraction},1e-08,1
+integrator-roundtrip-trace-distance,{roundtrip},9.9999999999999995e-07,1
 """
+#: the extraction and round-trip cells at each cutoff frequency
+PINNED_CELLS = {"1.0": ("1.9984014443252818e-15", "8.7694003603086982e-16"),
+                "1e8": ("2.9802322387695311e-15", "8.7814711166902399e-16")}
 
 
-@pytest.mark.parametrize("seed, mc_metric, code", [(11, 2.5762458209965931, 0),
-                                                   (145, 4.1600742391878418, 1)],
-                         ids=["seed11", "seed145"])
-def test_validate_default_matches_the_pinned_rows(capsys, seed, mc_metric, code):
+@pytest.mark.parametrize("omega_c, seed, mc_metric, code", [("1.0", 11, 2.5762458209965931, 0),
+                                                            ("1.0", 145, 4.1600742391878418, 1),
+                                                            ("1e8", 11, 2.5762458209965922, 0)],
+                         ids=["seed11", "seed145", "seed11-large-cutoff"])
+def test_validate_default_matches_the_pinned_rows(tmp_path, capsys, omega_c, seed, mc_metric, code):
     # every cell byte for byte, but the Monte-Carlo metric, which moves with
     # the rounding of the sampled axes, within 2e-15 relative
-    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "validate_default.cfg")
+    cfg = validate_default_at(tmp_path, omega_c)
     assert main(["validate", "--config", cfg, "--seed", str(seed)]) == code
     out = capsys.readouterr().out
     mc = validate_rows(out)["mc-vs-map-stderr-units"][0]
     assert abs(float(mc) - mc_metric) <= 2e-15 * mc_metric
-    assert out == PINNED_VALIDATE.format(mc=mc, passed=1 - code)
+    extraction, roundtrip = PINNED_CELLS[omega_c]
+    assert out == PINNED_VALIDATE.format(mc=mc, passed=1 - code, extraction=extraction,
+                                         roundtrip=roundtrip)
 
 
 def test_large_cutoff_finds_the_scaled_poles(tmp_path, capsys):
@@ -357,8 +377,10 @@ def test_large_cutoff_finds_the_scaled_poles(tmp_path, capsys):
         poles[omega_c] = np.array(last.removeprefix("# poles: ").split(), dtype=float)
     assert poles["1.0"].size == 2
     assert np.allclose(poles["1e8"], 1e-8 * poles["1.0"], rtol=1e-12, atol=0.0)
-    result, = check_roundtrip(DensityMatrix([0.6, -0.1, 0.75]), omega_c=1e8)
-    assert result.passed
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    for _, fam in builtin_families(1e8):
+        poles = pole_scan(fam, (1e-9 / 1e8, 6.0 / 1e8))
+        assert check_roundtrip(fam, poles, rho0) <= THRESHOLDS["integrator-roundtrip-trace-distance"]
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +560,8 @@ def test_missing_config_file(tmp_path):
     ("theta0 = 0", "bloch = 1 1 1"),
     ("t_max = 10", "t_max = inf"),
     ("omega_c = 1.0", "omega_c = inf"),
+    ("theta0 = 0", "theta0 = pi/0"),
+    pytest.param("theta0 = 0", f"theta0 = {'9' * 400}pi", id="theta0 = 400 digits pi"),
 ])
 def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, SPHERE_CFG.replace(old, new))

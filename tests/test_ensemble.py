@@ -9,6 +9,8 @@ from hamens import (CardioidAngular, GaussianRadial, MapFamily,
                     SeparableEnsemble, SphereAngular, TabulatedAngular, TabulatedRadial,
                     load_angular_table, load_radial_table)
 
+from conftest import TABLES_WITH_X
+
 
 def test_builtin_pairs_are_jointly_normalized():
     ens = SeparableEnsemble(GaussianRadial(2.0), CardioidAngular())
@@ -89,8 +91,12 @@ def test_load_angular_table_rejects_ragged_grid(tmp_path):
         load_angular_table(path)
 
 
-def test_load_csv_rejects_non_numeric(tmp_path):
-    path = tmp_path / "radial.csv"
-    path.write_text("omega,P\n0,abc\n")
-    with pytest.raises(ValueError, match="non-numeric"):
-        load_radial_table(path)
+@pytest.mark.parametrize("entry", ["abc", "nan", "inf"])
+@pytest.mark.parametrize("table", ["radial", "angular"])
+def test_load_csv_rejects_non_numeric(tmp_path, table, entry):
+    # float() takes nan and inf, so the tables must refuse them themselves
+    load = load_radial_table if table == "radial" else load_angular_table
+    path = tmp_path / "table.csv"
+    path.write_text(TABLES_WITH_X[table].replace("X", entry))
+    with pytest.raises(ValueError, match="non-numeric" if entry == "abc" else "must be finite"):
+        load(path)

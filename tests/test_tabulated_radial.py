@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hamens import TabulatedRadial
-from hamens.quadrature import panel_integrate
 from hamens.radial import _SERIES_THETA
 
 #: each seed draws one table from its own numpy stream, so the tables depend
@@ -134,29 +133,3 @@ def test_large_times_decay_like_the_edge_jump():
         c, s = model.expectations(t)
         assert c == pytest.approx(edge * np.sin(3.0 * t) / t, abs=20 / t ** 2)
         assert s == pytest.approx(-edge * np.cos(3.0 * t) / t, abs=20 / t ** 2)
-
-
-def test_quadrature_defaults_stay_the_oracle_on_arrays(monkeypatch):
-    # RadialModel.expectations(model, array) must run the quadrature for each
-    # element and expectation, not dispatch to the model's own exact route
-    import hamens.radial as radial
-    from hamens.radial import RadialModel
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return panel_integrate(*args, **kwargs)
-
-    monkeypatch.setattr(radial, "panel_integrate", counted)
-    om = np.linspace(0.0, 3.0, 9)
-    model = TabulatedRadial(om, np.exp(-(om / 1.2) ** 2))
-    ts = np.array([0.0, 0.4, 1.3, 2.5, 7.0])
-    batched = RadialModel.expectations(model, ts, derivative=True)
-    assert len(calls) == len(EXPECTATIONS) * ts.size
-    scalar = [RadialModel.expectations(model, float(t), derivative=True) for t in ts]
-    rows = RadialModel.expectations(model, ts.reshape(1, -1), derivative=True)
-    for k, name in enumerate(EXPECTATIONS):
-        values = batched[k]
-        assert np.array_equal(values, [v[k] for v in scalar]), name
-        assert np.array_equal(rows[k][0], values), name
