@@ -11,6 +11,7 @@ import configparser
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,6 +225,15 @@ def load_config(path) -> RunConfig:
         errors.append(f"[mc] samples must lie in [1, {MAX_SAMPLES}]")
     if not 1 <= cfg.chunk <= MAX_CHUNK:
         errors.append(f"[mc] chunk must lie in [1, {MAX_CHUNK}]")
+    if not errors:
+        # the grid runs to t_max / omega_c in absolute time, which can overflow or
+        # underflow; its points increase strictly where its step is a normal float
+        end = cfg.t_max / cfg.omega_c
+        if not math.isfinite(end):
+            errors.append(f"[grid] t_max / omega_c = {end!r} is not a finite time")
+        elif end / (cfg.n_points - 1) < sys.float_info.min:
+            errors.append(f"[grid] t_max / omega_c = {end!r} is too small for "
+                          f"{cfg.n_points} strictly increasing times")
 
     if errors:
         raise ConfigError("; ".join(errors))

@@ -70,19 +70,15 @@ def map_matrices(fam: MapFamily, t, derivative: bool = False):
     return m, dc * spread + ds * cross
 
 
-def diagonal_components(fam: MapFamily, t, derivative: bool = False):
-    """The three f_j(t) built from the diagonal of S; vectorized over t.
-
-    With ``derivative``, the tuple (f, fdot, s, sdot) from the same radial
-    pass, where s = <sin omega t>: the closed-form generators need all four.
-    """
-    c, s, *rest = fam.ensemble.radial.expectations(t, derivative)
+def diagonal_components(fam: MapFamily, t):
+    """(f, fdot, s, sdot) from one radial pass, elementwise over t: the three
+    f_j(t) built from the diagonal of S, shape t.shape + (3,), their time
+    derivatives, s = <sin omega t> and its derivative.  The closed-form
+    generators need all four."""
+    c, s, dc, ds = fam.ensemble.radial.expectations(t, derivative=True)
     m2 = np.diag(fam.moments.second)
     xi = fam.xi
     f = np.asarray(c)[..., None] * (xi - m2) + m2 / xi
-    if not derivative:
-        return f
-    dc, ds = rest
     return f, np.asarray(dc)[..., None] * (xi - m2), s, ds
 
 

@@ -87,6 +87,9 @@ def load_angular_table(path) -> TabulatedAngular:
     Rows must enumerate a rectangular grid; the order is free.
     """
     data = _read_csv(path, ("theta", "phi", "Theta"))
+    # before np.unique, which would count a NaN coordinate as one more grid line
+    if not np.isfinite(data[:, :2]).all():
+        raise ValueError(f"{path}: theta and phi must be finite")
     thetas = np.unique(data[:, 0])
     phis = np.unique(data[:, 1])
     if thetas.size * phis.size != data.shape[0]:

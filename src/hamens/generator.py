@@ -20,8 +20,8 @@ omega_bar is h_z, the lab z-component of h.
 The split is evaluated over a whole time grid at once, in any frame.
 Closed forms per symmetry class (isotropic, anisotropic diagonal, azimuthal
 with level spacing, off-diagonal xy rate) are kept as vectorized oracles for
-it: each takes a scalar or an array of times, and gives NaN inside pole
-windows for an array.  All time derivatives are closed-form; points where
+it: each is elementwise over its times, of any shape, and gives NaN inside
+pole windows.  All time derivatives are closed-form; points where
 |det M| falls below POLE_THRESHOLD count as poles rather than being
 extrapolated."""
 
@@ -35,18 +35,18 @@ from .dynmap import MapFamily, diagonal_components, map_matrices
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
-#: ``_guard`` gives NaN there for an array of times and raises PoleError for
-#: a scalar time, as ``bloch_generators`` and ``extract_generator`` do
+#: the closed forms give NaN there (``_guard``), and ``bloch_generators`` and
+#: ``extract_generator`` raise PoleError
 POLE_THRESHOLD = 1e-8
 
 
 class PoleError(ValueError):
-    """A generator denominator is inside its pole exclusion window."""
+    """The map is not invertible (|det M| < POLE_THRESHOLD) at ``time``, where
+    a generator was asked for."""
 
-    def __init__(self, message, time=None, denominator=None):
+    def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
-        self.denominator = denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,17 +63,9 @@ class RateTrajectory:
         object.__setattr__(self, "grid", grid)
 
 
-def _guard(denominator, t, what: str):
-    """The denominator, with NaN where |value| < POLE_THRESHOLD for an array
-    of times; for a scalar time a value there raises PoleError instead."""
-    inside = np.abs(denominator) < POLE_THRESHOLD
-    if np.ndim(t) == 0:
-        if np.any(inside):
-            raise PoleError(f"{what} inside pole window at t={t!r} "
-                            f"(|den|={float(np.min(np.abs(denominator))):.3e})",
-                            time=t, denominator=denominator)
-        return denominator
-    return np.where(inside, np.nan, denominator)
+def _guard(denominator):
+    """The denominator, with NaN where |value| < POLE_THRESHOLD."""
+    return np.where(np.abs(denominator) < POLE_THRESHOLD, np.nan, denominator)
 
 
 def isotropic_rate(radial: RadialModel, t):
@@ -82,15 +74,15 @@ def isotropic_rate(radial: RadialModel, t):
     gamma = -wdot / 2w for the mixing weight w = (2 <cos omega t> + 1)/3.
     """
     c, _, dc, _ = radial.expectations(t, derivative=True)
-    w = _guard((2.0 * c + 1.0) / 3.0, t, "mixing weight")
+    w = _guard((2.0 * c + 1.0) / 3.0)
     return -dc / (3.0 * w)
 
 
 def anisotropic_rates(fam: MapFamily, t) -> np.ndarray:
     """Per-axis rates for diagonal maps: gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k,
     shape t.shape + (3,)."""
-    f, df, _, _ = diagonal_components(fam, t, derivative=True)
-    logd = df / (2.0 * _guard(f, t, "f_j"))
+    f, df, _, _ = diagonal_components(fam, t)
+    logd = df / (2.0 * _guard(f))
     return 2.0 * logd - np.sum(logd, axis=-1, keepdims=True)
 
 
@@ -102,13 +94,13 @@ def azimuthal_generator(fam: MapFamily, t):
     effective level spacing h_z and reshapes gamma_z; gamma_x = gamma_y stay
     locked to f_z.
     """
-    f, df, s, ds = diagonal_components(fam, t, derivative=True)
+    f, df, s, ds = diagonal_components(fam, t)
     fx, fz, dfx = f[..., 0], f[..., 2], df[..., 0]
     if np.any(np.abs(fx - f[..., 1]) > 1e-10 * np.maximum(1.0, np.abs(fx))):
         raise ValueError("azimuthal closed form requires equal x/y second moments")
     nz = float(fam.moments.first[2])
-    d = _guard(fx * fx + nz * nz * s * s, t, "level-spacing denominator")
-    gx = -df[..., 2] / (2.0 * _guard(fz, t, "f_z"))
+    d = _guard(fx * fx + nz * nz * s * s)
+    gx = -df[..., 2] / (2.0 * _guard(fz))
     hz = nz * (fx * ds - dfx * s) / d
     gz = -fx * dfx / d - gx - nz * nz * s * ds / d
     zero = np.zeros_like(hz)
@@ -122,13 +114,12 @@ def offdiagonal_rate(fam: MapFamily, t):
 
     gamma_xy = <n_z> [ (fdot_x - fdot_y) s - (f_x - f_y) sdot ] / 2D with
     D = f_x f_y + <n_z>^2 s^2; swapping the x and y axes flips its sign.
-    A scalar t gives a float.
+    Of t's shape, NaN where |D| < POLE_THRESHOLD.
     """
-    f, df, s, ds = diagonal_components(fam, t, derivative=True)
+    f, df, s, ds = diagonal_components(fam, t)
     nz = float(fam.moments.first[2])
-    d = _guard(f[..., 0] * f[..., 1] + nz * nz * s * s, t, "off-diagonal denominator")
-    rate = nz * ((df[..., 0] - df[..., 1]) * s - (f[..., 0] - f[..., 1]) * ds) / (2.0 * d)
-    return float(rate) if np.ndim(t) == 0 else rate
+    d = _guard(f[..., 0] * f[..., 1] + nz * nz * s * s)
+    return nz * ((df[..., 0] - df[..., 1]) * s - (f[..., 0] - f[..., 1]) * ds) / (2.0 * d)
 
 
 def _split(m, dm):

@@ -6,7 +6,8 @@ measure every expectation integrates against) and one method,
 
     <cos omega t>,  <sin omega t>,  and with ``derivative`` their time derivatives
 
-for a scalar or an array t; <omega> is the derivative of <sin omega t> at 0.
+elementwise over t, each of t's shape (a float t gives numpy scalars or 0-d
+arrays); <omega> is the derivative of <sin omega t> at 0.
 `expectation_quadrature(model, f, t)` integrates f(omega t) against the
 weight by adaptive panel quadrature, for one scalar t.  It uses nothing of
 the exact forms and no model's expectations use it: it is the oracle for
@@ -117,10 +118,6 @@ _EXP_FAR = 1e30
 _pow = np.float_power
 
 
-def _scalarize(t, value):
-    return float(value) if np.ndim(t) == 0 else value
-
-
 class RadialModel:
     """Base class of the weight and its support; each subclass adds `mass()`
     and `expectations` in exact form."""
@@ -181,14 +178,14 @@ class GaussianRadial(RadialModel):
         if any_far:
             s = np.where(far, _gaussian_tail(x, _GAUSS_SIN_TAIL, odd=True), s)
         if not derivative:
-            return _scalarize(t, c), _scalarize(t, s)
+            return c, s
         xc = np.maximum(np.minimum(x, _GAUSS_ZERO), -_GAUSS_ZERO)
         dc = -self.omega_c * xc * (3.0 - xc * xc) * np.exp(-0.5 * xc * xc)
         ds = self.omega_c * (_SQRT_2_OVER_PI * (2.0 - xn * xn)
                              - _TWO_OVER_SQRT_PI * xn * (3.0 - xn * xn) * daw)
         if any_far:
             ds = np.where(far, self.omega_c * _gaussian_tail(x, _GAUSS_DSIN_TAIL, odd=False), ds)
-        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
+        return c, s, dc, ds
 
 
 @dataclass(frozen=True)
@@ -231,7 +228,7 @@ class ExponentialCutoffRadial(RadialModel):
             c = np.where(far, (1.0 - 6.0 * v + v * v) * (v * v) / q, c)
             s = np.where(far, 4.0 * y5 * (v - 1.0) / q, s)
         if not derivative:
-            return _scalarize(t, c), _scalarize(t, s)
+            return c, s
         q = _pow(1.0 + u, 5)
         dc = -4.0 * self.omega_c * xn * (5.0 - 10.0 * u + u * u) / q
         ds = 4.0 * self.omega_c * (5.0 * u * u - 10.0 * u + 1.0) / q
@@ -239,7 +236,7 @@ class ExponentialCutoffRadial(RadialModel):
             q = _pow(1.0 + v, 5)
             dc = np.where(far, -4.0 * self.omega_c * y5 * (5.0 * v * v - 10.0 * v + 1.0) / q, dc)
             ds = np.where(far, 4.0 * self.omega_c * (y5 * y) * (5.0 - 10.0 * v + v * v) / q, ds)
-        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
+        return c, s, dc, ds
 
 
 @dataclass(frozen=True)
@@ -275,7 +272,7 @@ class ReciprocalSquareRadial(RadialModel):
         series = xq / 2.0 - xq ** 3 / 24.0 + xq ** 5 / 720.0
         s = np.where(small, series, (1.0 - np.cos(xs)) / xs)
         if not derivative:
-            return _scalarize(t, c), _scalarize(t, s)
+            return c, s
         # the derivatives switch to their series at a wider |x|
         small = np.abs(x) < 1e-2
         xs, xq = np.where(small, 1.0, x), np.where(small, x, 0.0)
@@ -287,7 +284,7 @@ class ReciprocalSquareRadial(RadialModel):
         dc = self.omega_c * np.where(small, series, np.cos(xs) / xs - np.sin(xs) / sq)
         series = 0.5 - xq * xq / 8.0 + xq ** 4 / 144.0
         ds = self.omega_c * np.where(small, series, np.sin(xs) / xs - (1.0 - np.cos(xs)) / sq)
-        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, dc), _scalarize(t, ds)
+        return c, s, dc, ds
 
 
 #: theta = half-width * |t| below which the segment moments mu_k come from
@@ -452,9 +449,9 @@ class TabulatedRadial(RadialModel):
     def expectations(self, t, derivative=False):
         c, s = self._fourier(t, 0)
         if not derivative:
-            return _scalarize(t, c), _scalarize(t, s)
+            return c, s
         ds, minus_dc = self._fourier(t, 1)
-        return _scalarize(t, c), _scalarize(t, s), _scalarize(t, -minus_dc), _scalarize(t, ds)
+        return c, s, -minus_dc, ds
 
 
 def expectation_quadrature(model: RadialModel, f, t: float) -> float:

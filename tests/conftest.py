@@ -9,10 +9,13 @@ from hamens import TabulatedAngular
 
 #: polar angle and azimuth of the tilted symmetry axis m
 TILT = (0.7, 0.4)
-#: the smallest valid CSV table of each side, with its last entry left as X
+#: the smallest valid CSV table of each side, with its last entry left as X,
+#: and the angular one with its last phi coordinate left as X
 TABLES_WITH_X = {"radial": "omega,P\n0,1\n1,X\n",
                  "angular": "theta,phi,Theta\n0,0,1\n0,6.283185307179586,1\n"
-                            "3.141592653589793,0,1\n3.141592653589793,6.283185307179586,X\n"}
+                            "3.141592653589793,0,1\n3.141592653589793,6.283185307179586,X\n",
+                 "angular-phi": "theta,phi,Theta\n0,0,1\n0,6.283185307179586,1\n"
+                                "3.141592653589793,0,1\n3.141592653589793,X,1\n"}
 
 
 def sign_change_roots(func, lo, hi):
@@ -35,7 +38,7 @@ def d_denominator(fam):
     nz = float(fam.moments.first[2])
 
     def d(t):
-        f, _, s, _ = diagonal_components(fam, t, derivative=True)
+        f, _, s, _ = diagonal_components(fam, t)
         return f[..., 0] * f[..., 1] + nz * nz * s * s
 
     return d

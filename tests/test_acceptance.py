@@ -98,7 +98,7 @@ def test_criterion_3_closed_form_rates():
             ts = pole_free_times(np.linspace(0.05, 6.0, 120), pole_scan(fam, (0.05, 6.0)),
                                  margin=0.08)
             rates = anisotropic_rates(fam, ts)
-            f, df, _, _ = diagonal_components(fam, ts, derivative=True)
+            f, df, _, _ = diagonal_components(fam, ts)
             general = np.stack([df[:, j] / (2 * f[:, j])
                                 - sum(df[:, k] / (2 * f[:, k]) for k in range(3) if k != j)
                                 for j in range(3)], axis=-1)

@@ -8,9 +8,9 @@ import sys
 
 import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
-                    GaussianRadial, KneadedCardioidAngular, MapFamily, RadialModel,
+                    GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, dynmap, generator, pole_scan, validation)
+                    TabulatedRadial, dynmap, generator, pole_scan, radial, validation)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,14 +21,14 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "mean_omega", "BlochAffineMap", "map_at", "diagonal_derivatives", "_denominators",
            "divisibility_flags", "short_time_positive_window", "kossakowski_eigenvalues",
            "LindbladGenerator", "_require", "builtin_poles", "builtin_angulars", "_result",
-           "_quadrature", "_integrate", "expectation")
+           "_quadrature", "_integrate", "expectation", "_scalarize")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, generator, validation, RadialModel, GaussianRadial,
+    holders = (hamens, dynmap, generator, radial, validation, RadialModel, GaussianRadial,
                ExponentialCutoffRadial, ReciprocalSquareRadial, TabulatedRadial, TabulatedAngular)
     for name in REMOVED:
         for holder in holders:
@@ -36,6 +36,11 @@ def test_every_export_resolves_once():
     # the base class keeps the weight and its support; each model has its own exact forms
     assert "mass" not in vars(RadialModel) and "expectations" not in vars(RadialModel)
     assert list(inspect.signature(pole_scan).parameters) == ["fam", "window"]
+    # the closed forms take any shape of t and mark poles with NaN, with no scalar route
+    assert list(inspect.signature(generator._guard).parameters) == ["denominator"]
+    assert "derivative" not in inspect.signature(dynmap.diagonal_components).parameters
+    assert "denominator" not in inspect.signature(PoleError).parameters
+    assert not hasattr(PoleError("map not invertible"), "denominator")
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):

@@ -447,10 +447,9 @@ def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
         fam = run.build_family(asymmetry=a)
         gxy = []
         for t in grid[1:]:
-            try:
-                gxy.append(abs(offdiagonal_rate(fam, float(t))))
-            except PoleError:
-                continue
+            value = offdiagonal_rate(fam, np.array([t]))[0]
+            if not np.isnan(value):
+                gxy.append(abs(value))
         poles = sign_change_roots(d_denominator(fam), 1e-9, float(grid[-1]))
         lines.append(f"{a:.17g},{max(gxy):.17g},{len(poles)}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
@@ -554,6 +553,14 @@ def test_missing_config_file(tmp_path):
     assert main(["moments", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+#: SPHERE_CFG from its cutoff to its end time, the span of an edit to both
+_SCALES = SPHERE_CFG[SPHERE_CFG.index("omega_c"):SPHERE_CFG.index("n_points")]
+
+
+def _scales(omega_c, t_max):
+    return _SCALES.replace("omega_c = 1.0", f"omega_c = {omega_c}").replace("t_max = 10", f"t_max = {t_max}")
+
+
 @pytest.mark.parametrize("command", ["simulate", "rates"])
 @pytest.mark.parametrize("old,new", [
     ("theta0 = 0", "bloch = nan 0 0"),
@@ -562,6 +569,9 @@ def test_missing_config_file(tmp_path):
     ("omega_c = 1.0", "omega_c = inf"),
     ("theta0 = 0", "theta0 = pi/0"),
     pytest.param("theta0 = 0", f"theta0 = {'9' * 400}pi", id="theta0 = 400 digits pi"),
+    # the grid's end t_max / omega_c overflows to inf, or underflows to 0
+    pytest.param(_SCALES, _scales("1e-300", "1e10"), id="grid end overflows"),
+    pytest.param(_SCALES, _scales("1e300", "1e-30"), id="grid end underflows"),
 ])
 def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
     cfg = write_config(tmp_path, SPHERE_CFG.replace(old, new))

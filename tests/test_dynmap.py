@@ -48,17 +48,17 @@ def choi_matrix(m):
 def test_f_component_sphere_equals_mixing_weight():
     for t in [0.0, 0.4, 1.3, 5.0]:
         w = mixing_weight(SPHERE_G.ensemble.radial, t)
-        assert np.allclose(diagonal_components(SPHERE_G, t), w, rtol=0.0, atol=1e-14)
+        assert np.allclose(diagonal_components(SPHERE_G, t)[0], w, rtol=0.0, atol=1e-14)
 
 
 def test_f_component_at_time_zero_is_one():
     for fam in (SPHERE_G, CARDIOID_G, BAGEL_G):
-        assert diagonal_components(fam, 0.0) == pytest.approx([1.0, 1.0, 1.0])
+        assert diagonal_components(fam, 0.0)[0] == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_f_component_bagel_when_cosine_vanishes():
     # cosine expectation is zero at omega_c t = 1, leaving the z second moment
-    assert diagonal_components(BAGEL_G, 1.0)[2] == pytest.approx(0.25, abs=1e-14)
+    assert diagonal_components(BAGEL_G, 1.0)[0][2] == pytest.approx(0.25, abs=1e-14)
 
 
 def test_map_sphere_is_isotropic_contraction():
@@ -161,7 +161,7 @@ def test_purity_trajectory_sphere_values():
 def test_purity_dies_out_at_diagonal_component_roots():
     # polar initial state: purity is (1 + f_z^2)/2, reaching exactly 1/2
     # where f_z vanishes, followed by a revival
-    roots = sign_change_roots(lambda t: diagonal_components(BAGEL_G, t)[..., 2], 0.1, 3.0)
+    roots = sign_change_roots(lambda t: diagonal_components(BAGEL_G, t)[0][..., 2], 0.1, 3.0)
     assert len(roots) == 2
     pur = purity_trajectory(BAGEL_G, DensityMatrix([0, 0, 1]), np.asarray(roots))
     assert np.allclose(pur, 0.5, atol=1e-9)

@@ -92,7 +92,7 @@ def test_load_angular_table_rejects_ragged_grid(tmp_path):
 
 
 @pytest.mark.parametrize("entry", ["abc", "nan", "inf"])
-@pytest.mark.parametrize("table", ["radial", "angular"])
+@pytest.mark.parametrize("table", ["radial", "angular", "angular-phi"])
 def test_load_csv_rejects_non_numeric(tmp_path, table, entry):
     # float() takes nan and inf, so the tables must refuse them themselves
     load = load_radial_table if table == "radial" else load_angular_table
