@@ -20,8 +20,7 @@ from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purit
 from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
                         bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
                         pole_scan, rate_trajectory)
-from .montecarlo import (MCEstimate, SamplerConfig, mc_average, mc_trajectory, sample_angular,
-                         sample_radial)
+from .montecarlo import SamplerConfig, mc_average, mc_trajectory, sample_angular, sample_radial
 from .propagation import IntegrationError, StateTrajectory, integrate_master
 from .config import ConfigError, RunConfig, load_config
 from .validation import CheckResult, run_checks
@@ -40,7 +39,7 @@ __all__ = [
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
     "bloch_generators",
     "pole_scan", "rate_trajectory",
-    "SamplerConfig", "MCEstimate", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
+    "SamplerConfig", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
     "IntegrationError", "StateTrajectory", "integrate_master",
     "ConfigError", "RunConfig", "load_config", "CheckResult", "run_checks",
 ]

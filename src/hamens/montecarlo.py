@@ -10,9 +10,14 @@ draws per sample and no rejection.  The built-in kinds use closed forms only,
 with the cos and sin of each angle as ratios of the draws: a uniform phi as
 (1 - tau^2, 2 tau) / (1 + tau^2) with tau = tan(phi / 2), and the polar angle
 of a uniform point on S^3 (the bagel theta, and the kneaded phi mixed with a
-uniform one) as ratios of four normals.  Safeguarded Newton iteration
-inverts the exact CDFs of tables only.  One draw serves every time of a
-trajectory: each chunk is drawn once and evolved to all requested times.
+uniform one) as ratios of four normals.  A radial table's weight
+P(omega) omega^2 is a cubic on each segment with nonnegative Bernstein
+coefficients, so it is a mixture of Beta(j + 1, 4 - j) laws, one per segment
+and term, each drawn as the (j + 1)-th smallest of four uniforms (Devroye,
+Non-Uniform Random Variate Generation, 1986; Farouki, CAGD 29, 379 (2012), on
+the Bernstein basis).  Safeguarded Newton iteration inverts only the theta
+CDF of an angular table.  One draw serves every time of a trajectory: each
+chunk is drawn once and evolved to all requested times.
 
 The evolve sums each realization's displacement d = r_t - r0 from one
 tangent of the half angle, tau = tan(omega t / 2): with sin = 2 tau / (1 + tau^2),
@@ -44,9 +49,9 @@ SEED_LIMIT = 2 ** 64
 #: `validate` at the cap draws 1e7 realizations for each of 15 pairs
 MAX_SAMPLES = 10_000_000
 #: while a chunk is drawn and evolved, the tracemalloc peak is 16 float64 arrays
-#: of the chunk length for the built-in kinds (128 B per sample, in the evolve)
-#: and 37 for a table (296 B, in its Newton solve), so a chunk at the cap takes
-#: 8.4 or 19 MB
+#: of the chunk length for the built-in kinds and a radial table (128 B per
+#: sample, in the evolve) and 37 for an angular table (296 B, in the Newton
+#: solve of its theta), so a chunk at the cap takes 8.4 or 19 MB
 MAX_CHUNK = 65_536
 #: stop a root once its Newton step or its bracket is this small
 _NEWTON_TOL = 1e-12
@@ -69,15 +74,6 @@ class SamplerConfig:
             raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
         if not 1 <= self.chunk <= MAX_CHUNK:
             raise ValueError(f"chunk size must lie in [1, {MAX_CHUNK}], got {self.chunk}")
-
-
-@dataclass(frozen=True, eq=False)
-class MCEstimate:
-    """Sample mean of the Bloch vector with per-component standard errors."""
-
-    bloch_mean: np.ndarray
-    bloch_stderr: np.ndarray
-    n: int
 
 
 def chunk_stream(seed: int, index: int) -> np.random.Generator:
@@ -133,34 +129,37 @@ def sample_radial(model: RadialModel, rng: np.random.Generator, size: int) -> np
     if isinstance(model, ReciprocalSquareRadial):
         return model.omega_c * rng.random(size)
     if isinstance(model, TabulatedRadial):
-        return _tabulated_radial_quantile(model, rng.random(size))
+        return _sample_tabulated_radial(model, rng, size)
     raise TypeError(f"no sampler for {type(model).__name__}")
 
 
-def _tabulated_radial_quantile(model: TabulatedRadial, u):
-    """Exact inverse of the effective-measure CDF of a table at probabilities u.
+def _sample_tabulated_radial(model: TabulatedRadial, rng, size):
+    """Exact draw from a table's effective measure, with five uniforms per sample.
 
-    The segment is picked by its exact mass, and its quartic CDF in v (see
-    TabulatedRadial.segment_cubics) is inverted by Newton.
+    On a segment of width h, with omega = omega_0 + h x, the weight
+    (p_0 (1 - x) + p_1 x)(omega_0 (1 - x) + omega_1 x)^2 is sum_j b_j B_j(x)
+    in the cubic Bernstein basis B_j, with every b_j >= 0, and B_j integrates
+    to 1/4.  One uniform picks a (segment, j) pair by its mass b_j h / 4, and
+    x is then Beta(j + 1, 4 - j): the (j + 1)-th smallest of four uniforms.
     """
-    mid, half, (r0, r1, r2, r3) = model.segment_cubics()
-    masses = np.concatenate([[0.0], np.cumsum(2.0 * (r0 + r2 / 3.0))])
-    target = np.asarray(u, dtype=float) * masses[-1]
-    # side="right" never picks a zero-mass segment below the target
-    j = np.clip(np.searchsorted(masses, target, side="right") - 1, 0, r0.size - 1)
-    r0, r1, r2, r3 = r0[j], r1[j], r2[j], r3[j]
-    y = target - masses[j]
-    left = r0 - 0.5 * r1 + r2 / 3.0 - 0.25 * r3          # minus the antiderivative at v = -1
-    mass = masses[j + 1] - masses[j]
-    v0 = np.divide(2.0 * y, mass, out=np.zeros_like(y), where=mass > 0.0) - 1.0
-    v, _ = _newton_cdf(lambda v: v * (r0 + v * (0.5 * r1 + v * (r2 / 3.0 + 0.25 * v * r3))) + left,
-                       lambda v: r0 + v * (r1 + v * (r2 + v * r3)),
-                       y, -1.0, 1.0, v0)
-    return np.clip(mid[j] + half[j] * v, model.omega[j], model.omega[j + 1])
+    om, p = model.omega, model.density
+    w0, w1, p0, p1 = om[:-1], om[1:], p[:-1], p[1:]
+    b = np.array([p0 * w0 * w0, (p1 * w0 * w0 + 2.0 * p0 * w0 * w1) / 3.0,
+                  (2.0 * p1 * w0 * w1 + p0 * w1 * w1) / 3.0, p1 * w1 * w1])
+    # pair k = 4 segment + j, in the order of the cumulative masses
+    masses = np.concatenate([[0.0], np.cumsum((0.25 * (w1 - w0) * b).ravel(order="F"))])
+    u = rng.random((size, 5))
+    # the target (1 - u) total lies in (0, total], and the pair k picked has
+    # masses[k] < target <= masses[k + 1], so never zero mass, at either end
+    pair = np.searchsorted(masses, (1.0 - u[:, 0]) * masses[-1]) - 1
+    segment, j = np.divmod(pair, 4)
+    x = np.take_along_axis(np.sort(u[:, 1:], axis=1), j[:, None], axis=1)[:, 0]
+    return np.minimum(w0[segment] + (w1[segment] - w0[segment]) * x, w1[segment])
 
 
 def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw axis directions from Theta(theta, phi) sin(theta); returns (size, 3).
+    """Draw axis directions from Theta(theta, phi) sin(theta) as rows: returns
+    (3, size), the x, y and z components of the axes.
 
     The built-in kinds take cos and sin of theta and phi as ratios of the draws."""
     if isinstance(model, TabulatedAngular):
@@ -193,7 +192,7 @@ def sample_angular(model: AngularModel, rng: np.random.Generator, size: int) -> 
         cos_p, sin_p = _unit_circle(rng.uniform(0.0, _TWO_PI, size))
     cos_p *= sin_t
     sin_p *= sin_t
-    return np.column_stack([cos_p, sin_p, cos_t])
+    return np.array([cos_p, sin_p, cos_t])
 
 
 def _unit_circle(phi):
@@ -260,18 +259,19 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     phi = ph[j] + np.minimum(t, width)
 
     sin_t = np.sin(theta)
-    return np.column_stack([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
+    return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
 
 
 def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
-                  cfg: SamplerConfig) -> list[MCEstimate]:
-    """Ensemble averages of the evolved Bloch vector at each time, one MCEstimate per time.
+                  cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble averages of the evolved Bloch vector at each time: (mean, stderr),
+    the sample mean and its per-component standard error, each (len(times), 3).
 
     Deterministic for a fixed config: chunk i is drawn once from the stream
     keyed by (seed, i) and evolved to every time, and each time's chunk
-    partials are summed in index order, so an entry does not depend on the
+    partials are summed in index order, so a row does not depend on the
     other times.  At t == 0 every displacement d is exactly 0, so the
-    estimate is r0 with no spread; one sample has no spread either.
+    row is r0 with no spread; one sample has no spread either.
     """
     n = cfg.n_samples
     r0 = rho0.bloch
@@ -283,7 +283,7 @@ def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
         count = min(cfg.chunk, n - index * cfg.chunk)
         half_omega = 0.5 * sample_radial(ensemble.radial, rng, count)
         # one row per component, so that the sums over samples run along rows
-        axes = np.ascontiguousarray(sample_angular(ensemble.angular, rng, count).T)
+        axes = sample_angular(ensemble.angular, rng, count)
         x, y, z = axes  # n x r0 as np.cross forms it, which is slower
         cross = np.array([y * r0[2] - z * r0[1], z * r0[0] - x * r0[2], x * r0[1] - y * r0[0]])
         # the loop needs no axes, so across takes their memory
@@ -300,11 +300,12 @@ def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
             total_sq[k] += np.multiply(d, d, out=d_sq).sum(axis=1)
     mean_d = total / n
     var = np.maximum(total_sq - n * mean_d * mean_d, 0.0) / max(n - 1, 1)
-    return [MCEstimate(bloch_mean=r0 + m, bloch_stderr=e, n=n)
-            for m, e in zip(mean_d, np.sqrt(var / n))]
+    return r0 + mean_d, np.sqrt(var / n)
 
 
 def mc_average(ensemble: SeparableEnsemble, rho0: DensityMatrix, t: float,
-               cfg: SamplerConfig) -> MCEstimate:
-    """Ensemble average of the evolved Bloch vector at one time: mc_trajectory at [t]."""
-    return mc_trajectory(ensemble, rho0, [t], cfg)[0]
+               cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble average of the evolved Bloch vector at one time: the row of
+    mc_trajectory at [t], as (mean, stderr), each of shape (3,)."""
+    mean, stderr = mc_trajectory(ensemble, rho0, [t], cfg)
+    return mean[0], stderr[0]

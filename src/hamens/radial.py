@@ -412,11 +412,6 @@ class TabulatedRadial(RadialModel):
     def mass(self):
         return self._mass
 
-    def segment_cubics(self):
-        """(c, d, r): on segment j, omega = c_j + d_j v for v in [-1, 1] and
-        w(omega) domega = sum_k r_k[j] v^k dv, k = 0..3."""
-        return self._mid, self._half, self._coefficients[0][0]
-
     def _fourier(self, t, moment):
         """Real and imaginary parts of int omega^moment w(omega) exp(i omega t) domega.
 

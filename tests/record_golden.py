@@ -7,10 +7,12 @@ and probe configs of each `bench/tabgen.py` variant, written from their seeds.
 All run `hamens.cli.main` in this process.
 
 The digests hold only on the build they were recorded on: the numpy
-version, the Python version, the platform with its C library (libm) and
+version, the Python version, the platform with its C library (libm),
 numpy's SIMD targets for float64 ufuncs, which pick the exp, sin and cos
-kernels.  `tests/test_golden.py` compares against `tests/golden.json` and
-skips on any other build.
+kernels, and the core OpenBLAS picks for the CPU at run time, which
+numpy's build information does not name (it names the build's target).
+`tests/test_golden.py` compares against `tests/golden.json` and skips on
+any other build.
 
     PYTHONPATH=src python tests/record_golden.py
 
@@ -19,6 +21,7 @@ reruns every output, rewrites `tests/golden.json` and prints what changed.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -39,6 +42,28 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = os.path.join(ROOT, "configs")
 BENCH = os.path.join(ROOT, "bench")
 GOLDEN = os.path.join(ROOT, "tests", "golden.json")
+#: the names OpenBLAS builds export its runtime core name under
+_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                     "openblas_get_corename64_", "openblas_get_corename")
+
+
+def blas_core() -> str:
+    """The core OpenBLAS dispatches to here (SkylakeX, Haswell, ...), from the
+    loaded library's own get_corename; "unknown" where any step fails."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+        # numpy's own copy first, where scipy has loaded a second one
+        numpy_dir = os.path.dirname(np.__file__)
+        library = ctypes.CDLL(min(paths, key=lambda path: (not path.startswith(numpy_dir), path)))
+    except (OSError, ValueError):  # no /proc, no OpenBLAS loaded, or it does not load
+        return "unknown"
+    for name in _CORENAME_SYMBOLS:
+        if hasattr(library, name):
+            corename = getattr(library, name)
+            corename.restype = ctypes.c_char_p
+            return (corename() or b"unknown").decode()
+    return "unknown"
 
 
 def build() -> dict:
@@ -47,7 +72,7 @@ def build() -> dict:
         kind["current"] for func in opt_func_info(signature="float64").values() for kind in func.values()}
     return {"numpy": np.__version__, "python": platform.python_version(),
             "platform": "-".join([platform.system(), platform.machine(), *platform.libc_ver()]),
-            "simd": " ".join(sorted(targets))}
+            "simd": " ".join(sorted(targets)), "blas_core": blas_core()}
 
 
 def _tabgen_configs(directory):

@@ -115,9 +115,9 @@ def test_criterion_4_monte_carlo_oracle():
     worst = 0.0
     times = (0.2, 1.0, 3.0, 8.0)
     for name, fam in builtin_families():
-        for t, est in zip(times, mc_trajectory(fam.ensemble, rho0, times, cfg)):
+        for t, mean, stderr in zip(times, *mc_trajectory(fam.ensemble, rho0, times, cfg)):
             exact = map_matrices(fam, t) @ rho0.bloch
-            z = np.max(np.abs(est.bloch_mean - exact) / np.maximum(est.bloch_stderr, 1e-300))
+            z = np.max(np.abs(mean - exact) / np.maximum(stderr, 1e-300))
             worst = max(worst, float(z))
     elapsed = time.monotonic() - start
     ok = worst <= 4.0 and elapsed < 120.0

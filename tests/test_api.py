@@ -10,7 +10,9 @@ import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
                     ReciprocalSquareRadial, SeparableEnsemble, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, dynmap, generator, pole_scan, radial, validation)
+                    TabulatedRadial, dynmap, generator, montecarlo, pole_scan, radial, validation)
+
+from conftest import random_table
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,14 +23,15 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "mean_omega", "BlochAffineMap", "map_at", "diagonal_derivatives", "_denominators",
            "divisibility_flags", "short_time_positive_window", "kossakowski_eigenvalues",
            "LindbladGenerator", "_require", "builtin_poles", "builtin_angulars", "_result",
-           "_quadrature", "_integrate", "expectation", "_scalarize")
+           "_quadrature", "_integrate", "expectation", "_scalarize", "MCEstimate",
+           "_tabulated_radial_quantile", "segment_cubics")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, generator, radial, validation, RadialModel, GaussianRadial,
+    holders = (hamens, dynmap, generator, montecarlo, radial, validation, RadialModel, GaussianRadial,
                ExponentialCutoffRadial, ReciprocalSquareRadial, TabulatedRadial, TabulatedAngular)
     for name in REMOVED:
         for holder in holders:
@@ -41,6 +44,20 @@ def test_every_export_resolves_once():
     assert "derivative" not in inspect.signature(dynmap.diagonal_components).parameters
     assert "denominator" not in inspect.signature(PoleError).parameters
     assert not hasattr(PoleError("map not invertible"), "denominator")
+
+
+def test_monte_carlo_surface():
+    # bench/tracer.py wraps these by name and passes their arguments on
+    signatures = {montecarlo.mc_average: ["ensemble", "rho0", "t", "cfg"],
+                  montecarlo.sample_radial: ["model", "rng", "size"],
+                  montecarlo.sample_angular: ["model", "rng", "size"],
+                  validation.check_mc_vs_map: ["fam", "rho0", "cfg"]}
+    for fn, parameters in signatures.items():
+        assert list(inspect.signature(fn).parameters) == parameters, fn.__name__
+    # axes come as rows, (3, n), for every kind
+    for model in (SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
+                  KneadedCardioidAngular(0.3), random_table(45, 4, 5)):
+        assert montecarlo.sample_angular(model, montecarlo.chunk_stream(1, 0), 5).shape == (3, 5)
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):

@@ -12,8 +12,7 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     MapFamily, ReciprocalSquareRadial, SamplerConfig, SeparableEnsemble,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
-from hamens.montecarlo import (MAX_CHUNK, _NEWTON_CAP, _newton_cdf, _tabulated_radial_quantile,
-                               chunk_stream)
+from hamens.montecarlo import MAX_CHUNK, _NEWTON_CAP, _newton_cdf, chunk_stream
 
 from conftest import random_table
 
@@ -28,12 +27,12 @@ def moment_zscores(model, seed, n=200000, moments=None):
     m = moments or directional_moments(model)
     scores = []
     for j in range(3):
-        sample = axes[:, j]
+        sample = axes[j]
         err = max(float(sample.std(ddof=1)) / math.sqrt(n), 1e-12)
         scores.append((sample.mean() - m.first[j]) / err)
     for i in range(3):
         for j in range(i, 3):
-            sample = axes[:, i] * axes[:, j]
+            sample = axes[i] * axes[j]
             err = max(float(sample.std(ddof=1)) / math.sqrt(n), 1e-12)
             scores.append((sample.mean() - m.second[i, j]) / err)
     return np.abs(np.array(scores))
@@ -49,7 +48,7 @@ def test_angular_samples_are_unit_vectors():
     rng = chunk_stream(5, 0)
     for model in ANGULARS:
         axes = sample_angular(model, rng, 2000)
-        assert np.max(np.abs(np.sum(axes * axes, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.sum(axes * axes, axis=0) - 1.0)) < 1e-12
 
 
 def angle_construction_axes(model, rng, n, mpmath):
@@ -92,7 +91,7 @@ def test_angular_samples_match_the_angle_construction(model):
     with mpmath.workdps(30):
         ref = angle_construction_axes(model, chunk_stream(64, 0), 2000, mpmath)
     axes = sample_angular(model, chunk_stream(64, 0), 2000)
-    assert np.max(np.abs(axes - ref)) <= 4e-16
+    assert np.max(np.abs(axes.T - ref)) <= 4e-16
 
 
 def test_radial_sampler_means():
@@ -140,18 +139,65 @@ def table_cdf(tab, x):
     return (below[j] + integral(a[j], np.minimum(x, b[j]))) / below[-1]
 
 
-def test_tabulated_radial_quantile_inverts_the_exact_cdf():
+def seeded_radial_tables():
+    """Random tables of 2, 3, 9 and 40 nodes from 0 and from 0.7, with zero-density
+    nodes, and one with zero mass on its first segment and its last two."""
     rng = np.random.default_rng(2026)
-    u = np.concatenate([[0.0, 1.0, 0.5], rng.random(5000)])
+    tables = []
     for size in (2, 3, 9, 40):
         for start in (0.0, 0.7):
             om = start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 2.0, size - 1))])
             dens = rng.random(size) * (rng.random(size) > 0.25)
             dens[rng.integers(size)] = 1.0
-            tab = TabulatedRadial(om, dens)
-            omega = _tabulated_radial_quantile(tab, u)
-            assert np.all((om[0] <= omega) & (omega <= om[-1]))
-            assert np.max(np.abs(table_cdf(tab, omega) - u)) <= 1e-12
+            tables.append(TabulatedRadial(om, dens))
+    tables.append(TabulatedRadial([0.0, 0.5, 1.0, 2.5, 3.0, 4.0], [0.0, 0.0, 1.0, 0.3, 0.0, 0.0]))
+    return tables
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_tabulated_radial_draws_follow_the_exact_cdf(index):
+    tab = seeded_radial_tables()[index]
+    n = 200_000
+    omega = sample_radial(tab, chunk_stream(index, 0), n)
+    om = tab.omega
+    assert np.all((om[0] <= omega) & (omega <= om[-1]))
+    assert kstest(omega, lambda x: table_cdf(tab, x)).pvalue > 0.01
+    # no draw lies inside a segment of zero mass, and the others get their
+    # exact share of the draws within 4 sigma
+    p = np.diff(table_cdf(tab, om))
+    segment = np.clip(np.searchsorted(om, omega, side="right") - 1, 0, p.size - 1)
+    assert not np.any((p[segment] == 0.0) & (omega > om[segment]))
+    counts = np.bincount(segment, minlength=p.size)
+    positive = p > 0.0
+    sigma = np.sqrt(n * p * (1.0 - p))
+    assert np.all(np.abs(counts - n * p)[positive] <= 4.0 * sigma[positive])
+
+
+class PickUniforms:
+    """A stream whose draws are all 1/2 but the first of each sample, which is
+    the uniform the radial-table sampler picks its (segment, term) pair with."""
+
+    def __init__(self, pick):
+        self.pick = np.asarray(pick, dtype=float)
+
+    def random(self, shape):
+        u = np.full(shape, 0.5)
+        u[:, 0] = self.pick
+        return u
+
+
+def test_tabulated_radial_pick_skips_zero_mass_at_both_ends():
+    # the extreme pick uniforms, where u total rounds onto the first or the
+    # last cumulative mass, land on the first and the last segment that has mass
+    pick = [0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
+    for tab in seeded_radial_tables():
+        om = tab.omega
+        p = np.diff(table_cdf(tab, om))
+        omega = sample_radial(tab, PickUniforms(pick), len(pick))
+        segment = np.clip(np.searchsorted(om, omega, side="right") - 1, 0, p.size - 1)
+        assert np.all(p[segment] > 0.0), (om, tab.density, omega)
+        lo, hi = np.flatnonzero(p)[[0, -1]]
+        assert om[lo] < np.min(omega) and np.max(omega) < om[hi + 1]
 
 
 TABLE_COARSE = random_table(45, 4, 5)
@@ -219,36 +265,38 @@ def test_tabulated_angular_sampler_avoids_zero_density():
     vals[3, 1:3] = 0.0
     tab = TabulatedAngular(th, ph, vals)
     axes = sample_angular(tab, chunk_stream(4, 0), 100000)
-    assert np.max(np.abs(np.sum(axes * axes, axis=1) - 1.0)) < 1e-12
-    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
-    phi = np.mod(np.arctan2(axes[:, 1], axes[:, 0]), 2 * math.pi)
+    assert np.max(np.abs(np.sum(axes * axes, axis=0) - 1.0)) < 1e-12
+    theta = np.arccos(np.clip(axes[2], -1.0, 1.0))
+    phi = np.mod(np.arctan2(axes[1], axes[0]), 2 * math.pi)
     assert np.min(tab.density(theta, phi)) > 0.0
 
 
 def test_fixed_draw_count():
     # the stream position after a draw depends on the kind and size only,
-    # never on the model's parameters or the table's values
-    pairs = [(KneadedCardioidAngular(0.3), KneadedCardioidAngular(0.9)),
-             (TABLE_COARSE, random_table(46, 4, 5))]
-    for first, second in pairs:
+    # never on the model's parameters or the table's values and size
+    radial_tables = seeded_radial_tables()
+    pairs = [(sample_angular, KneadedCardioidAngular(0.3), KneadedCardioidAngular(0.9)),
+             (sample_angular, TABLE_COARSE, random_table(46, 4, 5)),
+             (sample_radial, radial_tables[0], radial_tables[-1])]
+    for sampler, first, second in pairs:
         after = []
         for model in (first, second):
             rng = chunk_stream(21, 0)
-            sample_angular(model, rng, 1000)
+            sampler(model, rng, 1000)
             after.append(rng.random())
         assert after[0] == after[1], type(first).__name__
 
 
 def test_bagel_theta_ks():
     axes = sample_angular(BagelAngular(), chunk_stream(61, 0), 1_000_000)
-    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+    theta = np.arccos(np.clip(axes[2], -1.0, 1.0))
     assert kstest(theta, lambda th: (th - np.sin(th) * np.cos(th)) / math.pi).pvalue > 0.01
 
 
 @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
 def test_kneaded_phi_ks(a):
     axes = sample_angular(KneadedCardioidAngular(a), chunk_stream(62, 0), 1_000_000)
-    phi = np.mod(np.arctan2(axes[:, 1], axes[:, 0]), 2 * math.pi)
+    phi = np.mod(np.arctan2(axes[1], axes[0]), 2 * math.pi)
     assert kstest(phi, lambda ph: (ph + 0.5 * a * np.sin(2 * ph)) / (2 * math.pi)).pvalue > 0.01
 
 
@@ -292,38 +340,38 @@ def table_phi_cdf(tab, i, phi):
 
 def test_tabulated_angular_ks():
     axes = sample_angular(TABLE_COARSE, chunk_stream(63, 0), 1_000_000)
-    theta = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
+    theta = np.arccos(np.clip(axes[2], -1.0, 1.0))
     assert kstest(theta, lambda th: table_theta_cdf(TABLE_COARSE, th)).pvalue > 0.01
     # the theta-cell with the most mass
     i = int(np.argmax(np.diff(table_theta_cdf(TABLE_COARSE, TABLE_COARSE.theta))))
     inside = (TABLE_COARSE.theta[i] < theta) & (theta < TABLE_COARSE.theta[i + 1])
-    phi = np.mod(np.arctan2(axes[inside, 1], axes[inside, 0]), 2 * math.pi)
+    phi = np.mod(np.arctan2(axes[1, inside], axes[0, inside]), 2 * math.pi)
     assert kstest(phi, lambda ph: table_phi_cdf(TABLE_COARSE, i, ph)).pvalue > 0.01
 
 
 def test_mc_average_at_time_zero_is_exact():
     ens = SeparableEnsemble(GaussianRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
-    est = mc_average(ens, rho0, 0.0, SamplerConfig(seed=1, n_samples=5000))
-    assert np.array_equal(est.bloch_mean, rho0.bloch)
-    assert np.array_equal(est.bloch_stderr, np.zeros(3))
+    mean, stderr = mc_average(ens, rho0, 0.0, SamplerConfig(seed=1, n_samples=5000))
+    assert np.array_equal(mean, rho0.bloch)
+    assert np.array_equal(stderr, np.zeros(3))
 
 
 def test_mc_average_sphere_weight():
     # cosine expectation vanishes at omega_c t = 1, leaving weight 1/3
     ens = SeparableEnsemble(GaussianRadial(), SphereAngular())
-    est = mc_average(ens, DensityMatrix([0, 0, 1]), 1.0, SamplerConfig(seed=3, n_samples=400000))
-    assert abs(est.bloch_mean[2] - 1.0 / 3.0) < 3 * est.bloch_stderr[2]
+    mean, stderr = mc_average(ens, DensityMatrix([0, 0, 1]), 1.0, SamplerConfig(seed=3, n_samples=400000))
+    assert abs(mean[2] - 1.0 / 3.0) < 3 * stderr[2]
 
 
 def test_mc_average_matches_map_componentwise():
     ens = SeparableEnsemble(ReciprocalSquareRadial(), BagelAngular())
     fam = MapFamily.from_ensemble(ens)
     rho0 = DensityMatrix([1.0, 0.0, 0.0])
-    est = mc_average(ens, rho0, 2.0, SamplerConfig(seed=8, n_samples=400000))
+    mean, stderr = mc_average(ens, rho0, 2.0, SamplerConfig(seed=8, n_samples=400000))
     exact = map_matrices(fam, 2.0) @ rho0.bloch
-    stderr = np.maximum(est.bloch_stderr, 1e-12)
-    assert np.max(np.abs(est.bloch_mean - exact) / stderr) < 3.0
+    stderr = np.maximum(stderr, 1e-12)
+    assert np.max(np.abs(mean - exact) / stderr) < 3.0
 
 
 def test_mc_average_bit_identical_across_runs_and_workers():
@@ -331,9 +379,9 @@ def test_mc_average_bit_identical_across_runs_and_workers():
     rho0 = DensityMatrix([0.6, 0.0, 0.7])
     cfg = SamplerConfig(seed=77, n_samples=150001, chunk=4096)
     first, second = (mc_average(ens, rho0, 1.3, cfg) for _ in range(2))
-    assert np.array_equal(first.bloch_mean, second.bloch_mean)
-    assert np.array_equal(first.bloch_stderr, second.bloch_stderr)
-    assert first.n == 150001
+    assert first[0].shape == first[1].shape == (3,)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
@@ -341,20 +389,20 @@ def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
     cfg = SamplerConfig(seed=12, n_samples=9001, chunk=2048)
     times = [1.5, 0.0, 0.2, 8.0, 0.0]
-    estimates = mc_trajectory(ens, rho0, times, cfg)
-    assert len(estimates) == len(times)
-    for t, est in zip(times, estimates):
-        # mc_average is the one-point trajectory, and an entry does not
+    means, stderrs = mc_trajectory(ens, rho0, times, cfg)
+    assert means.shape == stderrs.shape == (len(times), 3)
+    for t, mean, stderr in zip(times, means, stderrs):
+        # mc_average is the one-point trajectory, and a row does not
         # depend on the other times
-        for single in (mc_average(ens, rho0, t, cfg), mc_trajectory(ens, rho0, [t], cfg)[0]):
-            assert np.array_equal(est.bloch_mean, single.bloch_mean)
-            assert np.array_equal(est.bloch_stderr, single.bloch_stderr)
-            assert single.n == est.n == 9001
+        one_point = [row[0] for row in mc_trajectory(ens, rho0, [t], cfg)]
+        for single_mean, single_stderr in (mc_average(ens, rho0, t, cfg), one_point):
+            assert np.array_equal(mean, single_mean)
+            assert np.array_equal(stderr, single_stderr)
         if t == 0.0:
-            assert np.array_equal(est.bloch_mean, rho0.bloch)
-            assert np.array_equal(est.bloch_stderr, np.zeros(3))
+            assert np.array_equal(mean, rho0.bloch)
+            assert np.array_equal(stderr, np.zeros(3))
         else:
-            assert np.all(est.bloch_stderr > 0.0)
+            assert np.all(stderr > 0.0)
 
 
 def test_mc_trajectory_bit_identical_across_runs():
@@ -363,9 +411,8 @@ def test_mc_trajectory_bit_identical_across_runs():
     cfg = SamplerConfig(seed=77, n_samples=30001, chunk=4096)
     times = np.array([0.0, 0.4, 1.3, 6.0])
     first, second = (mc_trajectory(ens, rho0, times, cfg) for _ in range(2))
-    for a, b in zip(first, second):
-        assert np.array_equal(a.bloch_mean, b.bloch_mean)
-        assert np.array_equal(a.bloch_stderr, b.bloch_stderr)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_mc_trajectory_stderr_scales_with_small_times():
@@ -376,13 +423,13 @@ def test_mc_trajectory_stderr_scales_with_small_times():
     fam = MapFamily.from_ensemble(ens)
     rho0 = DensityMatrix([0.6, -0.1, 0.75])
     times = [1e-5, 1e-7, 1e-8, 1e-9]
-    estimates = mc_trajectory(ens, rho0, times, SamplerConfig(seed=3, n_samples=8192))
-    slopes = np.array([est.bloch_stderr / t for t, est in zip(times, estimates)])
+    means, stderrs = mc_trajectory(ens, rho0, times, SamplerConfig(seed=3, n_samples=8192))
+    slopes = stderrs / np.array(times)[:, None]
     assert np.all(slopes > 0.0)
     assert np.max(np.abs(slopes / slopes[0] - 1.0)) <= 1e-5
-    for t, est in zip(times, estimates):
+    for t, mean, stderr in zip(times, means, stderrs):
         exact = map_matrices(fam, t) @ rho0.bloch
-        assert np.max(np.abs(est.bloch_mean - exact) / est.bloch_stderr) < 4.0, t
+        assert np.max(np.abs(mean - exact) / stderr) < 4.0, t
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -393,7 +440,7 @@ def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     # the one realization that mc_trajectory draws for n = 1
     stream = chunk_stream(seed, 0)
     omega = sample_radial(ens.radial, stream, 1)[0]
-    axis = sample_angular(ens.angular, stream, 1)[0]
+    axis = sample_angular(ens.angular, stream, 1)[:, 0]
     # odd multiples of pi put the half angle next to a pole of tan
     k = np.concatenate([np.arange(1, 2001, 2), np.arange(999_001, 1_000_001, 2),
                         2 * np.random.default_rng(72).integers(0, 500_000, 1000) + 1])
@@ -402,14 +449,14 @@ def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     assert np.max(np.abs(np.tan(0.5 * angles))) > 1e16
     r0 = np.array([0.6, -0.2, 0.7])
     cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
-    estimates = mc_trajectory(ens, DensityMatrix(r0), times, cfg)
+    means, _ = mc_trajectory(ens, DensityMatrix(r0), times, cfg)
     n, r = [[mpmath.mpf(float(x)) for x in v] for v in (axis, r0)]
     cross = [n[(j + 1) % 3] * r[(j + 2) % 3] - n[(j + 2) % 3] * r[(j + 1) % 3] for j in range(3)]
     along = [(n[0] * r[0] + n[1] * r[1] + n[2] * r[2]) * n[j] for j in range(3)]
-    for angle, est in zip(angles, estimates):
+    for angle, mean in zip(angles, means):
         c, s = mpmath.cos(float(angle)), mpmath.sin(float(angle))
         ref = [float(c * r[j] + s * cross[j] + (1 - c) * along[j]) for j in range(3)]
-        assert np.max(np.abs(est.bloch_mean - ref)) <= 1e-15, angle
+        assert np.max(np.abs(mean - ref)) <= 1e-15, angle
 
 
 def cos_sin_trajectory(ensemble, rho0, times, cfg):
@@ -422,7 +469,7 @@ def cos_sin_trajectory(ensemble, rho0, times, cfg):
         rng = chunk_stream(cfg.seed, index)
         count = min(cfg.chunk, n - index * cfg.chunk)
         omega = sample_radial(ensemble.radial, rng, count)
-        axes = np.ascontiguousarray(sample_angular(ensemble.angular, rng, count).T)
+        axes = sample_angular(ensemble.angular, rng, count)
         cross = np.cross(axes, r0, axisa=0, axisc=0)
         along = (r0 @ axes) * axes
         for k, t in enumerate(times):
@@ -452,18 +499,28 @@ def test_mc_trajectory_matches_the_cos_sin_evolve(ensemble, times):
     rho0 = DensityMatrix([0.6, -0.2, 0.7])
     cfg = SamplerConfig(seed=74, n_samples=20001, chunk=4096)
     mean, stderr = cos_sin_trajectory(ensemble, rho0, times, cfg)
-    for t, est, m, e in zip(times, mc_trajectory(ensemble, rho0, times, cfg), mean, stderr):
-        assert np.max(np.abs(est.bloch_mean - m)) <= 1e-15, t
+    for t, mc_mean, mc_stderr, m, e in zip(times, *mc_trajectory(ensemble, rho0, times, cfg), mean, stderr):
+        assert np.max(np.abs(mc_mean - m)) <= 1e-15, t
         if t != 0.0:
-            assert np.max(np.abs(est.bloch_stderr - e) / e) <= 1e-12, t
+            assert np.max(np.abs(mc_stderr - e) / e) <= 1e-12, t
 
 
-@pytest.mark.parametrize("angular, per_sample", [(KneadedCardioidAngular(0.3), 128), (TABLE_COARSE, 296)],
-                         ids=["kneaded", "table"])
-def test_chunk_peak_memory_is_as_documented(angular, per_sample):
+def radial_table_31():
+    """31 nodes on [0, 3] of a decaying density, scaled to unit effective mass."""
+    omega = np.linspace(0.0, 3.0, 31)
+    density = np.exp(-omega)
+    return TabulatedRadial(omega, density / TabulatedRadial(omega, density).mass())
+
+
+@pytest.mark.parametrize("radial, angular, per_sample", [
+    (GaussianRadial(), KneadedCardioidAngular(0.3), 128),
+    (GaussianRadial(), TABLE_COARSE, 296),
+    (radial_table_31(), KneadedCardioidAngular(0.3), 128),
+], ids=["kneaded", "table", "radial-table"])
+def test_chunk_peak_memory_is_as_documented(radial, angular, per_sample):
     # the figures of the MAX_CHUNK comment: the tracemalloc peak of one chunk
     # at the cap, evolved to two times, in bytes per sample
-    ensemble = SeparableEnsemble(GaussianRadial(), angular)
+    ensemble = SeparableEnsemble(radial, angular)
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
     cfg = SamplerConfig(seed=3, n_samples=MAX_CHUNK, chunk=MAX_CHUNK)
     tracemalloc.start()

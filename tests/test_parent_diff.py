@@ -1,0 +1,44 @@
+"""The comparison of `parent_diff.py` on two small hand-made output trees."""
+
+import json
+
+import numpy as np
+
+from parent_diff import compare
+
+
+def write_tree(root, runs):
+    """runs: {key: (exit code, {file name: text})}, laid out as the golden runs write them."""
+    index = {}
+    for i, (key, (code, files)) in enumerate(runs.items()):
+        run_dir = root / f"run{i}"
+        run_dir.mkdir(parents=True)
+        for name, text in files.items():
+            (run_dir / name).write_text(text)
+        index[key] = {"exit": code, "dir": f"run{i}"}
+    (root / "runs.json").write_text(json.dumps(index))
+    return str(root)
+
+
+def test_compare_reports_an_ulp_a_missing_file_and_an_exit_code(tmp_path):
+    cell = 0.1234567890123456
+    bumped = float(np.nextafter(cell, 1.0))
+    table = "t,r\n0,1\n{},0.5\n2,0.25\n"
+    same = {"out.csv": "check,metric\nmc,1.5\n"}
+    old = write_tree(tmp_path / "old", {
+        "simulate a": (0, {"out.csv": table.format(repr(cell)), "extra.csv": "x\n1\n"}),
+        "validate b": (0, same),
+        "rates c": (0, same)})
+    new = write_tree(tmp_path / "new", {
+        "simulate a": (0, {"out.csv": table.format(repr(bumped))}),
+        "validate b": (1, same),
+        "rates c": (0, same)})
+    lines = compare(old, new)
+    assert lines == [
+        "simulate a: extra.csv written only by old",
+        "simulate a: out.csv: 1 of 4 rows differ, largest relative cell difference "
+        f"{(bumped - cell) / bumped:.3g}",
+        f"  row 2: {cell!r},0.5 -> {bumped!r},0.5",
+        "validate b: exit 0 -> 1",
+    ]
+    assert compare(old, old) == []

@@ -43,14 +43,13 @@ def drawn_member(seed):
     """Frequency and axis of the one realization mc_trajectory draws for a seed."""
     stream = chunk_stream(seed, 0)
     omega = sample_radial(ENSEMBLE.radial, stream, 1)[0]
-    return omega, sample_angular(ENSEMBLE.angular, stream, 1)[0]
+    return omega, sample_angular(ENSEMBLE.angular, stream, 1)[:, 0]
 
 
 def realization(seed, r0, times=TIMES):
     """Bloch vector of that realization at each time, as mc_trajectory evolves it."""
     cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
-    return np.array([est.bloch_mean
-                     for est in mc_trajectory(ENSEMBLE, DensityMatrix(r0), times, cfg)])
+    return mc_trajectory(ENSEMBLE, DensityMatrix(r0), times, cfg)[0]
 
 
 def rotation(seed, times=TIMES):
