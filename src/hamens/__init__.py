@@ -15,7 +15,7 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
                       DumbbellAngular, KneadedCardioidAngular, SphereAngular,
                       TabulatedAngular, directional_moments,
                       directional_moments_quadrature)
-from .ensemble import SeparableEnsemble, load_angular_table, load_radial_table
+from .ensemble import load_angular_table, load_radial_table
 from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
 from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
                         bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
@@ -33,7 +33,7 @@ __all__ = [
     "expectation_quadrature", "AngularModel", "SphereAngular", "BagelAngular",
     "DumbbellAngular", "CardioidAngular", "KneadedCardioidAngular", "TabulatedAngular",
     "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
-    "SeparableEnsemble", "load_radial_table", "load_angular_table", "MapFamily",
+    "load_radial_table", "load_angular_table", "MapFamily",
     "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
     "PoleError", "RateTrajectory", "isotropic_rate",
     "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",

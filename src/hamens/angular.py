@@ -211,6 +211,8 @@ class TabulatedAngular(AngularModel):
             raise ValueError("angular table density must be nonnegative")
         # moment k is row k of both weight stacks: the mass, <n_a>, then <n_a n_b>
         m = np.einsum("ki,ij,kj->k", _hat_weights(theta, 0), values, _hat_weights(phi, 1))
+        if not m[0] > 0.0:
+            raise ValueError("angular table density must have positive mass")
         second = m[4:][_SYMMETRIC]
         h = np.diff(theta)
         # the trapezoid rule is exact for the rows, linear in phi on each cell

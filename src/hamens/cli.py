@@ -1,8 +1,10 @@
 """Command-line front end: moments, simulate, rates, validate, scan.
 
-Every command reads a configuration file (see `config`) and emits CSV with a
-single header row, '#'-prefixed comment lines, 17-significant-digit floats
-and '\\n' line endings, so output is byte-stable for a fixed configuration.
+Every command takes --config (a configuration file, see `config`) and --out;
+validate alone also takes --seed and --samples, which override its [mc]
+section.  Each emits CSV with a single header row, '#'-prefixed comment
+lines, 17-significant-digit floats and '\\n' line endings, so output is
+byte-stable for a fixed configuration.
 Exit codes: 0 success, 1 failed validation check, 2 configuration error, an
 unwritable --out (OSError) or an error the library reports (a ValueError, such
 as a pole or a bad table, a QuadratureError or an IntegrationError): one 'error:' line.
@@ -115,8 +117,6 @@ def cmd_validate(cfg, out_path, sampler):
 
 
 def cmd_scan(cfg, out_path):
-    if cfg.scan_parameter != "a":
-        raise ConfigError("[scan] parameter must be 'a' (the only supported scan)")
     if cfg.angular_kind != "kneaded":
         raise ConfigError("[scan] over 'a' needs [angular] kind = kneaded")
     if not cfg.scan_values:
@@ -162,8 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to the run configuration")
         cmd.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=None, help="override [mc] seed")
-        cmd.add_argument("--samples", type=int, default=None, help="override [mc] samples")
+        if name == "validate":  # the only command that draws Monte-Carlo samples
+            cmd.add_argument("--seed", type=int, default=None, help="override [mc] seed")
+            cmd.add_argument("--samples", type=int, default=None, help="override [mc] samples")
     return parser
 
 
@@ -171,8 +172,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        # only validate reads --seed and --samples, but every command checks them
-        sampler = cfg.sampler_config(seed=args.seed, samples=args.samples)
         if args.command == "moments":
             return cmd_moments(cfg, args.out)
         if args.command == "simulate":
@@ -180,7 +179,8 @@ def main(argv=None) -> int:
         if args.command == "rates":
             return cmd_rates(cfg, args.out)
         if args.command == "validate":
-            return cmd_validate(cfg, args.out, sampler)
+            return cmd_validate(cfg, args.out,
+                                cfg.sampler_config(seed=args.seed, samples=args.samples))
         return cmd_scan(cfg, args.out)
     except (ConfigError, QuadratureError, IntegrationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

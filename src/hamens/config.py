@@ -2,7 +2,9 @@
 
 Sections: radial, angular, state, grid, mc, scan.  Unknown sections,
 unknown keys and malformed values are hard errors, so a typo cannot silently
-change a run.  All times in a config are in units of 1/omega_c.
+change a run.  All times in a config are in units of 1/omega_c.  Only
+`validate` reads [mc] and only `scan` reads [scan] (its one key, values,
+lists the asymmetries a to sweep), but every command checks them at load.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynmap import MapFamily
-from .ensemble import (ANGULAR_KINDS, RADIAL_KINDS, SeparableEnsemble, load_angular_table,
-                       load_radial_table)
+from .ensemble import ANGULAR_KINDS, RADIAL_KINDS, load_angular_table, load_radial_table
 from .montecarlo import MAX_CHUNK, MAX_SAMPLES, SEED_LIMIT, SamplerConfig
 from .su2 import DensityMatrix
 
@@ -76,7 +77,6 @@ class RunConfig:
     seed: int = 12345
     samples: int = 100000
     chunk: int = 4096
-    scan_parameter: str | None = None
     scan_values: list = field(default_factory=list)
     base_dir: str = "."
 
@@ -103,14 +103,11 @@ class RunConfig:
         except (OSError, ValueError) as err:
             raise ConfigError(f"angular table: {err}") from err
 
-    def build_ensemble(self, asymmetry=None) -> SeparableEnsemble:
+    def build_family(self, asymmetry=None) -> MapFamily:
         try:
-            return SeparableEnsemble(self.build_radial(), self.build_angular(asymmetry))
+            return MapFamily.from_ensemble(self.build_radial(), self.build_angular(asymmetry))
         except ValueError as err:
             raise ConfigError(str(err)) from err
-
-    def build_family(self, asymmetry=None) -> MapFamily:
-        return MapFamily.from_ensemble(self.build_ensemble(asymmetry))
 
     def initial_state(self) -> DensityMatrix:
         if self.bloch is not None:
@@ -148,7 +145,6 @@ _SCHEMA = {
     ("mc", "seed"): ("seed", int),
     ("mc", "samples"): ("samples", int),
     ("mc", "chunk"): ("chunk", int),
-    ("scan", "parameter"): ("scan_parameter", str.strip),
     ("scan", "values"): ("scan_values", _float_list),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}

@@ -13,17 +13,21 @@ Its diagonal entries for axis-aligned moments,
     f_j(t) = <cos omega t>_P (xi - S_jj) + S_jj / xi ,
 
 feed the per-symmetry-class closed forms that serve as oracles.
+
+A `MapFamily` is the ensemble itself: the radial model, the angular model,
+the lab-frame moments and the split constant xi, checked at construction for
+unit joint mass.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import DirectionalMoments, directional_moments
-from .ensemble import SeparableEnsemble
+from .angular import AngularModel, DirectionalMoments, directional_moments
+from .radial import RadialModel
 from .su2 import DensityMatrix
 
 
@@ -35,23 +39,37 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MapFamily:
-    """Everything needed to evaluate the exact channel at any time: the
-    ensemble (for its radial expectations) and lab-frame directional moments."""
+    """A separable ensemble p(omega, theta, phi) = P(omega) Theta(theta, phi)
+    with what the exact channel needs at any time: the radial model (for its
+    expectations), the angular model, its lab-frame directional moments and
+    the split constant xi = angular mass.
 
-    ensemble: SeparableEnsemble
+    The radial weight integrates to 1/xi and the angular density to xi;
+    construction verifies that radial mass times angular mass is 1 to within
+    1e-9.
+    """
+
+    radial: RadialModel
+    angular: AngularModel
     moments: DirectionalMoments
+    xi: float = field(init=False)
+
+    def __post_init__(self):
+        xi = float(self.angular.xi())
+        joint = self.radial.mass() * xi
+        if not abs(joint - 1.0) <= 1e-9:  # a NaN mass fails too
+            raise ValueError(
+                f"joint normalization violated: radial mass * angular mass = {joint!r}")
+        object.__setattr__(self, "xi", xi)
 
     @classmethod
-    def from_ensemble(cls, ensemble: SeparableEnsemble) -> "MapFamily":
-        if abs(ensemble.xi - 1.0) > 1e-9:
+    def from_ensemble(cls, radial: RadialModel, angular: AngularModel) -> "MapFamily":
+        family = cls(radial, angular, directional_moments(angular))
+        if abs(family.xi - 1.0) > 1e-9:
             warnings.warn("normalization split xi != 1: this code path follows the "
                           "general formulas literally but has no validated reference values",
                           stacklevel=2)
-        return cls(ensemble=ensemble, moments=directional_moments(ensemble.angular))
-
-    @property
-    def xi(self) -> float:
-        return self.ensemble.xi
+        return family
 
 
 def map_matrices(fam: MapFamily, t, derivative: bool = False):
@@ -62,7 +80,7 @@ def map_matrices(fam: MapFamily, t, derivative: bool = False):
     cross = _cross_matrix(fam.moments.first)
     spread = xi * np.eye(3) - second
     c, s, *rest = (np.asarray(e)[..., None, None]
-                   for e in fam.ensemble.radial.expectations(t, derivative))
+                   for e in fam.radial.expectations(t, derivative))
     m = c * spread + second / xi + s * cross
     if not derivative:
         return m
@@ -75,7 +93,7 @@ def diagonal_components(fam: MapFamily, t):
     f_j(t) built from the diagonal of S, shape t.shape + (3,), their time
     derivatives, s = <sin omega t> and its derivative.  The closed-form
     generators need all four."""
-    c, s, dc, ds = fam.ensemble.radial.expectations(t, derivative=True)
+    c, s, dc, ds = fam.radial.expectations(t, derivative=True)
     m2 = np.diag(fam.moments.second)
     xi = fam.xi
     f = np.asarray(c)[..., None] * (xi - m2) + m2 / xi

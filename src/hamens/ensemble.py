@@ -1,52 +1,30 @@
-"""Separable probability distributions over Hamiltonian parameters.
+"""Model registries and table loaders for separable ensembles.
 
 The joint density factorizes as p(omega, theta, phi) = P(omega) Theta(theta, phi)
 with the normalization split between the two parts: the radial weight
 integrates to 1/xi and the angular density to xi, so the joint measure has
 unit mass.  Built-ins carry xi = 1; tabulated parts may split differently.
+This module names the built-in models and loads tabulated ones from CSV;
+`dynmap.MapFamily` pairs a radial with an angular model and checks the split.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .angular import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
+from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular, TabulatedAngular)
-from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
-                     ReciprocalSquareRadial, TabulatedRadial)
+from .radial import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
+                     TabulatedRadial)
 
-#: built-in radial models by config name; each takes omega_c, and
-#: "exponential-cutoff" is a second name of "exp-cutoff"
+#: built-in radial models by config name; each takes omega_c
 RADIAL_KINDS = {"gaussian": GaussianRadial, "exp-cutoff": ExponentialCutoffRadial,
-                "exponential-cutoff": ExponentialCutoffRadial,
                 "reciprocal-square": ReciprocalSquareRadial}
 #: built-in angular models by config name; only "kneaded" takes an argument, its asymmetry a
 ANGULAR_KINDS = {"sphere": SphereAngular, "bagel": BagelAngular, "dumbbell": DumbbellAngular,
                  "cardioid": CardioidAngular, "kneaded": KneadedCardioidAngular}
-
-
-@dataclass(frozen=True)
-class SeparableEnsemble:
-    """A radial model paired with an angular model, with the split constant xi.
-
-    Construction verifies the joint normalization: radial mass times angular
-    mass must be 1 to within 1e-9.
-    """
-
-    radial: RadialModel
-    angular: AngularModel
-    xi: float = field(init=False)
-
-    def __post_init__(self):
-        xi = float(self.angular.xi())
-        joint = self.radial.mass() * xi
-        if not abs(joint - 1.0) <= 1e-9:  # a NaN mass fails too
-            raise ValueError(
-                f"joint normalization violated: radial mass * angular mass = {joint!r}")
-        object.__setattr__(self, "xi", xi)
 
 
 def _read_csv(path, expected_headers):

@@ -212,7 +212,7 @@ def pole_scan(fam: MapFamily, window):
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must have positive length")
-    radial = fam.ensemble.radial
+    radial = fam.radial
     n = int(min(200001, max(2001, 400 * (hi - lo) * radial.omega_c)))
     sigma = np.linalg.eigvalsh(fam.moments.second)
     unit = 1.0 / radial.omega_c

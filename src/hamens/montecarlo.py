@@ -37,7 +37,7 @@ import numpy as np
 
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular, TabulatedAngular, _theta_cell_cdf)
-from .ensemble import SeparableEnsemble
+from .dynmap import MapFamily
 from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial)
 from .su2 import DensityMatrix
@@ -262,10 +262,11 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
 
 
-def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
+def mc_trajectory(ensemble: MapFamily, rho0: DensityMatrix, times,
                   cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble averages of the evolved Bloch vector at each time: (mean, stderr),
     the sample mean and its per-component standard error, each (len(times), 3).
+    Draws come from the family's radial and angular models.
 
     Deterministic for a fixed config: chunk i is drawn once from the stream
     keyed by (seed, i) and evolved to every time, and each time's chunk
@@ -303,7 +304,7 @@ def mc_trajectory(ensemble: SeparableEnsemble, rho0: DensityMatrix, times,
     return r0 + mean_d, np.sqrt(var / n)
 
 
-def mc_average(ensemble: SeparableEnsemble, rho0: DensityMatrix, t: float,
+def mc_average(ensemble: MapFamily, rho0: DensityMatrix, t: float,
                cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble average of the evolved Bloch vector at one time: the row of
     mc_trajectory at [t], as (mean, stderr), each of shape (3,)."""

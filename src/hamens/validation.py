@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynmap import MapFamily, bloch_trajectory
-from .ensemble import ANGULAR_KINDS, RADIAL_KINDS, SeparableEnsemble
+from .ensemble import ANGULAR_KINDS, RADIAL_KINDS
 from .generator import (_generators, anisotropic_rates, azimuthal_generator, bloch_generators,
                         isotropic_rate, offdiagonal_rate, pole_scan)
 from .montecarlo import mc_trajectory
@@ -41,9 +41,7 @@ class CheckResult:
 
 
 def builtin_radials(omega_c: float):
-    # the second name of exp-cutoff would run its model twice
-    return [(name, kind(omega_c)) for name, kind in RADIAL_KINDS.items()
-            if name != "exponential-cutoff"]
+    return [(name, kind(omega_c)) for name, kind in RADIAL_KINDS.items()]
 
 
 def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
@@ -52,7 +50,7 @@ def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
     for rname, radial in builtin_radials(omega_c):
         for aname, kind in ANGULAR_KINDS.items():
             angular = kind(asymmetry) if aname == "kneaded" else kind()
-            fam = MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
+            fam = MapFamily.from_ensemble(radial, angular)
             out.append((f"{rname}+{aname}", fam))
     return out
 
@@ -89,8 +87,8 @@ def check_mc_vs_map(fam, rho0, cfg) -> float:
     digits only: seed 145 reads 4.1600742391878427, and 4.1600742391878418
     from axes built with libm cos and sin of the drawn angles.
     """
-    times = np.array([0.2, 1.0, 3.0, 8.0]) / fam.ensemble.radial.omega_c
-    mean, stderr = mc_trajectory(fam.ensemble, rho0, times, cfg)
+    times = np.array([0.2, 1.0, 3.0, 8.0]) / fam.radial.omega_c
+    mean, stderr = mc_trajectory(fam, rho0, times, cfg)
     stderr = np.maximum(stderr, 1e-300)
     return float(np.max(np.abs(mean - bloch_trajectory(fam, rho0, times)) / stderr))
 
@@ -102,12 +100,12 @@ def check_extraction(name, fam, poles) -> float:
 
     A closed form that is NaN where the split is regular fails the check.
     """
-    omega_c = fam.ensemble.radial.omega_c
+    omega_c = fam.radial.omega_c
     times = pole_free_times(np.linspace(0.05, 6.0, 80) / omega_c, poles, margin=0.1 / omega_c)
     ok, h, k = _generators(fam, times)
     t, angular = times[ok], name.split("+")[1]
     if angular == "sphere":
-        devs = [k - isotropic_rate(fam.ensemble.radial, t)[:, None, None] * np.eye(3), h]
+        devs = [k - isotropic_rate(fam.radial, t)[:, None, None] * np.eye(3), h]
     elif angular in ("bagel", "dumbbell"):
         devs = [k - anisotropic_rates(fam, t)[..., None] * np.eye(3), h]
     elif angular == "cardioid":
@@ -124,7 +122,7 @@ def check_extraction(name, fam, poles) -> float:
 def check_roundtrip(fam, poles, rho0) -> float:
     """Integrated master equation vs direct map application, up to 0.9 of the
     first pole or 4/omega_c."""
-    t_end = 4.0 / fam.ensemble.radial.omega_c
+    t_end = 4.0 / fam.radial.omega_c
     if poles:
         t_end = min(0.9 * poles[0], t_end)
     t_eval = np.linspace(0.0, t_end, 21)

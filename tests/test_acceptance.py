@@ -13,7 +13,7 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments,
                     DumbbellAngular, ExponentialCutoffRadial, GaussianRadial,
                     KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
-                    SeparableEnsemble, SphereAngular, anisotropic_rates, bloch_generators,
+                    SphereAngular, anisotropic_rates, bloch_generators,
                     choi_check, directional_moments, directional_moments_quadrature,
                     integrate_master, isotropic_rate, map_matrices, mc_trajectory,
                     pole_scan, purity_trajectory, SamplerConfig)
@@ -58,11 +58,11 @@ def test_criterion_1_moment_tables():
 
 def test_criterion_2_purity_saturation():
     start = time.monotonic()
-    fam_g = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(), SphereAngular()))
+    fam_g = MapFamily.from_ensemble(GaussianRadial(), SphereAngular())
     p10 = float(purity_trajectory(fam_g, DensityMatrix([0, 0, 1]), np.array([10.0]))[0])
     dev_g = abs(p10 - 5 / 9)
 
-    fam_rs = MapFamily.from_ensemble(SeparableEnsemble(ReciprocalSquareRadial(), SphereAngular()))
+    fam_rs = MapFamily.from_ensemble(ReciprocalSquareRadial(), SphereAngular())
     window = np.linspace(80.0, 100.0, 2001)
     mean_rs = float(np.mean(purity_trajectory(fam_rs, DensityMatrix([0, 0, 1]), window)))
     dev_rs = abs(mean_rs - 5 / 9)
@@ -94,7 +94,7 @@ def test_criterion_3_closed_form_rates():
     worst_axis = 0.0
     for angular in (BagelAngular(), DumbbellAngular()):
         for radial in radials:
-            fam = MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
+            fam = MapFamily.from_ensemble(radial, angular)
             ts = pole_free_times(np.linspace(0.05, 6.0, 120), pole_scan(fam, (0.05, 6.0)),
                                  margin=0.08)
             rates = anisotropic_rates(fam, ts)
@@ -115,7 +115,7 @@ def test_criterion_4_monte_carlo_oracle():
     worst = 0.0
     times = (0.2, 1.0, 3.0, 8.0)
     for name, fam in builtin_families():
-        for t, mean, stderr in zip(times, *mc_trajectory(fam.ensemble, rho0, times, cfg)):
+        for t, mean, stderr in zip(times, *mc_trajectory(fam, rho0, times, cfg)):
             exact = map_matrices(fam, t) @ rho0.bloch
             z = np.max(np.abs(mean - exact) / np.maximum(stderr, 1e-300))
             worst = max(worst, float(z))
@@ -137,13 +137,13 @@ def test_criterion_5_generator_extraction():
 
 
 def test_criterion_6_pole_phenomenology():
-    fam = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(), BagelAngular()))
+    fam = MapFamily.from_ensemble(GaussianRadial(), BagelAngular())
     roots = pole_scan(fam, (1e-6, 3.0))
     sq = [r * r for r in roots]
     ok = (len(roots) == 2 and 1.7 <= sq[0] <= 1.9 and 4.9 <= sq[1] <= 5.2)
 
     def d_pole_count(radial, a):
-        f = MapFamily.from_ensemble(SeparableEnsemble(radial, KneadedCardioidAngular(a)))
+        f = MapFamily.from_ensemble(radial, KneadedCardioidAngular(a))
         return len(sign_change_roots(d_denominator(f), 1e-6, 10.0))
 
     ok = ok and d_pole_count(GaussianRadial(), 0.3) >= 2
@@ -211,31 +211,30 @@ def test_criterion_9_short_time_positivity():
 
 def test_criterion_10_reduction_limits():
     # kneaded -> cardioid
-    fam_eps = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(),
-                                                        KneadedCardioidAngular(1e-6)))
-    fam_card = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(), CardioidAngular()))
+    fam_eps = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(1e-6))
+    fam_card = MapFamily.from_ensemble(GaussianRadial(), CardioidAngular())
     ts = np.linspace(0.1, 3.0, 30)
     (h_eps, k_eps), (h_card, k_card) = _regular_split(fam_eps, ts), _regular_split(fam_card, ts)
     dev1 = max(float(np.max(np.abs(k_eps - k_card))), float(np.max(np.abs(h_eps - h_card))))
 
     # cardioid with the first moment zeroed -> diagonal balanced rates
-    fam0 = MapFamily(ensemble=fam_card.ensemble,
-                     moments=DirectionalMoments(np.zeros(3), fam_card.moments.second))
+    fam0 = MapFamily(fam_card.radial, fam_card.angular,
+                     DirectionalMoments(np.zeros(3), fam_card.moments.second))
     h0, k0 = _regular_split(fam0, ts)
     dev2 = max(float(np.max(np.abs(k0 - anisotropic_rates(fam0, ts)[..., None] * np.eye(3)))),
                float(np.max(np.abs(h0))),
                float(np.max(np.abs(np.diagonal(k0, axis1=1, axis2=2)
-                                   - isotropic_rate(fam_card.ensemble.radial, ts)[:, None]))))
+                                   - isotropic_rate(fam_card.radial, ts)[:, None]))))
 
     # nearly equal second moments -> common rate
     eps = 1e-6
-    fam_sph = MapFamily.from_ensemble(SeparableEnsemble(GaussianRadial(), SphereAngular()))
-    fam_pert = MapFamily(ensemble=fam_sph.ensemble,
-                         moments=DirectionalMoments(
+    fam_sph = MapFamily.from_ensemble(GaussianRadial(), SphereAngular())
+    fam_pert = MapFamily(fam_sph.radial, fam_sph.angular,
+                         DirectionalMoments(
                              np.zeros(3), np.diag([1 / 3 + eps, 1 / 3 - eps, 1 / 3])))
     ts = np.linspace(0.1, 1.5, 15)
     dev3 = float(np.max(np.abs(anisotropic_rates(fam_pert, ts)
-                               - isotropic_rate(fam_sph.ensemble.radial, ts)[:, None])))
+                               - isotropic_rate(fam_sph.radial, ts)[:, None])))
 
     ok = dev1 < 1e-4 and dev2 < 1e-10 and dev3 < 1e-4
     assert report(10, "reduction limits across symmetry classes",

@@ -124,6 +124,17 @@ def test_tabulated_angular_validation():
         TabulatedAngular(th, ph, np.ones((5, 4)))
 
 
+def test_tabulated_angular_needs_positive_mass():
+    # a table with no mass has no moments to divide by xi
+    th = np.linspace(0, math.pi, 5)
+    ph = np.linspace(0, 2 * math.pi, 5)
+    with pytest.raises(ValueError, match="positive mass"):
+        TabulatedAngular(th, ph, np.zeros((5, 5)))
+    one_node = np.zeros((5, 5))
+    one_node[0, 0] = 1.0  # on the pole: its hat function still carries mass
+    assert TabulatedAngular(th, ph, one_node).xi() > 0.0
+
+
 def referee_moments(tab, mpmath):
     """Mass, <n_a> and <n_a n_b> (a <= b) of the bilinear table in 30-digit arithmetic.
 

@@ -1,6 +1,7 @@
 """Public surface: what `hamens` exports, constructors that compute nothing,
 and the benchmark tracer that wraps the package from outside."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -9,8 +10,10 @@ import sys
 import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
-                    ReciprocalSquareRadial, SeparableEnsemble, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, dynmap, generator, montecarlo, pole_scan, radial, validation)
+                    ReciprocalSquareRadial, RunConfig, SphereAngular, TabulatedAngular,
+                    TabulatedRadial, dynmap, ensemble, generator, montecarlo, pole_scan, radial,
+                    validation)
+from hamens.cli import build_parser
 
 from conftest import random_table
 
@@ -24,15 +27,17 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "divisibility_flags", "short_time_positive_window", "kossakowski_eigenvalues",
            "LindbladGenerator", "_require", "builtin_poles", "builtin_angulars", "_result",
            "_quadrature", "_integrate", "expectation", "_scalarize", "MCEstimate",
-           "_tabulated_radial_quantile", "segment_cubics")
+           "_tabulated_radial_quantile", "segment_cubics", "SeparableEnsemble", "build_ensemble",
+           "scan_parameter")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, generator, montecarlo, radial, validation, RadialModel, GaussianRadial,
-               ExponentialCutoffRadial, ReciprocalSquareRadial, TabulatedRadial, TabulatedAngular)
+    holders = (hamens, dynmap, ensemble, generator, montecarlo, radial, validation, RadialModel,
+               GaussianRadial, ExponentialCutoffRadial, ReciprocalSquareRadial, TabulatedRadial,
+               TabulatedAngular, RunConfig)
     for name in REMOVED:
         for holder in holders:
             assert not hasattr(holder, name), (holder, name)
@@ -47,7 +52,8 @@ def test_every_export_resolves_once():
 
 
 def test_monte_carlo_surface():
-    # bench/tracer.py wraps these by name and passes their arguments on
+    # bench/tracer.py wraps these by name and passes their arguments on;
+    # mc_average's first argument is a MapFamily
     signatures = {montecarlo.mc_average: ["ensemble", "rho0", "t", "cfg"],
                   montecarlo.sample_radial: ["model", "rng", "size"],
                   montecarlo.sample_angular: ["model", "rng", "size"],
@@ -58,6 +64,29 @@ def test_monte_carlo_surface():
     for model in (SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
                   KneadedCardioidAngular(0.3), random_table(45, 4, 5)):
         assert montecarlo.sample_angular(model, montecarlo.chunk_stream(1, 0), 5).shape == (3, 5)
+
+
+def test_one_family_object():
+    # one frozen object holds both models, the moments and xi; the tracer
+    # wraps the classmethod from_ensemble and RunConfig.build_family by name
+    fam = MapFamily.from_ensemble(GaussianRadial(), CardioidAngular())
+    assert list(inspect.signature(MapFamily.from_ensemble).parameters) == ["radial", "angular"]
+    assert isinstance(vars(MapFamily)["from_ensemble"], classmethod)
+    assert [f.name for f in dataclasses.fields(fam)] == ["radial", "angular", "moments", "xi"]
+    assert fam.xi == float(fam.angular.xi())
+    assert list(inspect.signature(RunConfig.build_family).parameters) == ["self", "asymmetry"]
+    assert sorted(ensemble.RADIAL_KINDS) == ["exp-cutoff", "gaussian", "reciprocal-square"]
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    # only validate draws samples, so only validate takes --seed and --samples
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    options = {name: sorted(flag for action in cmd._actions if action.dest != "help"
+                            for flag in action.option_strings)
+               for name, cmd in commands.items()}
+    plain = ["--config", "--out"]
+    assert options == {"moments": plain, "simulate": plain, "rates": plain,
+                       "validate": ["--config", "--out", "--samples", "--seed"], "scan": plain}
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):
@@ -75,7 +104,7 @@ def test_builtin_constructors_run_no_quadrature(monkeypatch):
         for radial_model in (GaussianRadial(omega_c), ExponentialCutoffRadial(omega_c),
                              ReciprocalSquareRadial(omega_c)):
             for angular_model in angulars:
-                MapFamily.from_ensemble(SeparableEnsemble(radial_model, angular_model))
+                MapFamily.from_ensemble(radial_model, angular_model)
 
 
 def test_bench_tracer_installs_on_the_package():

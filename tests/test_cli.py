@@ -207,6 +207,21 @@ def test_non_finite_table_entry_exits_2_with_one_line(tmp_path, capsys, table, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates"])
+def test_zero_mass_angular_table_exits_2_with_one_line(tmp_path, capsys, command):
+    # moments used to print a zero quadrature column and NaN abs_diff with
+    # exit 0, while the other commands refused the same table
+    grid = [(th, ph) for th in (0.0, math.pi) for ph in (0.0, 2 * math.pi)]
+    (tmp_path / "table.csv").write_text(
+        "theta,phi,Theta\n" + "".join(f"{th!r},{ph!r},0\n" for th, ph in grid))
+    cfg = write_config(tmp_path, SPHERE_CFG.replace("kind = sphere", "kind = tabulated\ntable = table.csv"))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: angular table: angular table density must have positive mass"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -400,7 +415,6 @@ t_max = 10
 n_points = 401
 
 [scan]
-parameter = a
 values = 0 0.1 0.3
 """
 
@@ -468,9 +482,11 @@ def test_scan_per_value_names_take_the_extension_from_the_basename(tmp_path):
 
 
 def test_scan_rejects_unknown_parameter(tmp_path, capsys):
-    cfg = write_config(tmp_path, SCAN_CFG.replace("parameter = a", "parameter = omega_c"))
-    assert main(["scan", "--config", cfg]) == 2
-    assert "parameter" in capsys.readouterr().err
+    # a is the one scanned parameter, so [scan] has no key to name it
+    for value in ("omega_c", "a"):
+        cfg = write_config(tmp_path, SCAN_CFG.replace("[scan]", f"[scan]\nparameter = {value}"))
+        assert main(["scan", "--config", cfg]) == 2
+        assert "unknown key 'parameter'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("values", ["0.1234567 0.1234568", "0.3 0.1 0.3"])
@@ -587,9 +603,7 @@ def test_bad_numbers_are_rejected_at_load(tmp_path, capsys, command, old, new):
     ("validate", "", ["--seed", str(2 ** 64)]),
     ("validate", "\n[mc]\nseed = -5\n", []),
     ("simulate", "\n[mc]\nseed = -5\n", []),
-    ("simulate", "", ["--seed", "-1"]),
-], ids=["flag-negative", "flag-2**64", "config-negative", "simulate-config-negative",
-        "simulate-flag-negative"])
+], ids=["flag-negative", "flag-2**64", "config-negative", "simulate-config-negative"])
 def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra):
     # Philox keys are uint64 words; a seed outside [0, 2**64) used to end in
     # an OverflowError traceback with exit 1 (or pass unchecked in simulate)
@@ -607,11 +621,10 @@ def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra)
     ("validate", 201, "samples = 1000000000000", [], "samples"),
     ("validate", 201, "chunk = 1000000000", [], "chunk"),
     ("validate", 201, "", ["--samples", "1000000000000"], "sample"),
-    ("simulate", 201, "", ["--samples", "1000000000000"], "sample"),
     ("validate", 201, "", ["--samples", "1"], "samples"),
     ("validate", 201, "samples = 1", [], "samples"),
 ], ids=["grid-1e9", "grid-cap+1", "samples-1e12", "chunk-1e9", "flag-samples-1e12",
-        "simulate-flag-samples-1e12", "flag-one-sample", "config-one-sample"])
+        "flag-one-sample", "config-one-sample"])
 def test_sizes_beyond_their_caps_are_rejected(tmp_path, capsys, monkeypatch,
                                               command, n_points, mc, extra, key):
     # a size is checked before anything is computed: every stage that would
@@ -631,6 +644,21 @@ def test_sizes_beyond_their_caps_are_rejected(tmp_path, capsys, monkeypatch,
     assert main([command, "--config", cfg, "--out", str(out)] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "scan"])
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--samples", "1000000000000")],
+                         ids=["seed-negative", "samples-1e12"])
+def test_sampling_flags_are_refused_outside_validate(tmp_path, capsys, command, flag, value):
+    # only validate draws samples; argparse refuses the flags elsewhere
+    cfg = write_config(tmp_path, SPHERE_CFG)
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--config", cfg, "--out", str(out), flag, value])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        f"hamens: error: unrecognized arguments: {flag} {value}")
     assert not out.exists()
 
 

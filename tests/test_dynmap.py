@@ -7,7 +7,7 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
-                    SeparableEnsemble, SphereAngular, choi_check, directional_moments,
+                    SphereAngular, choi_check, directional_moments,
                     map_matrices, mc_average, purity_trajectory)
 from hamens.dynmap import bloch_trajectory, diagonal_components
 from hamens.validation import builtin_families
@@ -18,7 +18,7 @@ PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def family(radial, angular):
-    return MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
+    return MapFamily.from_ensemble(radial, angular)
 
 
 SPHERE_G = family(GaussianRadial(), SphereAngular())
@@ -47,7 +47,7 @@ def choi_matrix(m):
 
 def test_f_component_sphere_equals_mixing_weight():
     for t in [0.0, 0.4, 1.3, 5.0]:
-        w = mixing_weight(SPHERE_G.ensemble.radial, t)
+        w = mixing_weight(SPHERE_G.radial, t)
         assert np.allclose(diagonal_components(SPHERE_G, t)[0], w, rtol=0.0, atol=1e-14)
 
 
@@ -64,7 +64,7 @@ def test_f_component_bagel_when_cosine_vanishes():
 def test_map_sphere_is_isotropic_contraction():
     for t in np.linspace(0.0, 8.0, 60):
         m = map_matrices(SPHERE_G, t)
-        assert np.max(np.abs(m - mixing_weight(SPHERE_G.ensemble.radial, t) * np.eye(3))) < 1e-12
+        assert np.max(np.abs(m - mixing_weight(SPHERE_G.radial, t) * np.eye(3))) < 1e-12
 
 
 def test_map_identity_at_time_zero():
@@ -153,7 +153,7 @@ def test_purity_trajectory_sphere_values():
     rho_mixed = DensityMatrix([0.0, 0.0, 0.6])
     pur_m = purity_trajectory(SPHERE_G, rho_mixed, grid)
     for p, t in zip(pur_m, grid):
-        w = mixing_weight(SPHERE_G.ensemble.radial, t)
+        w = mixing_weight(SPHERE_G.radial, t)
         assert p == pytest.approx(w * w * (rho_mixed.purity() - 0.5) + 0.5, abs=1e-12)
     assert pur[-1] == pytest.approx(5.0 / 9.0, abs=1e-3)
 
@@ -262,7 +262,7 @@ def test_map_agrees_with_monte_carlo():
         (family(GaussianRadial(), DumbbellAngular()), 2.0),
     ]
     for fam, t in cases:
-        mean, stderr = mc_average(fam.ensemble, r0, t, SamplerConfig(seed=90210, n_samples=400000))
+        mean, stderr = mc_average(fam, r0, t, SamplerConfig(seed=90210, n_samples=400000))
         exact = map_matrices(fam, t) @ r0.bloch
         z = np.abs(mean - exact) / stderr
         assert np.max(z) < 3.0
@@ -271,12 +271,11 @@ def test_map_agrees_with_monte_carlo():
 
 def test_map_agrees_with_monte_carlo_on_tilted_table(tilted_table):
     # tilted first moment and off-diagonal second moments, in the lab frame
-    ens = SeparableEnsemble(GaussianRadial(), tilted_table)
-    fam = MapFamily.from_ensemble(ens)
+    fam = MapFamily.from_ensemble(GaussianRadial(), tilted_table)
     second = directional_moments(tilted_table).second
     assert np.max(np.abs(second - np.diag(np.diag(second)))) > 0.05
     rho0 = DensityMatrix([0.3, -0.5, 0.6])
-    mean, stderr = mc_average(ens, rho0, 1.0, SamplerConfig(seed=5, n_samples=40000))
+    mean, stderr = mc_average(fam, rho0, 1.0, SamplerConfig(seed=5, n_samples=40000))
     exact = bloch_trajectory(fam, rho0, [1.0])[0]
     assert np.allclose(exact, map_matrices(fam, 1.0) @ rho0.bloch, rtol=0.0, atol=1e-15)
     assert np.max(np.abs(mean - exact) / stderr) < 4.0

@@ -5,23 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from hamens import (CardioidAngular, GaussianRadial, MapFamily,
-                    SeparableEnsemble, SphereAngular, TabulatedAngular, TabulatedRadial,
-                    load_angular_table, load_radial_table)
+from hamens import (CardioidAngular, GaussianRadial, MapFamily, SphereAngular, TabulatedAngular,
+                    TabulatedRadial, load_angular_table, load_radial_table)
 
 from conftest import TABLES_WITH_X
 
 
 def test_builtin_pairs_are_jointly_normalized():
-    ens = SeparableEnsemble(GaussianRadial(2.0), CardioidAngular())
-    assert ens.xi == pytest.approx(1.0)
+    fam = MapFamily.from_ensemble(GaussianRadial(2.0), CardioidAngular())
+    assert fam.xi == pytest.approx(1.0)
 
 
 def test_joint_normalization_rejects_mismatch():
     om = np.linspace(0.0, 13.0, 301)
     dens = np.sqrt(2 / np.pi) * np.exp(-0.5 * om * om) * 1.5  # mass 1.5, xi stays 1
     with pytest.raises(ValueError):
-        SeparableEnsemble(TabulatedRadial(om, dens), SphereAngular())
+        MapFamily.from_ensemble(TabulatedRadial(om, dens), SphereAngular())
 
 
 def split_normalization_pair(xi=2.0):
@@ -33,14 +32,13 @@ def split_normalization_pair(xi=2.0):
     th = np.linspace(0, math.pi, 5)
     ph = np.linspace(0, 2 * math.pi, 5)
     angular = TabulatedAngular(th, ph, np.full((5, 5), xi / (4 * math.pi)))
-    return SeparableEnsemble(radial, angular)
+    return radial, angular
 
 
 def test_split_normalization_accepted_and_flagged():
-    ens = split_normalization_pair(xi=2.0)
-    assert ens.xi == pytest.approx(2.0, abs=1e-9)
     with pytest.warns(UserWarning):
-        fam = MapFamily.from_ensemble(ens)
+        fam = MapFamily.from_ensemble(*split_normalization_pair(xi=2.0))
+    assert fam.xi == pytest.approx(2.0, abs=1e-9)
     # the map is still the identity at t = 0: cos expectation starts at 1/xi
     from hamens import map_matrices
     assert np.allclose(map_matrices(fam, 0.0), np.eye(3), atol=1e-9)

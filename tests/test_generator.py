@@ -7,7 +7,7 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
-                    MapFamily, PoleError, ReciprocalSquareRadial, SeparableEnsemble,
+                    MapFamily, PoleError, ReciprocalSquareRadial,
                     SphereAngular, TabulatedRadial, anisotropic_rates, azimuthal_generator,
                     bloch_generators, extract_generator, isotropic_rate, map_matrices,
                     offdiagonal_rate, pole_scan, rate_trajectory)
@@ -20,7 +20,7 @@ from conftest import d_denominator, sign_change_roots
 
 
 def family(radial, angular):
-    return MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
+    return MapFamily.from_ensemble(radial, angular)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +124,7 @@ def test_anisotropic_reduces_to_isotropic_for_sphere():
     fam = family(GaussianRadial(), SphereAngular())
     for t in (0.3, 1.0, 2.7):
         rates = anisotropic_rates(fam, t)
-        assert np.allclose(rates, isotropic_rate(fam.ensemble.radial, t), atol=1e-14)
+        assert np.allclose(rates, isotropic_rate(fam.radial, t), atol=1e-14)
 
 
 def test_bagel_reciprocal_square_amplitude_ordering():
@@ -141,7 +141,7 @@ def test_azimuthal_generator_initial_level_spacing():
                              (ExponentialCutoffRadial, 4.0)]:
         fam = family(radial_cls(1.0), CardioidAngular())
         h, _ = azimuthal_generator(fam, 1e-12)
-        oracle = expectation_quadrature(fam.ensemble.radial, lambda x: x, 1.0)
+        oracle = expectation_quadrature(fam.radial, lambda x: x, 1.0)
         assert h[2] == pytest.approx(-mean / 3, rel=1e-9)
         assert h[2] == pytest.approx(-oracle / 3, rel=1e-9)
 
@@ -160,7 +160,7 @@ def test_azimuthal_generator_transverse_rates_match_spherical():
     fam = family(GaussianRadial(), CardioidAngular())
     for t in (0.3, 0.9, 2.0):
         _, k = azimuthal_generator(fam, t)
-        assert k[0, 0] == pytest.approx(isotropic_rate(fam.ensemble.radial, t), abs=1e-13)
+        assert k[0, 0] == pytest.approx(isotropic_rate(fam.radial, t), abs=1e-13)
 
 
 def test_offdiagonal_rate_vanishes_at_zero_asymmetry():
@@ -201,7 +201,7 @@ def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
 
 #: each closed form, as f(fam, t), with the geometries it is an oracle for
 CLOSED_FORMS = {
-    "isotropic": (lambda fam, t: isotropic_rate(fam.ensemble.radial, t), [SphereAngular()]),
+    "isotropic": (lambda fam, t: isotropic_rate(fam.radial, t), [SphereAngular()]),
     "anisotropic": (anisotropic_rates, [BagelAngular(), DumbbellAngular()]),
     "azimuthal": (azimuthal_generator, [CardioidAngular(), BagelAngular()]),
     "offdiagonal": (offdiagonal_rate, [KneadedCardioidAngular(0.3)]),
@@ -247,7 +247,7 @@ def test_diagonal_component_gap_is_linear_in_asymmetry():
     fam = family(GaussianRadial(), KneadedCardioidAngular(a))
     for t in (0.2, 1.1):
         f = diagonal_components(fam, t)[0]
-        c = fam.ensemble.radial.expectations(t)[0]
+        c = fam.radial.expectations(t)[0]
         assert f[0] - f[1] == pytest.approx((a / 3) * (1 - c), abs=1e-14)
 
 
@@ -259,7 +259,7 @@ def test_extract_generator_matches_closed_forms_everywhere():
             h, k = extract_generator(fam, t)
             assert np.max(np.abs(k - k.T)) < 1e-12
             if angular == "sphere":
-                assert np.allclose(k, isotropic_rate(fam.ensemble.radial, t) * np.eye(3), atol=1e-8)
+                assert np.allclose(k, isotropic_rate(fam.radial, t) * np.eye(3), atol=1e-8)
                 assert np.allclose(h, 0.0, atol=1e-10)
             elif angular in ("bagel", "dumbbell"):
                 assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-8)
@@ -296,26 +296,26 @@ def test_reduction_kneaded_to_cardioid():
 def test_reduction_zeroed_first_moment_gives_diagonal_rates():
     # cardioid second moments with the first moment forced to zero
     base = family(GaussianRadial(), CardioidAngular())
-    fam = MapFamily(ensemble=base.ensemble,
-                    moments=DirectionalMoments(np.zeros(3), base.moments.second))
+    fam = MapFamily(base.radial, base.angular,
+                    DirectionalMoments(np.zeros(3), base.moments.second))
     for t in (0.3, 1.2):
         h, k = extract_generator(fam, t)
         assert np.all(h == 0.0)
         assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-12)
         # balanced moments: this is the fully symmetric rate again
         assert np.allclose(np.diag(k),
-                           isotropic_rate(base.ensemble.radial, t), atol=1e-12)
+                           isotropic_rate(base.radial, t), atol=1e-12)
 
 
 def test_reduction_nearly_equal_moments_to_isotropic():
     eps = 1e-6
     base = family(GaussianRadial(), SphereAngular())
     second = np.diag([1 / 3 + eps, 1 / 3 - eps, 1 / 3])
-    fam = MapFamily(ensemble=base.ensemble,
-                    moments=DirectionalMoments(np.zeros(3), second))
+    fam = MapFamily(base.radial, base.angular,
+                    DirectionalMoments(np.zeros(3), second))
     for t in (0.4, 1.0):
         rates = anisotropic_rates(fam, t)
-        assert np.max(np.abs(rates - isotropic_rate(base.ensemble.radial, t))) < 1e-4
+        assert np.max(np.abs(rates - isotropic_rate(base.radial, t))) < 1e-4
 
 
 def test_map_derivatives_match_finite_differences():
@@ -342,8 +342,8 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
     # rotating the moments by R must give R M R^T, R K R^T, R h and the same poles
     fam = family(GaussianRadial(), angular)
     r = ROTATION
-    rotated = MapFamily(ensemble=fam.ensemble,
-                        moments=DirectionalMoments(r @ fam.moments.first,
+    rotated = MapFamily(fam.radial, fam.angular,
+                        DirectionalMoments(r @ fam.moments.first,
                                                    r @ fam.moments.second @ r.T))
     second = rotated.moments.second
     assert max(np.max(np.abs(second - np.diag(np.diag(second)))),
@@ -553,7 +553,7 @@ def test_pole_scan_kneaded_ignores_harmless_fy_roots():
     for r in fy_roots:
         assert all(abs(r - p) > 1e-9 for p in true_poles)
         det = np.linalg.det(map_matrices(fam, r))
-        harmless = nz * nz * fam.ensemble.radial.expectations(r)[1] ** 2
+        harmless = nz * nz * fam.radial.expectations(r)[1] ** 2
         assert det / diagonal_components(fam, r)[0][2] == pytest.approx(harmless, rel=1e-9)
         assert abs(det) > POLE_THRESHOLD
         h, k = extract_generator(fam, r)

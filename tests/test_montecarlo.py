@@ -9,7 +9,7 @@ from scipy.stats import kstest
 
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
-                    MapFamily, ReciprocalSquareRadial, SamplerConfig, SeparableEnsemble,
+                    MapFamily, ReciprocalSquareRadial, SamplerConfig,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
 from hamens.montecarlo import MAX_CHUNK, _NEWTON_CAP, _newton_cdf, chunk_stream
@@ -350,52 +350,51 @@ def test_tabulated_angular_ks():
 
 
 def test_mc_average_at_time_zero_is_exact():
-    ens = SeparableEnsemble(GaussianRadial(), CardioidAngular())
+    fam = MapFamily.from_ensemble(GaussianRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
-    mean, stderr = mc_average(ens, rho0, 0.0, SamplerConfig(seed=1, n_samples=5000))
+    mean, stderr = mc_average(fam, rho0, 0.0, SamplerConfig(seed=1, n_samples=5000))
     assert np.array_equal(mean, rho0.bloch)
     assert np.array_equal(stderr, np.zeros(3))
 
 
 def test_mc_average_sphere_weight():
     # cosine expectation vanishes at omega_c t = 1, leaving weight 1/3
-    ens = SeparableEnsemble(GaussianRadial(), SphereAngular())
-    mean, stderr = mc_average(ens, DensityMatrix([0, 0, 1]), 1.0, SamplerConfig(seed=3, n_samples=400000))
+    fam = MapFamily.from_ensemble(GaussianRadial(), SphereAngular())
+    mean, stderr = mc_average(fam, DensityMatrix([0, 0, 1]), 1.0, SamplerConfig(seed=3, n_samples=400000))
     assert abs(mean[2] - 1.0 / 3.0) < 3 * stderr[2]
 
 
 def test_mc_average_matches_map_componentwise():
-    ens = SeparableEnsemble(ReciprocalSquareRadial(), BagelAngular())
-    fam = MapFamily.from_ensemble(ens)
+    fam = MapFamily.from_ensemble(ReciprocalSquareRadial(), BagelAngular())
     rho0 = DensityMatrix([1.0, 0.0, 0.0])
-    mean, stderr = mc_average(ens, rho0, 2.0, SamplerConfig(seed=8, n_samples=400000))
+    mean, stderr = mc_average(fam, rho0, 2.0, SamplerConfig(seed=8, n_samples=400000))
     exact = map_matrices(fam, 2.0) @ rho0.bloch
     stderr = np.maximum(stderr, 1e-12)
     assert np.max(np.abs(mean - exact) / stderr) < 3.0
 
 
 def test_mc_average_bit_identical_across_runs_and_workers():
-    ens = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+    fam = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
     rho0 = DensityMatrix([0.6, 0.0, 0.7])
     cfg = SamplerConfig(seed=77, n_samples=150001, chunk=4096)
-    first, second = (mc_average(ens, rho0, 1.3, cfg) for _ in range(2))
+    first, second = (mc_average(fam, rho0, 1.3, cfg) for _ in range(2))
     assert first[0].shape == first[1].shape == (3,)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
 
 def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
-    ens = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+    fam = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
     cfg = SamplerConfig(seed=12, n_samples=9001, chunk=2048)
     times = [1.5, 0.0, 0.2, 8.0, 0.0]
-    means, stderrs = mc_trajectory(ens, rho0, times, cfg)
+    means, stderrs = mc_trajectory(fam, rho0, times, cfg)
     assert means.shape == stderrs.shape == (len(times), 3)
     for t, mean, stderr in zip(times, means, stderrs):
         # mc_average is the one-point trajectory, and a row does not
         # depend on the other times
-        one_point = [row[0] for row in mc_trajectory(ens, rho0, [t], cfg)]
-        for single_mean, single_stderr in (mc_average(ens, rho0, t, cfg), one_point):
+        one_point = [row[0] for row in mc_trajectory(fam, rho0, [t], cfg)]
+        for single_mean, single_stderr in (mc_average(fam, rho0, t, cfg), one_point):
             assert np.array_equal(mean, single_mean)
             assert np.array_equal(stderr, single_stderr)
         if t == 0.0:
@@ -406,11 +405,11 @@ def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
 
 
 def test_mc_trajectory_bit_identical_across_runs():
-    ens = SeparableEnsemble(ReciprocalSquareRadial(), BagelAngular())
+    fam = MapFamily.from_ensemble(ReciprocalSquareRadial(), BagelAngular())
     rho0 = DensityMatrix([0.6, 0.0, 0.7])
     cfg = SamplerConfig(seed=77, n_samples=30001, chunk=4096)
     times = np.array([0.0, 0.4, 1.3, 6.0])
-    first, second = (mc_trajectory(ens, rho0, times, cfg) for _ in range(2))
+    first, second = (mc_trajectory(fam, rho0, times, cfg) for _ in range(2))
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
@@ -419,11 +418,10 @@ def test_mc_trajectory_stderr_scales_with_small_times():
     # the spread of r_t is O(t) next to an O(1) mean, so a one-pass variance
     # of r_t cancels (its stderr reads exactly 0 at t = 1e-8); one of
     # d = r_t - r0 keeps its relative accuracy
-    ens = SeparableEnsemble(GaussianRadial(), BagelAngular())
-    fam = MapFamily.from_ensemble(ens)
+    fam = MapFamily.from_ensemble(GaussianRadial(), BagelAngular())
     rho0 = DensityMatrix([0.6, -0.1, 0.75])
     times = [1e-5, 1e-7, 1e-8, 1e-9]
-    means, stderrs = mc_trajectory(ens, rho0, times, SamplerConfig(seed=3, n_samples=8192))
+    means, stderrs = mc_trajectory(fam, rho0, times, SamplerConfig(seed=3, n_samples=8192))
     slopes = stderrs / np.array(times)[:, None]
     assert np.all(slopes > 0.0)
     assert np.max(np.abs(slopes / slopes[0] - 1.0)) <= 1e-5
@@ -436,11 +434,11 @@ def test_mc_trajectory_stderr_scales_with_small_times():
 def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
-    ens = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+    fam = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
     # the one realization that mc_trajectory draws for n = 1
     stream = chunk_stream(seed, 0)
-    omega = sample_radial(ens.radial, stream, 1)[0]
-    axis = sample_angular(ens.angular, stream, 1)[:, 0]
+    omega = sample_radial(fam.radial, stream, 1)[0]
+    axis = sample_angular(fam.angular, stream, 1)[:, 0]
     # odd multiples of pi put the half angle next to a pole of tan
     k = np.concatenate([np.arange(1, 2001, 2), np.arange(999_001, 1_000_001, 2),
                         2 * np.random.default_rng(72).integers(0, 500_000, 1000) + 1])
@@ -449,7 +447,7 @@ def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     assert np.max(np.abs(np.tan(0.5 * angles))) > 1e16
     r0 = np.array([0.6, -0.2, 0.7])
     cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
-    means, _ = mc_trajectory(ens, DensityMatrix(r0), times, cfg)
+    means, _ = mc_trajectory(fam, DensityMatrix(r0), times, cfg)
     n, r = [[mpmath.mpf(float(x)) for x in v] for v in (axis, r0)]
     cross = [n[(j + 1) % 3] * r[(j + 2) % 3] - n[(j + 2) % 3] * r[(j + 1) % 3] for j in range(3)]
     along = [(n[0] * r[0] + n[1] * r[1] + n[2] * r[2]) * n[j] for j in range(3)]
@@ -487,12 +485,12 @@ def seeded_tabulated_ensemble():
     omega = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.6, 7))])
     density = rng.uniform(0.0, 1.0, 8)
     radial = TabulatedRadial(omega, density / TabulatedRadial(omega, density).mass())
-    return SeparableEnsemble(radial, random_table(47, 5, 6))
+    return MapFamily.from_ensemble(radial, random_table(47, 5, 6))
 
 
 @pytest.mark.parametrize("ensemble, times", [
-    (SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3)), [-1.3, 0.0, 0.25, 2.0, 8.0]),
-    (SeparableEnsemble(ReciprocalSquareRadial(), BagelAngular()), [0.2, 1.0, 3.0, 8.0]),
+    (MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3)), [-1.3, 0.0, 0.25, 2.0, 8.0]),
+    (MapFamily.from_ensemble(ReciprocalSquareRadial(), BagelAngular()), [0.2, 1.0, 3.0, 8.0]),
     (seeded_tabulated_ensemble(), [0.5, 4.0, 30.0]),
 ], ids=["gaussian-kneaded", "reciprocal-square-bagel", "tables"])
 def test_mc_trajectory_matches_the_cos_sin_evolve(ensemble, times):
@@ -520,7 +518,7 @@ def radial_table_31():
 def test_chunk_peak_memory_is_as_documented(radial, angular, per_sample):
     # the figures of the MAX_CHUNK comment: the tracemalloc peak of one chunk
     # at the cap, evolved to two times, in bytes per sample
-    ensemble = SeparableEnsemble(radial, angular)
+    ensemble = MapFamily.from_ensemble(radial, angular)
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
     cfg = SamplerConfig(seed=3, n_samples=MAX_CHUNK, chunk=MAX_CHUNK)
     tracemalloc.start()

@@ -6,7 +6,7 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCutoffRadial,
                     GaussianRadial, IntegrationError, MapFamily,
-                    ReciprocalSquareRadial, SeparableEnsemble, SphereAngular,
+                    ReciprocalSquareRadial, SphereAngular,
                     bloch_generators, integrate_master, isotropic_rate, map_matrices, pole_scan)
 from hamens import propagation
 from hamens.dynmap import bloch_trajectory
@@ -17,7 +17,7 @@ PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def family(radial, angular):
-    return MapFamily.from_ensemble(SeparableEnsemble(radial, angular))
+    return MapFamily.from_ensemble(radial, angular)
 
 
 def test_trace_distance_values():
@@ -63,7 +63,7 @@ def test_sphere_gaussian_endpoint():
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
     traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 1.5),
                             t_eval=[1.5])
-    w = (2 * fam.ensemble.radial.expectations(1.5)[0] + 1) / 3
+    w = (2 * fam.radial.expectations(1.5)[0] + 1) / 3
     assert np.max(np.abs(traj.bloch[-1] - w * rho0.bloch)) < 1e-6
 
 

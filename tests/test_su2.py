@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hamens import (DensityMatrix, GaussianRadial, KneadedCardioidAngular, SamplerConfig,
-                    SeparableEnsemble, mc_trajectory, sample_angular, sample_radial)
+from hamens import (DensityMatrix, GaussianRadial, KneadedCardioidAngular, MapFamily,
+                    SamplerConfig, mc_trajectory, sample_angular, sample_radial)
 from hamens.montecarlo import chunk_stream
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 IDENTITY = np.eye(2, dtype=complex)
-ENSEMBLE = SeparableEnsemble(GaussianRadial(), KneadedCardioidAngular(0.3))
+ENSEMBLE = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
 SEEDS = range(50)
 #: times of the single realization, with 0 and a negative time among them
 TIMES = np.array([-1.3, 0.0, 0.25, 0.9, 2.0, 4.5])
