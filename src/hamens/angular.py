@@ -39,7 +39,7 @@ _CELL_ORDER = 16
 class DirectionalMoments:
     """First moments <n_j> and second-moment matrix <n_j n_k> of the axis direction.
 
-    trace(second) equals the angular normalization xi since sum_j n_j^2 = 1.
+    trace(second) equals the angular mass since sum_j n_j^2 = 1.
     """
 
     first: np.ndarray
@@ -52,17 +52,12 @@ class DirectionalMoments:
             raise ValueError("second-moment matrix must be symmetric")
         if np.linalg.eigvalsh(second)[0] < -1e-12:
             raise ValueError("second-moment matrix must be positive semidefinite")
-        xi = float(np.trace(second))
-        if np.any(np.abs(first) > xi + 1e-10):
+        if np.any(np.abs(first) > np.trace(second) + 1e-10):
             raise ValueError("first moments cannot exceed the angular mass")
         first.setflags(write=False)
         second.setflags(write=False)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "second", second)
-
-    @property
-    def xi(self) -> float:
-        return float(np.trace(self.second))
 
 
 class AngularModel:
@@ -71,7 +66,7 @@ class AngularModel:
     def density(self, theta, phi):
         raise NotImplementedError
 
-    def xi(self) -> float:
+    def mass(self) -> float:
         """Total solid-angle mass of the density."""
         return 1.0
 
@@ -219,7 +214,7 @@ class TabulatedAngular(AngularModel):
         cells = 0.5 * (values[:, 1:] + values[:, :-1]) * np.diff(phi)
         rows = cells.sum(axis=1)
         theta_mass = _theta_cell_cdf(h, rows[:-1], np.diff(rows) / h, np.sin(theta[:-1]), np.cos(theta[:-1]))
-        object.__setattr__(self, "_xi", float(m[0]))
+        object.__setattr__(self, "_mass", float(m[0]))
         for name, arr in (("theta", theta), ("phi", phi), ("values", values), ("_first", m[1:4]),
                           ("_second", second), ("row_mass", rows), ("theta_mass", theta_mass),
                           ("theta_cdf", np.concatenate([[0.0], np.cumsum(theta_mass)])),
@@ -240,8 +235,8 @@ class TabulatedAngular(AngularModel):
         return ((1 - wt) * (1 - wp) * v[i, j] + wt * (1 - wp) * v[i + 1, j]
                 + (1 - wt) * wp * v[i, j + 1] + wt * wp * v[i + 1, j + 1])
 
-    def xi(self) -> float:
-        return self._xi
+    def mass(self) -> float:
+        return self._mass
 
     def first_moment(self):
         return self._first

@@ -5,6 +5,8 @@ unknown keys and malformed values are hard errors, so a typo cannot silently
 change a run.  All times in a config are in units of 1/omega_c.  Only
 `validate` reads [mc] and only `scan` reads [scan] (its one key, values,
 lists the asymmetries a to sweep), but every command checks them at load.
+A tabulated radial or angular part must have unit mass, each within 1e-9:
+int P(omega) omega^2 domega = 1 and int Theta dOmega = 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .dynmap import MapFamily
 from .ensemble import ANGULAR_KINDS, RADIAL_KINDS, load_angular_table, load_radial_table
-from .montecarlo import MAX_CHUNK, MAX_SAMPLES, SEED_LIMIT, SamplerConfig
+from .montecarlo import MAX_SAMPLES, SEED_LIMIT, SamplerConfig
 from .su2 import DensityMatrix
 
 
@@ -76,7 +78,6 @@ class RunConfig:
     n_points: int = 501
     seed: int = 12345
     samples: int = 100000
-    chunk: int = 4096
     scan_values: list = field(default_factory=list)
     base_dir: str = "."
 
@@ -119,8 +120,7 @@ class RunConfig:
 
     def sampler_config(self, seed=None, samples=None) -> SamplerConfig:
         return SamplerConfig(seed=self.seed if seed is None else seed,
-                             n_samples=self.samples if samples is None else samples,
-                             chunk=self.chunk)
+                             n_samples=self.samples if samples is None else samples)
 
 
 def _float_list(text: str):
@@ -144,7 +144,6 @@ _SCHEMA = {
     ("grid", "n_points"): ("n_points", int),
     ("mc", "seed"): ("seed", int),
     ("mc", "samples"): ("samples", int),
-    ("mc", "chunk"): ("chunk", int),
     ("scan", "values"): ("scan_values", _float_list),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
@@ -219,8 +218,6 @@ def load_config(path) -> RunConfig:
         errors.append("[mc] seed must lie in [0, 2**64)")
     if not 1 <= cfg.samples <= MAX_SAMPLES:
         errors.append(f"[mc] samples must lie in [1, {MAX_SAMPLES}]")
-    if not 1 <= cfg.chunk <= MAX_CHUNK:
-        errors.append(f"[mc] chunk must lie in [1, {MAX_CHUNK}]")
     if not errors:
         # the grid runs to t_max / omega_c in absolute time, which can overflow or
         # underflow; its points increase strictly where its step is a normal float

@@ -3,26 +3,24 @@
 Averaging the unitary realizations of a separable ensemble gives a unital
 qubit channel whose action on Bloch vectors is the 3x3 matrix
 
-    M(t) = <cos omega t>_P (xi I - S) + S / xi + <sin omega t>_P [<n>_Theta]_x ,
+    M(t) = <cos omega t>_P (I - S) + S + <sin omega t>_P [<n>_Theta]_x ,
 
 where S = <n n^T>_Theta is the second-moment matrix, <n>_Theta the first
 moment and [v]_x the cross-product matrix.  The formula holds in any frame,
 so the moments are used as the angular model gives them, in the lab frame.
 Its diagonal entries for axis-aligned moments,
 
-    f_j(t) = <cos omega t>_P (xi - S_jj) + S_jj / xi ,
+    f_j(t) = <cos omega t>_P (1 - S_jj) + S_jj ,
 
 feed the per-symmetry-class closed forms that serve as oracles.
 
-A `MapFamily` is the ensemble itself: the radial model, the angular model,
-the lab-frame moments and the split constant xi, checked at construction for
-unit joint mass.
+A `MapFamily` is the ensemble itself: the radial model, the angular model
+and the lab-frame moments, each model checked at construction for unit mass.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,47 +39,36 @@ def _cross_matrix(v: np.ndarray) -> np.ndarray:
 class MapFamily:
     """A separable ensemble p(omega, theta, phi) = P(omega) Theta(theta, phi)
     with what the exact channel needs at any time: the radial model (for its
-    expectations), the angular model, its lab-frame directional moments and
-    the split constant xi = angular mass.
+    expectations), the angular model and its lab-frame directional moments.
 
-    The radial weight integrates to 1/xi and the angular density to xi;
-    construction verifies that radial mass times angular mass is 1 to within
-    1e-9.
+    Each factor has unit mass: construction verifies that the radial weight
+    and the angular density each integrate to 1 within 1e-9.
     """
 
     radial: RadialModel
     angular: AngularModel
     moments: DirectionalMoments
-    xi: float = field(init=False)
 
     def __post_init__(self):
-        xi = float(self.angular.xi())
-        joint = self.radial.mass() * xi
-        if not abs(joint - 1.0) <= 1e-9:  # a NaN mass fails too
-            raise ValueError(
-                f"joint normalization violated: radial mass * angular mass = {joint!r}")
-        object.__setattr__(self, "xi", xi)
+        for name, model in (("radial", self.radial), ("angular", self.angular)):
+            mass = model.mass()
+            if not abs(mass - 1.0) <= 1e-9:  # a NaN mass fails too
+                raise ValueError(f"{name} mass must be 1, got {mass!r}")
 
     @classmethod
     def from_ensemble(cls, radial: RadialModel, angular: AngularModel) -> "MapFamily":
-        family = cls(radial, angular, directional_moments(angular))
-        if abs(family.xi - 1.0) > 1e-9:
-            warnings.warn("normalization split xi != 1: this code path follows the "
-                          "general formulas literally but has no validated reference values",
-                          stacklevel=2)
-        return family
+        return cls(radial, angular, directional_moments(angular))
 
 
 def map_matrices(fam: MapFamily, t, derivative: bool = False):
     """Stacked map matrices M(t), shape t.shape + (3, 3); with ``derivative``
     also the exact time derivatives, as the pair (M, Mdot).  One radial pass."""
     second = fam.moments.second
-    xi = fam.xi
     cross = _cross_matrix(fam.moments.first)
-    spread = xi * np.eye(3) - second
+    spread = np.eye(3) - second
     c, s, *rest = (np.asarray(e)[..., None, None]
                    for e in fam.radial.expectations(t, derivative))
-    m = c * spread + second / xi + s * cross
+    m = c * spread + second + s * cross
     if not derivative:
         return m
     dc, ds = rest
@@ -95,9 +82,8 @@ def diagonal_components(fam: MapFamily, t):
     generators need all four."""
     c, s, dc, ds = fam.radial.expectations(t, derivative=True)
     m2 = np.diag(fam.moments.second)
-    xi = fam.xi
-    f = np.asarray(c)[..., None] * (xi - m2) + m2 / xi
-    return f, np.asarray(dc)[..., None] * (xi - m2), s, ds
+    f = np.asarray(c)[..., None] * (1.0 - m2) + m2
+    return f, np.asarray(dc)[..., None] * (1.0 - m2), s, ds
 
 
 def bloch_trajectory(fam: MapFamily, rho0: DensityMatrix, grid) -> np.ndarray:

@@ -1,11 +1,10 @@
 """Model registries and table loaders for separable ensembles.
 
 The joint density factorizes as p(omega, theta, phi) = P(omega) Theta(theta, phi)
-with the normalization split between the two parts: the radial weight
-integrates to 1/xi and the angular density to xi, so the joint measure has
-unit mass.  Built-ins carry xi = 1; tabulated parts may split differently.
-This module names the built-in models and loads tabulated ones from CSV;
-`dynmap.MapFamily` pairs a radial with an angular model and checks the split.
+with each factor of unit mass: int P(omega) omega^2 domega = 1 and
+int Theta dOmega = 1.  This module names the built-in models and loads
+tabulated ones from CSV; `dynmap.MapFamily` pairs a radial with an angular
+model and checks both masses.
 """
 
 from __future__ import annotations
@@ -54,7 +53,10 @@ def _read_csv(path, expected_headers):
 
 
 def load_radial_table(path) -> TabulatedRadial:
-    """Load a radial model from a two-column CSV (header 'omega,P')."""
+    """Load a radial model from a two-column CSV (header 'omega,P').
+
+    A family built from it needs int P(omega) omega^2 domega = 1 within 1e-9.
+    """
     data = _read_csv(path, ("omega", "P"))
     return TabulatedRadial(omega=data[:, 0], density=data[:, 1])
 
@@ -62,7 +64,8 @@ def load_radial_table(path) -> TabulatedRadial:
 def load_angular_table(path) -> TabulatedAngular:
     """Load an angular model from a three-column CSV (header 'theta,phi,Theta').
 
-    Rows must enumerate a rectangular grid; the order is free.
+    Rows must enumerate a rectangular grid; the order is free.  A family
+    built from it needs int Theta dOmega = 1 within 1e-9.
     """
     data = _read_csv(path, ("theta", "phi", "Theta"))
     # before np.unique, which would count a NaN coordinate as one more grid line

@@ -181,12 +181,11 @@ def extract_generator(fam: MapFamily, t: float):
 
 
 def _determinant(fam: MapFamily, c, s, f):
-    """det M = prod_j f_j + s^2 n^T P n for the symmetric part P = c (xi I - S) + S / xi,
+    """det M = prod_j f_j + s^2 n^T P n for the symmetric part P = c (I - S) + S,
     from det(P + s [n]_x) = det P + s^2 n^T P n; no 3x3 stacks."""
     n = fam.moments.first
     nsn = float(n @ fam.moments.second @ n)
-    xi = fam.xi
-    return np.prod(f, axis=-1) + s * s * (c * (xi * float(n @ n) - nsn) + nsn / xi)
+    return np.prod(f, axis=-1) + s * s * (c * (float(n @ n) - nsn) + nsn)
 
 
 def pole_scan(fam: MapFamily, window):
@@ -220,7 +219,7 @@ def pole_scan(fam: MapFamily, window):
     def values(t):
         # det M, then the eigenvalues f_j of the symmetric part of M, on the last axis
         c, s = radial.expectations(t)
-        f = c[..., None] * (fam.xi - sigma) + sigma / fam.xi
+        f = c[..., None] * (1.0 - sigma) + sigma
         return np.concatenate([_determinant(fam, c, s, f)[..., None], f], axis=-1)
 
     # one row per open bracket, its sample times along the row

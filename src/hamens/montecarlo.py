@@ -262,7 +262,7 @@ def _sample_tabulated_angular(model: TabulatedAngular, rng, size):
     return np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), np.cos(theta)])
 
 
-def mc_trajectory(ensemble: MapFamily, rho0: DensityMatrix, times,
+def mc_trajectory(fam: MapFamily, rho0: DensityMatrix, times,
                   cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble averages of the evolved Bloch vector at each time: (mean, stderr),
     the sample mean and its per-component standard error, each (len(times), 3).
@@ -282,9 +282,9 @@ def mc_trajectory(ensemble: MapFamily, rho0: DensityMatrix, times,
     for index in range((n + cfg.chunk - 1) // cfg.chunk):
         rng = chunk_stream(cfg.seed, index)
         count = min(cfg.chunk, n - index * cfg.chunk)
-        half_omega = 0.5 * sample_radial(ensemble.radial, rng, count)
+        half_omega = 0.5 * sample_radial(fam.radial, rng, count)
         # one row per component, so that the sums over samples run along rows
-        axes = sample_angular(ensemble.angular, rng, count)
+        axes = sample_angular(fam.angular, rng, count)
         x, y, z = axes  # n x r0 as np.cross forms it, which is slower
         cross = np.array([y * r0[2] - z * r0[1], z * r0[0] - x * r0[2], x * r0[1] - y * r0[0]])
         # the loop needs no axes, so across takes their memory
@@ -304,9 +304,9 @@ def mc_trajectory(ensemble: MapFamily, rho0: DensityMatrix, times,
     return r0 + mean_d, np.sqrt(var / n)
 
 
-def mc_average(ensemble: MapFamily, rho0: DensityMatrix, t: float,
+def mc_average(fam: MapFamily, rho0: DensityMatrix, t: float,
                cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble average of the evolved Bloch vector at one time: the row of
     mc_trajectory at [t], as (mean, stderr), each of shape (3,)."""
-    mean, stderr = mc_trajectory(ensemble, rho0, [t], cfg)
+    mean, stderr = mc_trajectory(fam, rho0, [t], cfg)
     return mean[0], stderr[0]

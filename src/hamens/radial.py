@@ -360,8 +360,7 @@ class TabulatedRadial(RadialModel):
     run on exp(i c t) mu_k so that it needs exp(i omega t) only at the nodes.
     The midpoint form keeps the polynomial well conditioned and avoids the
     1/t^4 cancellation of a global antiderivative.  The total weight may
-    differ from 1 (normalization split xi != 1), which the ensemble joint
-    check picks up.
+    differ from 1, which `MapFamily` refuses.
     """
 
     omega: np.ndarray

@@ -50,12 +50,12 @@ def random_table(seed, n_theta, n_phi):
     th = np.concatenate([[0.0], np.sort(rng.uniform(0.0, math.pi, n_theta - 2)), [math.pi]])
     ph = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2 * math.pi, n_phi - 2)), [2 * math.pi]])
     vals = rng.random((n_theta, n_phi))
-    return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).xi())
+    return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).mass())
 
 
 @pytest.fixture(scope="session")
 def tilted_table():
-    """37 x 49 table of 3 (n.m)^2 (1 + n.m/2) / 4pi about a tilted axis m, scaled to xi = 1.
+    """37 x 49 table of 3 (n.m)^2 (1 + n.m/2) / 4pi about a tilted axis m, scaled to unit mass.
 
     Its first moment is tilted and its second-moment matrix has off-diagonal
     entries, so no axis-aligned shortcut applies.
@@ -68,4 +68,4 @@ def tilted_table():
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     nm = np.sin(th) * np.cos(ph) * m[0] + np.sin(th) * np.sin(ph) * m[1] + np.cos(th) * m[2]
     values = 3.0 * nm * nm * (1.0 + 0.5 * nm) / (4.0 * math.pi)
-    return TabulatedAngular(theta, phi, values / TabulatedAngular(theta, phi, values).xi())
+    return TabulatedAngular(theta, phi, values / TabulatedAngular(theta, phi, values).mass())

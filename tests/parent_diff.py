@@ -7,9 +7,9 @@ process with its own `src` on PYTHONPATH: once on this working tree, and once
 on REV, checked out with `git worktree add --detach` into a temporary
 directory that is removed on exit.  Both sides read the same inputs, this
 tree's configs and `bench/tabgen.py` tables, so a difference comes from the
-code.  For every file that differs it prints the largest relative cell
-difference, how many rows moved and the first of them; it also prints every
-changed exit code.  It prints "no output differs" and exits 0 when every
+code.  For every file that differs it prints the largest relative and the
+largest absolute cell difference, how many rows moved and the first of them;
+it also prints every changed exit code.  It prints "no output differs" and exits 0 when every
 output matches, and exits 1 otherwise.
 """
 
@@ -43,18 +43,21 @@ with open(os.path.join(out_dir, "runs.json"), "w") as handle:
 """
 
 
-def _relative(a: str, b: str) -> float:
-    """Relative difference of two CSV cells: 0 if equal, inf if either is not a number."""
+def _difference(a: str, b: str) -> tuple[float, float]:
+    """Relative and absolute difference of two CSV cells: 0 if equal, inf if
+    either is not a number or only one is finite."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
-        return math.inf
+        return math.inf, math.inf
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    scale = max(abs(x), abs(y))
-    return abs(x - y) / scale if math.isfinite(scale) else math.inf
+        return 0.0, 0.0
+    diff = abs(x - y)
+    if not math.isfinite(diff):
+        return math.inf, math.inf
+    return diff / max(abs(x), abs(y)), diff
 
 
 def _rows(path: str):
@@ -90,10 +93,12 @@ def compare(old_tree: str, new_tree: str) -> list[str]:
                      if a != b]
             if not moved:
                 continue
-            worst = max(_relative(x, y) for _, a, b in moved
-                        for x, y in itertools.zip_longest((a or "").split(","), (b or "").split(",")))
+            cells = [_difference(x, y) for _, a, b in moved
+                     for x, y in itertools.zip_longest((a or "").split(","), (b or "").split(","))]
+            relative, absolute = (max(column) for column in zip(*cells))
             lines.append(f"{key}: {name}: {len(moved)} of {max(map(len, texts))} rows differ, "
-                         f"largest relative cell difference {worst:.3g}")
+                         f"largest relative cell difference {relative:.3g}, "
+                         f"largest absolute {absolute:.3g}")
             lines += [f"  row {row}: {a} -> {b}" for row, a, b in moved[:SHOWN_ROWS]]
     return lines
 

@@ -51,14 +51,14 @@ def test_quadrature_moments_match_analytic(model):
                                                   for a in (0.0, 0.3, 0.5, 1.0)],
                          ids=lambda m: f"{type(m).__name__}{getattr(m, 'a', '')}")
 def test_density_integrates_to_xi(model):
-    # xi() of a built-in returns the constant 1; quadrature of its density checks it
-    assert abs(sphere_integral(model.density) - model.xi()) <= 1e-10
+    # mass() of a built-in returns the constant 1; quadrature of its density checks it
+    assert abs(sphere_integral(model.density) - model.mass()) <= 1e-10
 
 
 def test_second_moment_trace_is_angular_mass():
     for model in BUILTINS:
         m = directional_moments(model)
-        assert m.xi == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(m.second) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kneaded_reduces_to_cardioid_at_zero_asymmetry():
@@ -108,7 +108,7 @@ def test_tabulated_angular_matches_source_moments():
     tab = cardioid_table()
     m = directional_moments(tab)
     ref = directional_moments(CardioidAngular())
-    assert abs(tab.xi() - 1.0) < 1e-4
+    assert abs(tab.mass() - 1.0) < 1e-4
     assert np.max(np.abs(m.second - ref.second)) < 1e-4
     assert np.max(np.abs(m.first - ref.first)) < 1e-4
 
@@ -125,14 +125,14 @@ def test_tabulated_angular_validation():
 
 
 def test_tabulated_angular_needs_positive_mass():
-    # a table with no mass has no moments to divide by xi
+    # a table with no mass has no moments to normalize
     th = np.linspace(0, math.pi, 5)
     ph = np.linspace(0, 2 * math.pi, 5)
     with pytest.raises(ValueError, match="positive mass"):
         TabulatedAngular(th, ph, np.zeros((5, 5)))
     one_node = np.zeros((5, 5))
     one_node[0, 0] = 1.0  # on the pole: its hat function still carries mass
-    assert TabulatedAngular(th, ph, one_node).xi() > 0.0
+    assert TabulatedAngular(th, ph, one_node).mass() > 0.0
 
 
 def referee_moments(tab, mpmath):
@@ -176,7 +176,7 @@ def test_tabulated_moments_match_a_2d_mpmath_referee(seed, n_theta, n_phi):
     ref = referee_moments(tab, mpmath)
     m = directional_moments(tab)
     assert abs(m.second[0, 1]) > 1e-3
-    assert abs(tab.xi() - ref[0]) <= 1e-13
+    assert abs(tab.mass() - ref[0]) <= 1e-13
     assert np.max(np.abs(m.first - ref[1:4])) <= 1e-13
     upper = m.second[np.triu_indices(3)]
     assert np.max(np.abs(upper - ref[4:])) <= 1e-13

@@ -54,7 +54,8 @@ def test_every_export_resolves_once():
 def test_monte_carlo_surface():
     # bench/tracer.py wraps these by name and passes their arguments on;
     # mc_average's first argument is a MapFamily
-    signatures = {montecarlo.mc_average: ["ensemble", "rho0", "t", "cfg"],
+    signatures = {montecarlo.mc_average: ["fam", "rho0", "t", "cfg"],
+                  montecarlo.mc_trajectory: ["fam", "rho0", "times", "cfg"],
                   montecarlo.sample_radial: ["model", "rng", "size"],
                   montecarlo.sample_angular: ["model", "rng", "size"],
                   validation.check_mc_vs_map: ["fam", "rho0", "cfg"]}
@@ -67,13 +68,12 @@ def test_monte_carlo_surface():
 
 
 def test_one_family_object():
-    # one frozen object holds both models, the moments and xi; the tracer
+    # one frozen object holds both models and the moments; the tracer
     # wraps the classmethod from_ensemble and RunConfig.build_family by name
     fam = MapFamily.from_ensemble(GaussianRadial(), CardioidAngular())
     assert list(inspect.signature(MapFamily.from_ensemble).parameters) == ["radial", "angular"]
     assert isinstance(vars(MapFamily)["from_ensemble"], classmethod)
-    assert [f.name for f in dataclasses.fields(fam)] == ["radial", "angular", "moments", "xi"]
-    assert fam.xi == float(fam.angular.xi())
+    assert [f.name for f in dataclasses.fields(fam)] == ["radial", "angular", "moments"]
     assert list(inspect.signature(RunConfig.build_family).parameters) == ["self", "asymmetry"]
     assert sorted(ensemble.RADIAL_KINDS) == ["exp-cutoff", "gaussian", "reciprocal-square"]
 

@@ -222,6 +222,28 @@ def test_zero_mass_angular_table_exits_2_with_one_line(tmp_path, capsys, command
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "rates"])
+def test_split_table_pair_exits_2_with_one_line(tmp_path, capsys, command):
+    # radial mass 0.5 times angular mass 2 is 1, but each factor must have
+    # unit mass; this pair used to run with a UserWarning and exit 0
+    (tmp_path / "radial.csv").write_text("omega,P\n0,1.5\n1,1.5\n")
+    grid = [(th, ph) for th in (0.0, math.pi) for ph in (0.0, 2 * math.pi)]
+    (tmp_path / "angular.csv").write_text(
+        "theta,phi,Theta\n" + "".join(f"{th!r},{ph!r},{1 / (2 * math.pi)!r}\n" for th, ph in grid))
+    body = SPHERE_CFG.replace("kind = gaussian", "kind = tabulated\ntable = radial.csv").replace(
+        "kind = sphere", "kind = tabulated\ntable = angular.csv")
+    cfg = write_config(tmp_path, body)
+    run = load_config(cfg)
+    radial_mass, angular_mass = run.build_radial().mass(), run.build_angular().mass()
+    assert radial_mass == pytest.approx(0.5, abs=1e-15)
+    assert angular_mass == pytest.approx(2.0, abs=1e-15)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: radial mass must be 1, got {radial_mass!r}"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -619,7 +641,7 @@ def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra)
     ("simulate", 10 ** 9, "", [], "n_points"),
     ("rates", 100_002, "", [], "n_points"),
     ("validate", 201, "samples = 1000000000000", [], "samples"),
-    ("validate", 201, "chunk = 1000000000", [], "chunk"),
+    ("validate", 201, "chunk = 1000000000", [], "unknown key 'chunk'"),
     ("validate", 201, "", ["--samples", "1000000000000"], "sample"),
     ("validate", 201, "", ["--samples", "1"], "samples"),
     ("validate", 201, "samples = 1", [], "samples"),
@@ -664,13 +686,14 @@ def test_sampling_flags_are_refused_outside_validate(tmp_path, capsys, command, 
 
 def test_size_caps_admit_the_sizes_in_use(tmp_path):
     from hamens.config import MAX_GRID_POINTS
-    from hamens.montecarlo import MAX_CHUNK, MAX_SAMPLES
+    from hamens.montecarlo import MAX_SAMPLES
 
-    assert MAX_GRID_POINTS >= 4001 and MAX_SAMPLES >= 1_000_000 and MAX_CHUNK >= 65_536
+    assert MAX_GRID_POINTS >= 4001 and MAX_SAMPLES >= 1_000_000
     body = SPHERE_CFG.replace("n_points = 201", f"n_points = {MAX_GRID_POINTS}")
-    body += f"\n[mc]\nsamples = {MAX_SAMPLES}\nchunk = {MAX_CHUNK}\n"
+    body += f"\n[mc]\nsamples = {MAX_SAMPLES}\n"
     cfg = load_config(write_config(tmp_path, body))
-    assert cfg.sampler_config().n_samples == MAX_SAMPLES
+    # validate draws in chunks of the sampler's default size
+    assert cfg.sampler_config().n_samples == MAX_SAMPLES and cfg.sampler_config().chunk == 4096
 
 
 def test_parse_angle_forms():
@@ -841,7 +864,7 @@ def test_reciprocal_square_at_huge_finite_time_warns_nothing(tmp_path, command):
 
 def write_tabulated_inputs(tmp_path):
     """A 62-row radial table on [0, 3] and a 19 x 25 angular table with a z first
-    moment and diagonal second moments, both seeded and scaled to xi = 1."""
+    moment and diagonal second moments, both seeded and scaled to unit mass."""
     rng = np.random.default_rng([20210427, 0])
     omega = np.linspace(0.0, 3.0, 62)
     density = (0.5 + rng.random(omega.size)) * np.exp(-(omega / (3.0 * rng.uniform(0.3, 0.5))) ** 2)
@@ -852,7 +875,7 @@ def write_tabulated_inputs(tmp_path):
     theta, phi = np.linspace(0.0, math.pi, 19), np.linspace(0.0, 2.0 * math.pi, 25)
     g = (0.6 + 0.4 * rng.random(theta.size)) * (1.0 - rng.uniform(0.3, 0.9) * np.cos(theta))
     values = g[:, None] * (1.0 + rng.uniform(0.1, 0.6) * np.cos(2.0 * phi))[None, :]
-    values = values / TabulatedAngular(theta, phi, values).xi()
+    values = values / TabulatedAngular(theta, phi, values).mass()
     (tmp_path / "radial.csv").write_text(
         "omega,P\n" + "".join(f"{o:.17g},{p:.17g}\n" for o, p in zip(omega, density)))
     th, ph = np.meshgrid(theta, phi, indexing="ij")
@@ -904,13 +927,13 @@ n_points = 201
     table = load_config(cfg).build_angular()
     assert isinstance(table, TabulatedAngular)
     m = directional_moments(table)
-    n, big_s, xi = m.first, m.second, table.xi()
+    n, big_s = m.first, m.second
     cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     for i in (1, 73, 200):
         t = outs["rates"][i, 0]
         c, s, dc, ds = gauss_legendre_expectations(omega, density, t)
-        mt = c * (xi * np.eye(3) - big_s) + big_s / xi + s * cross
-        dmt = dc * (xi * np.eye(3) - big_s) + ds * cross
+        mt = c * (np.eye(3) - big_s) + big_s + s * cross
+        dmt = dc * (np.eye(3) - big_s) + ds * cross
         assert np.allclose(outs["simulate"][i, 2:5], mt @ [0.3, -0.5, 0.6], rtol=0, atol=1e-12)
         ell = dmt @ np.linalg.inv(mt)
         sym = 0.5 * (ell + ell.T)

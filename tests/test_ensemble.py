@@ -1,47 +1,54 @@
-"""Separable ensembles: normalization split, CSV table loading."""
+"""Separable ensembles: unit-mass factors, CSV table loading."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hamens import (CardioidAngular, GaussianRadial, MapFamily, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, load_angular_table, load_radial_table)
+from hamens import (GaussianRadial, MapFamily, SphereAngular, TabulatedAngular, TabulatedRadial,
+                    load_angular_table, load_radial_table)
+from hamens.validation import builtin_families
 
 from conftest import TABLES_WITH_X
 
 
 def test_builtin_pairs_are_jointly_normalized():
-    fam = MapFamily.from_ensemble(GaussianRadial(2.0), CardioidAngular())
-    assert fam.xi == pytest.approx(1.0)
+    for name, fam in builtin_families(omega_c=2.0):
+        assert fam.radial.mass() == 1.0 and fam.angular.mass() == 1.0, name
 
 
 def test_joint_normalization_rejects_mismatch():
     om = np.linspace(0.0, 13.0, 301)
-    dens = np.sqrt(2 / np.pi) * np.exp(-0.5 * om * om) * 1.5  # mass 1.5, xi stays 1
+    dens = np.sqrt(2 / np.pi) * np.exp(-0.5 * om * om) * 1.5  # mass 1.5
     with pytest.raises(ValueError):
         MapFamily.from_ensemble(TabulatedRadial(om, dens), SphereAngular())
 
 
-def split_normalization_pair(xi=2.0):
-    """Tabulated pair with radial mass 1/xi and angular mass xi."""
+def split_normalization_pair(split=2.0):
+    """Tabulated pair with radial mass 1/split and angular mass split: the
+    product is 1, but neither factor has unit mass."""
     om = np.linspace(0.0, 13.0, 601)
     dens = np.sqrt(2 / np.pi) * np.exp(-0.5 * om * om)
     tab = TabulatedRadial(om, dens)
-    radial = TabulatedRadial(om, dens / (tab.mass() * xi))
+    radial = TabulatedRadial(om, dens / (tab.mass() * split))
     th = np.linspace(0, math.pi, 5)
     ph = np.linspace(0, 2 * math.pi, 5)
-    angular = TabulatedAngular(th, ph, np.full((5, 5), xi / (4 * math.pi)))
+    angular = TabulatedAngular(th, ph, np.full((5, 5), split / (4 * math.pi)))
     return radial, angular
 
 
-def test_split_normalization_accepted_and_flagged():
-    with pytest.warns(UserWarning):
-        fam = MapFamily.from_ensemble(*split_normalization_pair(xi=2.0))
-    assert fam.xi == pytest.approx(2.0, abs=1e-9)
-    # the map is still the identity at t = 0: cos expectation starts at 1/xi
-    from hamens import map_matrices
-    assert np.allclose(map_matrices(fam, 0.0), np.eye(3), atol=1e-9)
+@pytest.mark.parametrize("side", ["radial", "angular"])
+def test_split_normalization_is_refused(side):
+    # each factor must have unit mass on its own; a split pair used to be
+    # accepted with a UserWarning
+    radial, angular = split_normalization_pair(split=2.0)
+    if side == "angular":
+        radial = GaussianRadial()
+    with pytest.raises(ValueError, match=f"^{side} mass must be 1, got "):
+        MapFamily.from_ensemble(radial, angular)
+    # the same pair written as unit-mass factors is accepted
+    radial, angular = split_normalization_pair(split=1.0)
+    assert MapFamily.from_ensemble(radial, angular).angular.mass() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_load_radial_table(tmp_path):
@@ -79,7 +86,7 @@ def test_load_angular_table_roundtrip(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     tab = load_angular_table(path)
     assert tab.values.shape == (41, 21)
-    assert abs(tab.xi() - 1.0) < 1e-2
+    assert abs(tab.mass() - 1.0) < 1e-2
 
 
 def test_load_angular_table_rejects_ragged_grid(tmp_path):

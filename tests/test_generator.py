@@ -12,11 +12,11 @@ from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellA
                     bloch_generators, extract_generator, isotropic_rate, map_matrices,
                     offdiagonal_rate, pole_scan, rate_trajectory)
 from hamens.dynmap import diagonal_components
-from hamens.generator import POLE_THRESHOLD
+from hamens.generator import POLE_THRESHOLD, _determinant
 from hamens.radial import RadialModel, expectation_quadrature
 from hamens.validation import builtin_families, pole_free_times
 
-from conftest import d_denominator, sign_change_roots
+from conftest import d_denominator, random_table, sign_change_roots
 
 
 def family(radial, angular):
@@ -372,6 +372,27 @@ def test_lab_frame_route_is_rotation_covariant(angular, n_poles):
 # ---------------------------------------------------------------------------
 # poles
 # ---------------------------------------------------------------------------
+
+def determinant_families(tilted_table):
+    """The 15 built-ins, and three tables whose moments have off-diagonal parts."""
+    tables = [("gaussian+tilted", GaussianRadial(), tilted_table),
+              ("exp-cutoff+random45", ExponentialCutoffRadial(2.0), random_table(45, 4, 5)),
+              ("reciprocal-square+random41", ReciprocalSquareRadial(0.5), random_table(41, 3, 4))]
+    return builtin_families() + [(name, family(r, a)) for name, r, a in tables]
+
+
+def test_determinant_equals_the_map_determinant(tilted_table):
+    # the pole scan reads det M from _determinant, which forms no 3x3 stack;
+    # its f_j here are the eigenvalues of the symmetric part of M itself
+    for name, fam in determinant_families(tilted_table):
+        t = np.linspace(0.0, 20.0, 200) / fam.radial.omega_c
+        m = map_matrices(fam, t)
+        c, s = fam.radial.expectations(t)
+        f = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+        det = np.linalg.det(m)
+        assert np.all(np.abs(_determinant(fam, c, s, f) - det)
+                      <= 1e-14 * np.maximum(1.0, np.abs(det))), name
+
 
 class StubRadial(RadialModel):
     """Radial model whose <cos omega t> is given pointwise: with the sphere, every

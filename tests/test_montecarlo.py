@@ -313,7 +313,7 @@ def table_theta_cdf(tab, theta):
 
     cells = np.arange(alpha.size)
     below = np.concatenate([[0.0], np.cumsum(anti(cells, tab.theta[1:]) - anti(cells, tab.theta[:-1]))])
-    assert abs(below[-1] - tab.xi()) <= 1e-12 * tab.xi()
+    assert abs(below[-1] - tab.mass()) <= 1e-12 * tab.mass()
     i = np.clip(np.searchsorted(tab.theta, theta, side="right") - 1, 0, alpha.size - 1)
     return (below[i] + anti(i, theta) - anti(i, tab.theta[i])) / below[-1]
 

@@ -37,8 +37,21 @@ def test_compare_reports_an_ulp_a_missing_file_and_an_exit_code(tmp_path):
     assert lines == [
         "simulate a: extra.csv written only by old",
         "simulate a: out.csv: 1 of 4 rows differ, largest relative cell difference "
-        f"{(bumped - cell) / bumped:.3g}",
+        f"{(bumped - cell) / bumped:.3g}, largest absolute {bumped - cell:.3g}",
         f"  row 2: {cell!r},0.5 -> {bumped!r},0.5",
         "validate b: exit 0 -> 1",
     ]
     assert compare(old, old) == []
+
+
+def test_compare_takes_each_largest_difference_over_all_cells(tmp_path):
+    # a near-zero cell can move by 1.5 relative and 5e-14 absolute while a
+    # large cell moves by 1e-3 absolute; both maxima are printed
+    old = write_tree(tmp_path / "old", {"rates a": (0, {"out.csv": "t,g\n0,2e-14\n1,1000.0\n"})})
+    new = write_tree(tmp_path / "new", {"rates a": (0, {"out.csv": "t,g\n0,-3e-14\n1,1000.001\n"})})
+    lines = compare(old, new)
+    assert lines[0] == ("rates a: out.csv: 2 of 3 rows differ, largest relative cell difference "
+                        f"1.67, largest absolute {1000.001 - 1000.0:.3g}")
+    # a cell that is a number on one side only counts as an infinite difference
+    new = write_tree(tmp_path / "nan", {"rates a": (0, {"out.csv": "t,g\n0,nan\n1,1000.0\n"})})
+    assert compare(old, new)[0].endswith("largest relative cell difference inf, largest absolute inf")
