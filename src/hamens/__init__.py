@@ -21,7 +21,7 @@ from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_
                         bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
                         pole_scan, rate_trajectory)
 from .montecarlo import SamplerConfig, mc_average, mc_trajectory, sample_angular, sample_radial
-from .propagation import IntegrationError, StateTrajectory, integrate_master
+from .propagation import IntegrationError, integrate_master
 from .config import ConfigError, RunConfig, load_config
 from .validation import CheckResult, run_checks
 
@@ -40,6 +40,6 @@ __all__ = [
     "bloch_generators",
     "pole_scan", "rate_trajectory",
     "SamplerConfig", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
-    "IntegrationError", "StateTrajectory", "integrate_master",
+    "IntegrationError", "integrate_master",
     "ConfigError", "RunConfig", "load_config", "CheckResult", "run_checks",
 ]

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .angular import directional_moments, directional_moments_quadrature
+from .angular import directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
 from .generator import offdiagonal_rate, rate_trajectory
@@ -37,8 +37,10 @@ def _fmt(x) -> str:
 
 
 def _rows(*columns):
-    """One CSV row per index of the columns, every cell through _fmt."""
-    return [",".join(map(_fmt, row)) for row in zip(*columns)]
+    """One CSV row per index of the columns, every cell as _fmt writes it:
+    one %-format per row, of plain Python numbers."""
+    row = ",".join(["%.17g"] * len(columns))
+    return [row % cells for cells in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def _write_lines(lines, out_path):
@@ -57,11 +59,10 @@ def _moment_values(m):
 
 
 def cmd_moments(cfg, out_path):
-    angular = cfg.build_angular()
+    fam = cfg.build_family()
     tabulated = cfg.angular_kind == "tabulated"
-    model_m = directional_moments(angular)
-    quad_m = model_m if tabulated else directional_moments_quadrature(angular)
-    analytic = [float("nan")] * 9 if tabulated else _moment_values(model_m)
+    quad_m = fam.moments if tabulated else directional_moments_quadrature(fam.angular)
+    analytic = [float("nan")] * 9 if tabulated else _moment_values(fam.moments)
     quad = _moment_values(quad_m)
     lines = ["moment,analytic,quadrature,abs_diff"]
     for name, a, q in zip(_MOMENT_ROWS, analytic, quad):

@@ -82,31 +82,27 @@ class RunConfig:
     base_dir: str = "."
 
     # -- builders ------------------------------------------------------------
-    def _resolve(self, path):
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
-
-    def build_radial(self):
-        if self.radial_kind != "tabulated":
-            return RADIAL_KINDS[self.radial_kind](self.omega_c)
-        try:
-            return load_radial_table(self._resolve(self.radial_table))
+    def _table(self, part, load, path):
+        try:  # an absolute path replaces base_dir in the join
+            return load(os.path.join(self.base_dir, path))
         except (OSError, ValueError) as err:
-            raise ConfigError(f"radial table: {err}") from err
-
-    def build_angular(self, asymmetry=None):
-        kind = self.angular_kind
-        if kind == "kneaded":
-            return ANGULAR_KINDS[kind](self.asymmetry if asymmetry is None else asymmetry)
-        if kind != "tabulated":
-            return ANGULAR_KINDS[kind]()
-        try:
-            return load_angular_table(self._resolve(self.angular_table))
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"angular table: {err}") from err
+            raise ConfigError(f"{part} table: {err}") from err
 
     def build_family(self, asymmetry=None) -> MapFamily:
+        """The family of the [radial] and [angular] sections (asymmetry overrides a)."""
+        if self.radial_kind == "tabulated":
+            radial = self._table("radial", load_radial_table, self.radial_table)
+        else:
+            radial = RADIAL_KINDS[self.radial_kind](self.omega_c)
+        kind = self.angular_kind
+        if kind == "tabulated":
+            angular = self._table("angular", load_angular_table, self.angular_table)
+        elif kind == "kneaded":
+            angular = ANGULAR_KINDS[kind](self.asymmetry if asymmetry is None else asymmetry)
+        else:
+            angular = ANGULAR_KINDS[kind]()
         try:
-            return MapFamily.from_ensemble(self.build_radial(), self.build_angular(asymmetry))
+            return MapFamily.from_ensemble(radial, angular)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 

@@ -48,11 +48,11 @@ SEED_LIMIT = 2 ** 64
 #: no array is sized by the sample count, so this cap bounds run time only:
 #: `validate` at the cap draws 1e7 realizations for each of 15 pairs
 MAX_SAMPLES = 10_000_000
-#: while a chunk is drawn and evolved, the tracemalloc peak is 16 float64 arrays
-#: of the chunk length for the built-in kinds and a radial table (128 B per
-#: sample, in the evolve) and 37 for an angular table (296 B, in the Newton
-#: solve of its theta), so a chunk at the cap takes 8.4 or 19 MB
-MAX_CHUNK = 65_536
+#: samples per chunk: it picks which Philox stream draws which samples, so it is
+#: part of the estimate.  A pair's chunk peaks (tracemalloc) at 145 B per sample,
+#: 0.6 MB, in the evolve, or 298 B, 1.2 MB, in the Newton solve of an angular
+#: table's theta; each further angular model sharing the radial draw adds 48 B
+CHUNK = 4096
 #: stop a root once its Newton step or its bracket is this small
 _NEWTON_TOL = 1e-12
 #: hard cap on Newton iterations; next to a zero of pdf the most seen is 53
@@ -61,19 +61,16 @@ _NEWTON_CAP = 100
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Seed, sample count and chunk size; together they pin the estimate exactly."""
+    """Seed and sample count; with the fixed CHUNK they pin the estimate exactly."""
 
     seed: int
     n_samples: int
-    chunk: int = 4096
 
     def __post_init__(self):
         if not 0 <= self.seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
             raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
-        if not 1 <= self.chunk <= MAX_CHUNK:
-            raise ValueError(f"chunk size must lie in [1, {MAX_CHUNK}], got {self.chunk}")
 
 
 def chunk_stream(seed: int, index: int) -> np.random.Generator:
@@ -274,34 +271,51 @@ def mc_trajectory(fam: MapFamily, rho0: DensityMatrix, times,
     other times.  At t == 0 every displacement d is exactly 0, so the
     row is r0 with no spread; one sample has no spread either.
     """
+    return _mc_pairs(fam.radial, [fam.angular], rho0, times, cfg)[0]
+
+
+def _mc_pairs(radial: RadialModel, angulars, rho0: DensityMatrix, times, cfg: SamplerConfig):
+    """mc_trajectory of the radial model paired with each angular model, as a
+    list of (mean, stderr).
+
+    A chunk's frequencies, and the half-angle tangents of each time, serve
+    every pair: before each angular draw the stream is reset to its state
+    after the radial draw, so each pair gets exactly the draws it gets alone.
+    """
     n = cfg.n_samples
     r0 = rho0.bloch
     times = np.asarray(times, dtype=float).ravel()
-    total = np.zeros((times.size, 3))
-    total_sq = np.zeros((times.size, 3))
-    for index in range((n + cfg.chunk - 1) // cfg.chunk):
+    total = np.zeros((len(angulars), times.size, 3))
+    total_sq = np.zeros_like(total)
+    for index in range((n + CHUNK - 1) // CHUNK):
         rng = chunk_stream(cfg.seed, index)
-        count = min(cfg.chunk, n - index * cfg.chunk)
-        half_omega = 0.5 * sample_radial(fam.radial, rng, count)
-        # one row per component, so that the sums over samples run along rows
-        axes = sample_angular(fam.angular, rng, count)
-        x, y, z = axes  # n x r0 as np.cross forms it, which is slower
-        cross = np.array([y * r0[2] - z * r0[1], z * r0[0] - x * r0[2], x * r0[1] - y * r0[0]])
-        # the loop needs no axes, so across takes their memory
-        across = np.subtract(r0[:, None], (r0 @ axes) * axes, out=axes)
+        count = min(CHUNK, n - index * CHUNK)
+        half_omega = 0.5 * sample_radial(radial, rng, count)
+        state = rng.bit_generator.state
+        pairs = []
+        for angular in angulars:
+            rng.bit_generator.state = state
+            # one row per component, so that the sums over samples run along rows
+            axes = sample_angular(angular, rng, count)
+            x, y, z = axes  # n x r0 as np.cross forms it, which is slower
+            cross = np.array([y * r0[2] - z * r0[1], z * r0[0] - x * r0[2], x * r0[1] - y * r0[0]])
+            # the loop needs no axes, so across takes their memory
+            pairs.append((cross, np.subtract(r0[:, None], (r0 @ axes) * axes, out=axes)))
         # d is written into two arrays per chunk rather than fresh
         # temporaries per time, which is slower
-        d, d_sq = np.empty_like(across), np.empty_like(across)
+        d, d_sq = np.empty((3, count)), np.empty((3, count))
         for k, t in enumerate(times):
             tau = np.tan(half_omega * t)
-            np.multiply(tau, across, out=d)
-            np.subtract(cross, d, out=d)
-            d *= 2.0 * tau / (1.0 + tau * tau)
-            total[k] += d.sum(axis=1)
-            total_sq[k] += np.multiply(d, d, out=d_sq).sum(axis=1)
+            sin = 2.0 * tau / (1.0 + tau * tau)
+            for j, (cross, across) in enumerate(pairs):
+                np.multiply(tau, across, out=d)
+                np.subtract(cross, d, out=d)
+                d *= sin
+                total[j, k] += d.sum(axis=1)
+                total_sq[j, k] += np.multiply(d, d, out=d_sq).sum(axis=1)
     mean_d = total / n
     var = np.maximum(total_sq - n * mean_d * mean_d, 0.0) / max(n - 1, 1)
-    return r0 + mean_d, np.sqrt(var / n)
+    return list(zip(r0 + mean_d, np.sqrt(var / n)))
 
 
 def mc_average(fam: MapFamily, rho0: DensityMatrix, t: float,

@@ -30,7 +30,6 @@ split spans at the output of `pole_scan` and bridge poles with the exact map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -54,14 +53,6 @@ class IntegrationError(RuntimeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
-
-
-@dataclass(frozen=True, eq=False)
-class StateTrajectory:
-    """Times and the Bloch vector at each time, shape (n, 3)."""
-
-    times: np.ndarray
-    bloch: np.ndarray
 
 
 @lru_cache(maxsize=1)
@@ -125,17 +116,18 @@ def _cut(lo, hi, pieces):
     return starts, stops
 
 
-def integrate_master(genfn, rho0: DensityMatrix, span, *, t_eval=None) -> StateTrajectory:
-    """Propagate rho0 forward across a pole-free span.
+def integrate_master(genfn, rho0: DensityMatrix, span, t_eval) -> np.ndarray:
+    """Propagate rho0 forward across a pole-free span; returns the Bloch
+    vector at each of the sorted times t_eval inside the span, shape
+    (len(t_eval), 3).
 
     genfn(times) returns the Bloch generators at an array of times, stacked
-    with shape (n, 3, 3).  The state is reported at the sorted times t_eval
-    inside the span (default: the span endpoints).
+    with shape (n, 3, 3).
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
         raise ValueError("span must run forward in time")
-    t_eval = np.array([t0, t1] if t_eval is None else t_eval, dtype=float).reshape(-1)
+    t_eval = np.array(t_eval, dtype=float).reshape(-1)
     if np.any(np.diff(t_eval) < 0.0) or (t_eval.size and not t0 <= t_eval[0] <= t_eval[-1] <= t1):
         raise ValueError("t_eval must be sorted and inside the span")
     # below this length the pieces of an interval no longer have distinct nodes
@@ -181,4 +173,4 @@ def integrate_master(genfn, rho0: DensityMatrix, span, *, t_eval=None) -> StateT
                                time=err.time) from err
     except np.linalg.LinAlgError as err:
         raise IntegrationError(f"collocation failed: {err}") from err
-    return StateTrajectory(times=t_eval, bloch=bloch)
+    return bloch

@@ -133,21 +133,25 @@ class RadialModel:
         raise NotImplementedError
 
 
-def _positive_cutoff(omega_c) -> float:
-    omega_c = float(omega_c)
-    if not omega_c > 0.0:
-        raise ValueError(f"cutoff frequency must be positive, got {omega_c}")
-    return omega_c
-
-
 @dataclass(frozen=True)
-class GaussianRadial(RadialModel):
-    """P(omega) = sqrt(2/pi) exp(-omega^2 / 2 omega_c^2) / omega_c^3 on [0, inf)."""
+class _CutoffRadial(RadialModel):
+    """A closed-form model of unit mass, set by its cutoff frequency omega_c > 0."""
 
     omega_c: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
+        omega_c = float(self.omega_c)
+        if not omega_c > 0.0:
+            raise ValueError(f"cutoff frequency must be positive, got {omega_c}")
+        object.__setattr__(self, "omega_c", omega_c)
+
+    def mass(self):
+        return 1.0
+
+
+@dataclass(frozen=True)
+class GaussianRadial(_CutoffRadial):
+    """P(omega) = sqrt(2/pi) exp(-omega^2 / 2 omega_c^2) / omega_c^3 on [0, inf)."""
 
     def weight(self, omega):
         y = np.asarray(omega) / self.omega_c
@@ -156,9 +160,6 @@ class GaussianRadial(RadialModel):
     def support(self):
         # weight below 1e-36 of its peak beyond 13 omega_c
         return 0.0, 13.0 * self.omega_c
-
-    def mass(self):
-        return 1.0
 
     # Clamping |x| to _GAUSS_ZERO in the exp(-x^2/2) forms changes no value
     # (the factor is already 0 there) and keeps x^2 finite.
@@ -189,13 +190,8 @@ class GaussianRadial(RadialModel):
 
 
 @dataclass(frozen=True)
-class ExponentialCutoffRadial(RadialModel):
+class ExponentialCutoffRadial(_CutoffRadial):
     """P(omega) = omega exp(-omega/omega_c) / (6 omega_c^4) on [0, inf)."""
-
-    omega_c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
 
     def weight(self, omega):
         y = np.asarray(omega) / self.omega_c
@@ -203,9 +199,6 @@ class ExponentialCutoffRadial(RadialModel):
 
     def support(self):
         return 0.0, 90.0 * self.omega_c
-
-    def mass(self):
-        return 1.0
 
     def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)
@@ -240,17 +233,12 @@ class ExponentialCutoffRadial(RadialModel):
 
 
 @dataclass(frozen=True)
-class ReciprocalSquareRadial(RadialModel):
+class ReciprocalSquareRadial(_CutoffRadial):
     """P(omega) = 1 / (omega_c omega^2) on [0, omega_c]; effective weight uniform.
 
     The 1/omega^2 singularity of the density is cancelled exactly by the
     omega^2 measure factor, so everything works with the constant weight.
     """
-
-    omega_c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega_c", _positive_cutoff(self.omega_c))
 
     def weight(self, omega):
         w = np.asarray(omega, dtype=float)
@@ -258,9 +246,6 @@ class ReciprocalSquareRadial(RadialModel):
 
     def support(self):
         return 0.0, self.omega_c
-
-    def mass(self):
-        return 1.0
 
     def expectations(self, t, derivative=False):
         x = self.omega_c * np.asarray(t, dtype=float)

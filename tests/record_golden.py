@@ -2,7 +2,7 @@
 
 The runs are `moments`, `simulate` and `rates` on every `configs/*.cfg`,
 `scan` on the fig7 configs (with their per-value files), `validate` on
-`validate_default.cfg` at seed 11, and the three commands on the tabulated
+`validate_default.cfg` at seeds 1, 11 and 145, and the three commands on the tabulated
 and probe configs of each `bench/tabgen.py` variant, written from their seeds.
 All run `hamens.cli.main` in this process.
 
@@ -99,8 +99,11 @@ def _runs(directory):
             for label, path in configs.items() for command in ("moments", "simulate", "rates")]
     runs += [(f"scan {label}", ["scan", "--config", path])
              for label, path in configs.items() if label.startswith("fig7_")]
-    runs.append(("validate validate_default --seed 11",
-                 ["validate", "--config", configs["validate_default"], "--seed", "11"]))
+    # seed 145 fails the 4-sigma gate (exit 1), so a change to the Monte-Carlo
+    # route is checked at a failing seed as well as at passing ones
+    runs += [(f"validate validate_default --seed {seed}",
+              ["validate", "--config", configs["validate_default"], "--seed", seed])
+             for seed in ("1", "11", "145")]
     runs += [(f"{command} {label}", [command, "--config", path])
              for label, path in _tabgen_configs(directory).items()
              for command in ("moments", "simulate", "rates")]

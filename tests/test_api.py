@@ -11,8 +11,8 @@ import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
                     ReciprocalSquareRadial, RunConfig, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, dynmap, ensemble, generator, montecarlo, pole_scan, radial,
-                    validation)
+                    TabulatedRadial, dynmap, ensemble, generator, montecarlo, pole_scan, propagation,
+                    radial, validation)
 from hamens.cli import build_parser
 
 from conftest import random_table
@@ -28,16 +28,17 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "LindbladGenerator", "_require", "builtin_poles", "builtin_angulars", "_result",
            "_quadrature", "_integrate", "expectation", "_scalarize", "MCEstimate",
            "_tabulated_radial_quantile", "segment_cubics", "SeparableEnsemble", "build_ensemble",
-           "scan_parameter")
+           "scan_parameter", "build_radial", "build_angular", "StateTrajectory", "MAX_CHUNK",
+           "_positive_cutoff")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, ensemble, generator, montecarlo, radial, validation, RadialModel,
-               GaussianRadial, ExponentialCutoffRadial, ReciprocalSquareRadial, TabulatedRadial,
-               TabulatedAngular, RunConfig)
+    holders = (hamens, dynmap, ensemble, generator, montecarlo, propagation, radial, validation,
+               RadialModel, GaussianRadial, ExponentialCutoffRadial, ReciprocalSquareRadial,
+               TabulatedRadial, TabulatedAngular, RunConfig)
     for name in REMOVED:
         for holder in holders:
             assert not hasattr(holder, name), (holder, name)
@@ -58,9 +59,14 @@ def test_monte_carlo_surface():
                   montecarlo.mc_trajectory: ["fam", "rho0", "times", "cfg"],
                   montecarlo.sample_radial: ["model", "rng", "size"],
                   montecarlo.sample_angular: ["model", "rng", "size"],
-                  validation.check_mc_vs_map: ["fam", "rho0", "cfg"]}
+                  validation.check_mc_vs_map: ["fams", "rho0", "cfg"]}
     for fn, parameters in signatures.items():
         assert list(inspect.signature(fn).parameters) == parameters, fn.__name__
+    # the chunk size is fixed: a seed and a sample count pin the estimate
+    assert [f.name for f in dataclasses.fields(montecarlo.SamplerConfig)] == ["seed", "n_samples"]
+    # the integrator reports the times it is given, and has no default for them
+    t_eval = inspect.signature(propagation.integrate_master).parameters["t_eval"]
+    assert t_eval.default is inspect.Parameter.empty
     # axes come as rows, (3, n), for every kind
     for model in (SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(),
                   KneadedCardioidAngular(0.3), random_table(45, 4, 5)):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hamens import (DensityMatrix, IntegrationError, PoleError, QuadratureError, TabulatedAngular,
-                    directional_moments, pole_scan)
+                    directional_moments, load_angular_table, load_radial_table, pole_scan)
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
 from hamens.validation import THRESHOLDS, builtin_families, check_roundtrip
@@ -113,6 +113,20 @@ def test_simulate_uses_17_significant_digits(tmp_path):
     main(["simulate", "--config", cfg, "--out", str(out)])
     _, rows = read_csv(out)
     assert rows[-1][4] == "0.33333333333333331"
+
+
+def test_csv_rows_write_every_cell_as_fmt_does():
+    from hamens.cli import _fmt, _rows
+
+    values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e16, 5e-324, -1.7976931348623157e308,
+                       1.0 / 3.0, 2.5, -1e-17, 123456789.123456789])
+    values = np.concatenate([values, np.random.default_rng(5).standard_normal(12) * 1e3])
+    flags = np.arange(values.size) % 2
+    rows = _rows(values, values[::-1], flags)
+    assert rows == [",".join(map(_fmt, cells)) for cells in zip(values, values[::-1], flags)]
+    firsts = [row.split(",")[0] for row in rows[1:6]]
+    assert firsts == ["-0", "nan", "inf", "-inf", "10000000000000000"]
+    assert rows[1].endswith(",1") and rows[2].endswith(",0")
 
 
 def test_simulate_bagel_purity_touches_half(tmp_path):
@@ -222,10 +236,11 @@ def test_zero_mass_angular_table_exits_2_with_one_line(tmp_path, capsys, command
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "rates"])
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates"])
 def test_split_table_pair_exits_2_with_one_line(tmp_path, capsys, command):
     # radial mass 0.5 times angular mass 2 is 1, but each factor must have
-    # unit mass; this pair used to run with a UserWarning and exit 0
+    # unit mass, in every command that builds the family; this pair used to
+    # run with a UserWarning and exit 0 (moments: without the warning)
     (tmp_path / "radial.csv").write_text("omega,P\n0,1.5\n1,1.5\n")
     grid = [(th, ph) for th in (0.0, math.pi) for ph in (0.0, 2 * math.pi)]
     (tmp_path / "angular.csv").write_text(
@@ -233,8 +248,8 @@ def test_split_table_pair_exits_2_with_one_line(tmp_path, capsys, command):
     body = SPHERE_CFG.replace("kind = gaussian", "kind = tabulated\ntable = radial.csv").replace(
         "kind = sphere", "kind = tabulated\ntable = angular.csv")
     cfg = write_config(tmp_path, body)
-    run = load_config(cfg)
-    radial_mass, angular_mass = run.build_radial().mass(), run.build_angular().mass()
+    radial_mass = load_radial_table(tmp_path / "radial.csv").mass()
+    angular_mass = load_angular_table(tmp_path / "angular.csv").mass()
     assert radial_mass == pytest.approx(0.5, abs=1e-15)
     assert angular_mass == pytest.approx(2.0, abs=1e-15)
     out = tmp_path / "out.csv"
@@ -686,14 +701,14 @@ def test_sampling_flags_are_refused_outside_validate(tmp_path, capsys, command, 
 
 def test_size_caps_admit_the_sizes_in_use(tmp_path):
     from hamens.config import MAX_GRID_POINTS
-    from hamens.montecarlo import MAX_SAMPLES
+    from hamens.montecarlo import CHUNK, MAX_SAMPLES
 
     assert MAX_GRID_POINTS >= 4001 and MAX_SAMPLES >= 1_000_000
     body = SPHERE_CFG.replace("n_points = 201", f"n_points = {MAX_GRID_POINTS}")
     body += f"\n[mc]\nsamples = {MAX_SAMPLES}\n"
     cfg = load_config(write_config(tmp_path, body))
-    # validate draws in chunks of the sampler's default size
-    assert cfg.sampler_config().n_samples == MAX_SAMPLES and cfg.sampler_config().chunk == 4096
+    # validate draws in chunks of the fixed size CHUNK
+    assert cfg.sampler_config().n_samples == MAX_SAMPLES and CHUNK == 4096
 
 
 def test_parse_angle_forms():
@@ -924,7 +939,7 @@ n_points = 201
         _, rows = read_csv(out)
         outs[command] = np.array(rows, dtype=float)
         assert outs[command].shape[0] == 201 and np.all(np.isfinite(outs[command]))
-    table = load_config(cfg).build_angular()
+    table = load_config(cfg).build_family().angular
     assert isinstance(table, TabulatedAngular)
     m = directional_moments(table)
     n, big_s = m.first, m.second

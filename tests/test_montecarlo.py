@@ -12,7 +12,8 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     MapFamily, ReciprocalSquareRadial, SamplerConfig,
                     SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
-from hamens.montecarlo import MAX_CHUNK, _NEWTON_CAP, _newton_cdf, chunk_stream
+from hamens.montecarlo import CHUNK, _NEWTON_CAP, _mc_pairs, _newton_cdf, chunk_stream
+from hamens.validation import builtin_families
 
 from conftest import random_table
 
@@ -376,7 +377,7 @@ def test_mc_average_matches_map_componentwise():
 def test_mc_average_bit_identical_across_runs_and_workers():
     fam = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
     rho0 = DensityMatrix([0.6, 0.0, 0.7])
-    cfg = SamplerConfig(seed=77, n_samples=150001, chunk=4096)
+    cfg = SamplerConfig(seed=77, n_samples=150001)
     first, second = (mc_average(fam, rho0, 1.3, cfg) for _ in range(2))
     assert first[0].shape == first[1].shape == (3,)
     assert np.array_equal(first[0], second[0])
@@ -386,7 +387,7 @@ def test_mc_average_bit_identical_across_runs_and_workers():
 def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
     fam = MapFamily.from_ensemble(GaussianRadial(), KneadedCardioidAngular(0.3))
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
-    cfg = SamplerConfig(seed=12, n_samples=9001, chunk=2048)
+    cfg = SamplerConfig(seed=12, n_samples=9001)
     times = [1.5, 0.0, 0.2, 8.0, 0.0]
     means, stderrs = mc_trajectory(fam, rho0, times, cfg)
     assert means.shape == stderrs.shape == (len(times), 3)
@@ -404,10 +405,28 @@ def test_mc_trajectory_entries_match_single_times_and_time_zero_is_exact():
             assert np.all(stderr > 0.0)
 
 
+@pytest.mark.parametrize("seed", [3, 145])
+def test_one_radial_draw_per_chunk_gives_each_pair_its_own_estimate(seed):
+    # validate draws each radial model once per chunk for all five angular
+    # kinds, resetting the stream before each angular draw: every pair must
+    # get bit for bit what mc_trajectory gives it alone, chunk after chunk
+    rho0 = DensityMatrix([0.6, -0.1, 0.75])
+    cfg = SamplerConfig(seed=seed, n_samples=CHUNK + 905)
+    times = [0.0, 0.2, 1.0, 3.0, 8.0]
+    families = [fam for _, fam in builtin_families()]
+    for first in range(0, len(families), 5):
+        group = families[first:first + 5]
+        assert all(fam.radial is group[0].radial for fam in group)
+        grouped = _mc_pairs(group[0].radial, [fam.angular for fam in group], rho0, times, cfg)
+        for fam, (mean, stderr) in zip(group, grouped):
+            alone = mc_trajectory(fam, rho0, times, cfg)
+            assert np.array_equal(mean, alone[0]) and np.array_equal(stderr, alone[1])
+
+
 def test_mc_trajectory_bit_identical_across_runs():
     fam = MapFamily.from_ensemble(ReciprocalSquareRadial(), BagelAngular())
     rho0 = DensityMatrix([0.6, 0.0, 0.7])
-    cfg = SamplerConfig(seed=77, n_samples=30001, chunk=4096)
+    cfg = SamplerConfig(seed=77, n_samples=30001)
     times = np.array([0.0, 0.4, 1.3, 6.0])
     first, second = (mc_trajectory(fam, rho0, times, cfg) for _ in range(2))
     assert np.array_equal(first[0], second[0])
@@ -446,7 +465,7 @@ def test_single_realization_where_the_half_angle_tangent_is_largest(seed):
     angles = omega * times
     assert np.max(np.abs(np.tan(0.5 * angles))) > 1e16
     r0 = np.array([0.6, -0.2, 0.7])
-    cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
+    cfg = SamplerConfig(seed=seed, n_samples=1)
     means, _ = mc_trajectory(fam, DensityMatrix(r0), times, cfg)
     n, r = [[mpmath.mpf(float(x)) for x in v] for v in (axis, r0)]
     cross = [n[(j + 1) % 3] * r[(j + 2) % 3] - n[(j + 2) % 3] * r[(j + 1) % 3] for j in range(3)]
@@ -463,9 +482,9 @@ def cos_sin_trajectory(ensemble, rho0, times, cfg):
     times = np.asarray(times, dtype=float)
     total = np.zeros((times.size, 3))
     total_sq = np.zeros((times.size, 3))
-    for index in range((n + cfg.chunk - 1) // cfg.chunk):
+    for index in range((n + CHUNK - 1) // CHUNK):
         rng = chunk_stream(cfg.seed, index)
-        count = min(cfg.chunk, n - index * cfg.chunk)
+        count = min(CHUNK, n - index * CHUNK)
         omega = sample_radial(ensemble.radial, rng, count)
         axes = sample_angular(ensemble.angular, rng, count)
         cross = np.cross(axes, r0, axisa=0, axisc=0)
@@ -495,7 +514,7 @@ def seeded_tabulated_ensemble():
 ], ids=["gaussian-kneaded", "reciprocal-square-bagel", "tables"])
 def test_mc_trajectory_matches_the_cos_sin_evolve(ensemble, times):
     rho0 = DensityMatrix([0.6, -0.2, 0.7])
-    cfg = SamplerConfig(seed=74, n_samples=20001, chunk=4096)
+    cfg = SamplerConfig(seed=74, n_samples=20001)
     mean, stderr = cos_sin_trajectory(ensemble, rho0, times, cfg)
     for t, mc_mean, mc_stderr, m, e in zip(times, *mc_trajectory(ensemble, rho0, times, cfg), mean, stderr):
         assert np.max(np.abs(mc_mean - m)) <= 1e-15, t
@@ -511,23 +530,23 @@ def radial_table_31():
 
 
 @pytest.mark.parametrize("radial, angular, per_sample", [
-    (GaussianRadial(), KneadedCardioidAngular(0.3), 128),
-    (GaussianRadial(), TABLE_COARSE, 296),
-    (radial_table_31(), KneadedCardioidAngular(0.3), 128),
+    (GaussianRadial(), KneadedCardioidAngular(0.3), 145),
+    (GaussianRadial(), TABLE_COARSE, 298),
+    (radial_table_31(), KneadedCardioidAngular(0.3), 145),
 ], ids=["kneaded", "table", "radial-table"])
 def test_chunk_peak_memory_is_as_documented(radial, angular, per_sample):
-    # the figures of the MAX_CHUNK comment: the tracemalloc peak of one chunk
-    # at the cap, evolved to two times, in bytes per sample
+    # the figures of the CHUNK comment: the tracemalloc peak of one chunk,
+    # evolved to two times, in bytes per sample
     ensemble = MapFamily.from_ensemble(radial, angular)
     rho0 = DensityMatrix([0.3, -0.4, 0.5])
-    cfg = SamplerConfig(seed=3, n_samples=MAX_CHUNK, chunk=MAX_CHUNK)
+    cfg = SamplerConfig(seed=3, n_samples=CHUNK)
     tracemalloc.start()
     try:
         mc_trajectory(ensemble, rho0, [0.5, 2.0], cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert round(peak / MAX_CHUNK) == per_sample
+    assert round(peak / CHUNK) == per_sample
 
 
 def bisect_60(cdf, u, lo, hi):
@@ -607,8 +626,6 @@ def test_chunk_streams_are_independent_and_deterministic():
 def test_sampler_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(seed=1, n_samples=0)
-    with pytest.raises(ValueError):
-        SamplerConfig(seed=1, n_samples=10, chunk=0)
     for seed in (-1, 2 ** 64):
         with pytest.raises(ValueError, match="seed"):
             SamplerConfig(seed=seed, n_samples=10)

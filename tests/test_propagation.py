@@ -44,37 +44,35 @@ def still(ts):
 
 def test_zero_generator_keeps_state_constant():
     rho0 = DensityMatrix([0.2, -0.5, 0.1])
-    traj = integrate_master(still, rho0, (0.0, 5.0), t_eval=np.linspace(0, 5, 7))
-    assert np.max(np.abs(traj.bloch - rho0.bloch)) < 1e-12
+    bloch = integrate_master(still, rho0, (0.0, 5.0), t_eval=np.linspace(0, 5, 7))
+    assert np.max(np.abs(bloch - rho0.bloch)) < 1e-12
 
 
 def test_states_accessor():
-    # the trajectory holds one time and one Bloch row per requested time
-    traj = integrate_master(still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0),
-                            t_eval=[0.0, 1.0])
-    assert np.array_equal(traj.times, [0.0, 1.0])
-    assert traj.bloch.shape == (2, 3)
-    states = [DensityMatrix(r) for r in traj.bloch]
+    # the result holds one Bloch row per requested time
+    bloch = integrate_master(still, DensityMatrix([0, 0, 0.5]), (0.0, 1.0), [0.0, 1.0])
+    assert bloch.shape == (2, 3)
+    states = [DensityMatrix(r) for r in bloch]
     assert 0.5 * np.linalg.norm(states[0].bloch - states[1].bloch) < 1e-12
 
 
 def test_sphere_gaussian_endpoint():
     fam = family(GaussianRadial(), SphereAngular())
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
-    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 1.5),
+    bloch = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 1.5),
                             t_eval=[1.5])
     w = (2 * fam.radial.expectations(1.5)[0] + 1) / 3
-    assert np.max(np.abs(traj.bloch[-1] - w * rho0.bloch)) < 1e-6
+    assert np.max(np.abs(bloch[-1] - w * rho0.bloch)) < 1e-6
 
 
 def test_cardioid_exp_cutoff_tracks_exact_map():
     fam = family(ExponentialCutoffRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.6, -0.2, 0.5])
     t_eval = np.linspace(0.0, 4.0, 41)
-    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 4.0),
+    bloch = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 4.0),
                             t_eval=t_eval)
     exact = bloch_trajectory(fam, rho0, t_eval)
-    dist = 0.5 * np.linalg.norm(traj.bloch - exact, axis=1)
+    dist = 0.5 * np.linalg.norm(bloch - exact, axis=1)
     assert np.max(dist) < 1e-6
 
 
@@ -84,9 +82,9 @@ def test_purity_revival_follows_rate_sign():
         fam = family(radial, SphereAngular())
         rho0 = DensityMatrix([0.0, 0.0, 1.0])
         t_eval = np.linspace(0.0, 12.0, 2401)
-        traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 12.0),
+        bloch = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 12.0),
                                 t_eval=t_eval)
-        pur = 0.5 * (1 + np.sum(traj.bloch ** 2, axis=1))
+        pur = 0.5 * (1 + np.sum(bloch ** 2, axis=1))
         dpur = np.diff(pur)
         mids = 0.5 * (t_eval[1:] + t_eval[:-1])
         rates = isotropic_rate(radial, mids)
@@ -97,9 +95,9 @@ def test_purity_revival_follows_rate_sign():
 def test_trajectory_stays_in_bloch_ball():
     fam = family(GaussianRadial(), CardioidAngular())
     rho0 = DensityMatrix([0.0, 0.0, 1.0])
-    traj = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
+    bloch = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
                             t_eval=np.linspace(0, 6, 200))
-    assert np.max(np.linalg.norm(traj.bloch, axis=1)) <= 1.0 + 1e-8
+    assert np.max(np.linalg.norm(bloch, axis=1)) <= 1.0 + 1e-8
 
 
 def test_pole_window_hit_becomes_integration_error():
@@ -113,7 +111,7 @@ def test_pole_window_hit_becomes_integration_error():
 
     rho0 = DensityMatrix([0.4, 0.3, 0.6])
     with pytest.raises(IntegrationError) as err:
-        integrate_master(genfn, rho0, (0.0, pole + 0.05))
+        integrate_master(genfn, rho0, (0.0, pole + 0.05), [0.0, pole + 0.05])
     assert err.value.time == pytest.approx(pole, abs=1e-6)
 
 
@@ -128,13 +126,13 @@ def test_matches_scipy_dop853_referee():
         poles = pole_scan(fam, (1e-9, 6.0))
         t_end = min(0.9 * poles[0], 4.0) if poles else 4.0
         t_eval = np.linspace(0.0, t_end, 21)
-        traj = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
+        bloch = integrate_master(lambda ts, fam=fam: bloch_generators(fam, ts),
                                 rho0, (0.0, t_end), t_eval=t_eval)
         ref = solve_ivp(lambda t, r, fam=fam: bloch_generators(fam, [t])[0] @ r,
                         (0.0, t_end), rho0.bloch, method="DOP853", rtol=1e-12, atol=1e-14,
                         t_eval=t_eval)
         assert ref.success, name
-        assert np.max(np.abs(traj.bloch - ref.y.T)) <= 1e-9, name
+        assert np.max(np.abs(bloch - ref.y.T)) <= 1e-9, name
 
 
 def test_tableau_order_conditions():
@@ -181,12 +179,12 @@ def test_time_dependent_rotation_one_call_per_round():
     rho0 = DensityMatrix([0.5, -0.3, 0.4])
     # over these 25 rad the global error is 1.4e-15
     t_eval = np.linspace(0.0, 10.0, 21)
-    traj = integrate_master(genfn, rho0, (0.0, 10.0), t_eval=t_eval)
+    bloch = integrate_master(genfn, rho0, (0.0, 10.0), t_eval=t_eval)
     phi = 2.0 * t_eval + 3.0 * np.sin(t_eval)
     r0 = rho0.bloch
     exact = (np.cos(phi)[:, None] * r0 + np.sin(phi)[:, None] * np.cross(n, r0)
              + (1.0 - np.cos(phi))[:, None] * (n @ r0) * n)
-    assert np.max(np.abs(traj.bloch - exact)) <= 1e-10
+    assert np.max(np.abs(bloch - exact)) <= 1e-10
 
     *rounds, outputs = calls
     assert len(rounds) >= 2, [ts.size for ts in calls]
@@ -228,15 +226,15 @@ def test_every_builtin_stops_at_its_pole_or_matches_the_map(omega_c):
         genfn = lambda ts, fam=fam: bloch_generators(fam, ts)
         if poles:
             with pytest.raises(IntegrationError, match="stepped into a pole window") as err:
-                integrate_master(genfn, rho0, (0.0, t_end))
+                integrate_master(genfn, rho0, (0.0, t_end), [0.0, t_end])
             t = err.value.time
             assert abs(np.linalg.det(map_matrices(fam, [t])[0])) < POLE_THRESHOLD, name
             assert np.min(np.abs(np.array(poles) - t)) <= 1e-3 / omega_c, name
             stopped.append(name)
         else:
-            traj = integrate_master(genfn, rho0, (0.0, t_end))
-            exact = bloch_trajectory(fam, rho0, traj.times)
-            assert np.max(np.abs(traj.bloch - exact)) <= 1e-12, name
+            bloch = integrate_master(genfn, rho0, (0.0, t_end), [0.0, t_end])
+            exact = bloch_trajectory(fam, rho0, [0.0, t_end])
+            assert np.max(np.abs(bloch - exact)) <= 1e-12, name
     assert stopped == ["gaussian+bagel", "gaussian+dumbbell", "gaussian+kneaded",
                        "exp-cutoff+bagel", "exp-cutoff+dumbbell"]
 
@@ -254,7 +252,7 @@ def test_no_convergence_is_an_integration_error():
 
     rho0 = DensityMatrix([0.5, 0.0, 0.5])
     with pytest.raises(IntegrationError, match=r"no convergence at t=0\.333") as err:
-        integrate_master(singular, rho0, (0.0, 1.0))
+        integrate_master(singular, rho0, (0.0, 1.0), [0.0, 1.0])
     assert err.value.time == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     # a generator steep everywhere: every interval is cut, none is solved
@@ -262,7 +260,7 @@ def test_no_convergence_is_an_integration_error():
     # _BLOCK intervals, so the run ends at t = 0 in bounded memory
     calls.clear()
     with pytest.raises(IntegrationError, match=r"no convergence at t=0\.0:") as err:
-        integrate_master(lambda ts: 1e30 * singular(ts), rho0, (0.0, 1.0))
+        integrate_master(lambda ts: 1e30 * singular(ts), rho0, (0.0, 1.0), [0.0, 1.0])
     assert err.value.time == 0.0
     assert max(calls) <= 3 * propagation._STAGES * propagation._BLOCK
     assert len(calls) <= 20, len(calls)
@@ -276,7 +274,7 @@ def test_singular_solve_is_an_integration_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", singular)
     with pytest.raises(IntegrationError, match="collocation failed: Singular matrix"):
-        integrate_master(still, DensityMatrix([0.5, 0.0, 0.5]), (0.0, 1.0))
+        integrate_master(still, DensityMatrix([0.5, 0.0, 0.5]), (0.0, 1.0), [0.0, 1.0])
 
 
 def test_thousands_of_steep_output_intervals_integrate():
@@ -293,11 +291,11 @@ def test_thousands_of_steep_output_intervals_integrate():
 
     rho0 = DensityMatrix([0.6, -0.1, 0.75])
     t_eval = np.arange(3001.0)
-    traj = integrate_master(genfn, rho0, (0.0, 3000.0), t_eval=t_eval)
+    bloch = integrate_master(genfn, rho0, (0.0, 3000.0), t_eval=t_eval)
     x, y, z = rho0.bloch
     cos, sin = np.cos(2.0 * t_eval), np.sin(2.0 * t_eval)
     exact = np.stack([cos * x - sin * y, sin * x + cos * y, np.full_like(cos, z)], axis=1)
-    assert np.max(np.abs(traj.bloch - exact)) <= 1e-9
+    assert np.max(np.abs(bloch - exact)) <= 1e-9
     assert max(calls) <= 3 * propagation._STAGES * propagation._BLOCK
 
 
@@ -321,4 +319,4 @@ def test_blocks_bound_memory_and_keep_the_result(monkeypatch):
     monkeypatch.setattr(propagation, "_BLOCK", 7)
     blocked = integrate_master(lambda ts: bloch_generators(fam, ts), rho0, (0.0, 6.0),
                                t_eval=t_eval)
-    assert np.max(np.abs(blocked.bloch - whole.bloch)) <= 1e-15
+    assert np.max(np.abs(blocked - whole)) <= 1e-15

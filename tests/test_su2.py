@@ -48,7 +48,7 @@ def drawn_member(seed):
 
 def realization(seed, r0, times=TIMES):
     """Bloch vector of that realization at each time, as mc_trajectory evolves it."""
-    cfg = SamplerConfig(seed=seed, n_samples=1, chunk=1)
+    cfg = SamplerConfig(seed=seed, n_samples=1)
     return mc_trajectory(ENSEMBLE, DensityMatrix(r0), times, cfg)[0]
 
 
