@@ -30,9 +30,9 @@ from .su2 import DensityMatrix
 
 
 def _cross_matrix(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]],
-                     [v[2], 0.0, -v[0]],
-                     [-v[1], v[0], 0.0]])
+    """Cross-product matrices [v]_x, [v]_x r = v x r, of vectors stacked on
+    the last axis: shape (..., 3) gives (..., 3, 3)."""
+    return np.swapaxes(np.cross(v[..., None, :], np.eye(3)), -1, -2)
 
 
 @dataclass(frozen=True, eq=False)

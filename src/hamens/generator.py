@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynmap import MapFamily, diagonal_components, map_matrices
+from .dynmap import MapFamily, _cross_matrix, diagonal_components, map_matrices
 from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
@@ -53,14 +53,8 @@ class PoleError(ValueError):
 class RateTrajectory:
     """Rate series on a time grid; entries are NaN inside pole windows."""
 
-    grid: np.ndarray
     rates: dict
     poles: list
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
 
 
 def _guard(denominator):
@@ -141,16 +135,9 @@ def _generators(fam: MapFamily, grid: np.ndarray):
     return ok, h, k
 
 
-#: the cross-product matrices [e_x]_x, [e_y]_x, [e_z]_x, flattened: [h]_x = h @ _UNIT_CROSS
-_UNIT_CROSS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
-                        [0, 0, 1, 0, 0, 0, -1, 0, 0],
-                        [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
-
-
 def _bloch_matrices(h, k):
     """G = [h]_x + K - tr(K) I, the generator on Bloch vectors (stacked)."""
-    cross = (h @ _UNIT_CROSS).reshape(k.shape)
-    return cross + k - np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
+    return _cross_matrix(h) + k - np.trace(k, axis1=-2, axis2=-1)[..., None, None] * np.eye(3)
 
 
 def _regular_split(fam: MapFamily, t):
@@ -259,5 +246,5 @@ def rate_trajectory(fam: MapFamily, grid) -> RateTrajectory:
         rates[name] = np.full(grid.shape, np.nan)
         rates[name][ok] = value
     poles = pole_scan(fam, (float(grid[0]), float(grid[-1]))) if grid.size > 1 else []
-    return RateTrajectory(grid=grid, rates=rates, poles=poles)
+    return RateTrajectory(rates=rates, poles=poles)
 

@@ -5,7 +5,9 @@ Two entry points:
 * ``panel_integrate`` -- adaptive 1D integration over a panel decomposition,
   used for radial expectations <f(omega t)>_P.  Panels are split at the
   half-periods of the oscillatory factor; trailing panels whose weight
-  envelope falls below a relative floor are dropped.
+  envelope falls below a relative floor are dropped.  Every estimate comes
+  from the one batched Gauss-Legendre rule: all panels at once, and when
+  refinement splits the worst panel, its two halves at once.
 * ``sphere_integral`` -- product quadrature over the solid angle
   (Gauss-Legendre in cos(theta) x trapezoid in phi), refined by doubling
   until two successive refinements agree.
@@ -42,12 +44,6 @@ def _gauss_nodes(order: int):
     return x, w
 
 
-def _panel_values(f, a, b, order):
-    x, w = _gauss_nodes(order)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * float(w @ f(mid + half * x))
-
-
 def _batch_panel_values(f, lo, hi, order):
     """GL estimate of every panel at once; lo/hi are arrays of panel edges."""
     x, w = _gauss_nodes(order)
@@ -80,10 +76,12 @@ def panel_integrate(f, a, b, *, breakpoints=(), weight):
             if np.any(keep):
                 lo, hi = lo[keep], hi[keep]
 
-    # one refinement pass: coarse/fine estimate per panel, split the bad ones
-    coarse = _batch_panel_values(f, lo, hi, _PANEL_ORDER)
-    fine = _batch_panel_values(f, lo, hi, 2 * _PANEL_ORDER)
-    work = [(lo[i], hi[i], coarse[i], fine[i]) for i in range(lo.size)]
+    def estimates(lo, hi):  # (lo, hi, coarse, fine) per panel, one batched call per order
+        return list(zip(lo, hi, _batch_panel_values(f, lo, hi, _PANEL_ORDER),
+                        _batch_panel_values(f, lo, hi, 2 * _PANEL_ORDER)))
+
+    # split the worst panel until the coarse/fine gaps sum to within tol
+    work = estimates(lo, hi)
     splits = 0
     while True:
         total = sum(fine for _, _, _, fine in work)
@@ -96,12 +94,9 @@ def panel_integrate(f, a, b, *, breakpoints=(), weight):
             raise QuadratureError(
                 f"panel refinement stalled after {splits} splits (residual {residual:.3e})",
                 residual=residual)
-        worst = int(np.argmax(errors))
-        lo, hi, _, _ = work.pop(worst)
+        lo, hi, _, _ = work.pop(int(np.argmax(errors)))
         mid = 0.5 * (lo + hi)
-        for p, q in ((lo, mid), (mid, hi)):
-            work.append((p, q, _panel_values(f, p, q, _PANEL_ORDER),
-                         _panel_values(f, p, q, 2 * _PANEL_ORDER)))
+        work += estimates(np.array([lo, mid]), np.array([mid, hi]))
         splits += 1
 
 

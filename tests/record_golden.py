@@ -2,8 +2,9 @@
 
 The runs are `moments`, `simulate` and `rates` on every `configs/*.cfg`,
 `scan` on the fig7 configs (with their per-value files), `validate` on
-`validate_default.cfg` at seeds 1, 11 and 145, and the three commands on the tabulated
-and probe configs of each `bench/tabgen.py` variant, written from their seeds.
+`validate_default.cfg` at seeds 1, 11 and 145, as shipped and at omega_c = 1e8
+(written next to the outputs), and the three commands on the tabulated and probe
+configs of each `bench/tabgen.py` variant, written from their seeds.
 All run `hamens.cli.main` in this process.
 
 The digests hold only on the build they were recorded on: the numpy
@@ -91,6 +92,18 @@ def _tabgen_configs(directory):
     return configs
 
 
+def _large_cutoff_config(directory):
+    """validate_default.cfg with omega_c = 1e8, written under directory; its path."""
+    with open(os.path.join(CONFIGS, "validate_default.cfg")) as handle:
+        body = handle.read()
+    if "omega_c = 1.0\n" not in body:
+        raise ValueError("validate_default.cfg no longer sets omega_c = 1.0")
+    path = os.path.join(directory, "validate_default_1e8.cfg")
+    with open(path, "w") as handle:
+        handle.write(body.replace("omega_c = 1.0\n", "omega_c = 1e8\n"))
+    return path
+
+
 def _runs(directory):
     """(key, argv without --out) of every golden run."""
     configs = {name[:-4]: os.path.join(CONFIGS, name)
@@ -100,10 +113,12 @@ def _runs(directory):
     runs += [(f"scan {label}", ["scan", "--config", path])
              for label, path in configs.items() if label.startswith("fig7_")]
     # seed 145 fails the 4-sigma gate (exit 1), so a change to the Monte-Carlo
-    # route is checked at a failing seed as well as at passing ones
-    runs += [(f"validate validate_default --seed {seed}",
-              ["validate", "--config", configs["validate_default"], "--seed", seed])
-             for seed in ("1", "11", "145")]
+    # route is checked at a failing seed as well as at passing ones; omega_c = 1e8
+    # checks that every floor, window and threshold scales with the cutoff
+    validate = {"validate_default": configs["validate_default"],
+                "validate_default_1e8": _large_cutoff_config(directory)}
+    runs += [(f"validate {label} --seed {seed}", ["validate", "--config", path, "--seed", seed])
+             for label, path in validate.items() for seed in ("1", "11", "145")]
     runs += [(f"{command} {label}", [command, "--config", path])
              for label, path in _tabgen_configs(directory).items()
              for command in ("moments", "simulate", "rates")]

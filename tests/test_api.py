@@ -10,9 +10,9 @@ import sys
 import hamens
 from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
-                    ReciprocalSquareRadial, RunConfig, SphereAngular, TabulatedAngular,
-                    TabulatedRadial, dynmap, ensemble, generator, montecarlo, pole_scan, propagation,
-                    radial, validation)
+                    RateTrajectory, ReciprocalSquareRadial, RunConfig, SphereAngular,
+                    TabulatedAngular, TabulatedRadial, dynmap, ensemble, generator, montecarlo,
+                    pole_scan, propagation, quadrature, radial, validation)
 from hamens.cli import build_parser
 
 from conftest import random_table
@@ -29,16 +29,16 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "_quadrature", "_integrate", "expectation", "_scalarize", "MCEstimate",
            "_tabulated_radial_quantile", "segment_cubics", "SeparableEnsemble", "build_ensemble",
            "scan_parameter", "build_radial", "build_angular", "StateTrajectory", "MAX_CHUNK",
-           "_positive_cutoff")
+           "_positive_cutoff", "_panel_values", "_UNIT_CROSS")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, ensemble, generator, montecarlo, propagation, radial, validation,
-               RadialModel, GaussianRadial, ExponentialCutoffRadial, ReciprocalSquareRadial,
-               TabulatedRadial, TabulatedAngular, RunConfig)
+    holders = (hamens, dynmap, ensemble, generator, montecarlo, propagation, quadrature, radial,
+               validation, RadialModel, GaussianRadial, ExponentialCutoffRadial,
+               ReciprocalSquareRadial, TabulatedRadial, TabulatedAngular, RunConfig)
     for name in REMOVED:
         for holder in holders:
             assert not hasattr(holder, name), (holder, name)
@@ -50,6 +50,8 @@ def test_every_export_resolves_once():
     assert "derivative" not in inspect.signature(dynmap.diagonal_components).parameters
     assert "denominator" not in inspect.signature(PoleError).parameters
     assert not hasattr(PoleError("map not invertible"), "denominator")
+    # a rate trajectory holds what its readers use, not its time grid
+    assert [f.name for f in dataclasses.fields(RateTrajectory)] == ["rates", "poles"]
 
 
 def test_monte_carlo_surface():
@@ -96,7 +98,7 @@ def test_each_command_takes_only_the_options_it_reads():
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):
-    from hamens import angular, quadrature, radial
+    from hamens import angular
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a constructor ran quadrature")

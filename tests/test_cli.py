@@ -389,14 +389,16 @@ def test_validate_scans_each_family_once(capsys, monkeypatch):
 # and sin of the drawn angles; seed 145 fails the 4-sigma gate by chance
 # (see check_mc_vs_map)
 PINNED_VALIDATE = """check,metric,threshold,pass
-radial-closed-form-vs-quadrature,4.2188474935755949e-15,1.0000000000000001e-09,1
+radial-closed-form-vs-quadrature,{radial},1.0000000000000001e-09,1
 mc-vs-map-stderr-units,{mc},4,{passed}
 extraction-vs-closed-forms,{extraction},1e-08,1
 integrator-roundtrip-trace-distance,{roundtrip},9.9999999999999995e-07,1
 """
-#: the extraction and round-trip cells at each cutoff frequency
-PINNED_CELLS = {"1.0": ("1.9984014443252818e-15", "8.7694003603086982e-16"),
-                "1e8": ("2.9802322387695311e-15", "8.7814711166902399e-16")}
+#: the radial, extraction and round-trip cells at each cutoff frequency
+PINNED_CELLS = {"1.0": ("4.4408920985006262e-15", "1.9984014443252818e-15",
+                        "8.7694003603086982e-16"),
+                "1e8": ("4.1078251911130792e-15", "2.9802322387695311e-15",
+                        "8.7814711166902399e-16")}
 
 
 @pytest.mark.parametrize("omega_c, seed, mc_metric, code", [("1.0", 11, 2.5762458209965931, 0),
@@ -411,9 +413,9 @@ def test_validate_default_matches_the_pinned_rows(tmp_path, capsys, omega_c, see
     out = capsys.readouterr().out
     mc = validate_rows(out)["mc-vs-map-stderr-units"][0]
     assert abs(float(mc) - mc_metric) <= 2e-15 * mc_metric
-    extraction, roundtrip = PINNED_CELLS[omega_c]
-    assert out == PINNED_VALIDATE.format(mc=mc, passed=1 - code, extraction=extraction,
-                                         roundtrip=roundtrip)
+    radial, extraction, roundtrip = PINNED_CELLS[omega_c]
+    assert out == PINNED_VALIDATE.format(radial=radial, mc=mc, passed=1 - code,
+                                         extraction=extraction, roundtrip=roundtrip)
 
 
 def test_large_cutoff_finds_the_scaled_poles(tmp_path, capsys):

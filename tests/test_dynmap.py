@@ -9,7 +9,7 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngula
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
                     SphereAngular, choi_check, directional_moments,
                     map_matrices, mc_average, purity_trajectory)
-from hamens.dynmap import bloch_trajectory, diagonal_components
+from hamens.dynmap import _cross_matrix, bloch_trajectory, diagonal_components
 from hamens.validation import builtin_families
 
 from conftest import sign_change_roots
@@ -121,6 +121,17 @@ def test_map_convention_against_quadrature_averaged_realizations():
 
     exact = map_matrices(CARDIOID_G, t) @ DensityMatrix(r0).bloch
     assert np.max(np.abs(averaged - exact)) < 1e-8
+
+
+def test_cross_matrix_of_stacked_vectors():
+    # one builder for the map's [<n>]_x and the generator's stacked [h]_x
+    rng = np.random.default_rng(5)
+    v, r = rng.normal(size=(4, 2, 3)), rng.normal(size=3)
+    m = _cross_matrix(v)
+    assert m.shape == (4, 2, 3, 3)
+    assert np.allclose(m @ r, np.cross(v, r), rtol=1e-14, atol=1e-14)
+    assert np.array_equal(m, -np.swapaxes(m, -1, -2))
+    assert np.array_equal(_cross_matrix(v[1, 0]), m[1, 0])
 
 
 def test_apply_unitality_and_identity():

@@ -1,12 +1,13 @@
 """Radial distributions: closed forms vs the quadrature oracle."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from hamens import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
-                    TabulatedRadial, expectation_quadrature)
+                    TabulatedRadial, expectation_quadrature, quadrature)
 
 BUILTINS = [GaussianRadial(), ExponentialCutoffRadial(), ReciprocalSquareRadial()]
 _OMEGA = np.linspace(0.0, 3.0, 62)
@@ -229,6 +230,29 @@ def test_cutoff_scaling_of_expectations():
 def test_reciprocal_square_quadrature_at_pi():
     v = expectation_quadrature(ReciprocalSquareRadial(1.0), np.cos, np.pi)
     assert abs(v) < 1e-10
+
+
+def test_panel_refinement_splits_a_narrow_bump(monkeypatch):
+    # one panel with no breakpoints cannot resolve a bump of width 0.01, so the
+    # worst panel is split and both halves go through one batched call per order
+    sizes = []
+    batch = quadrature._batch_panel_values
+
+    def counted(f, lo, hi, order):
+        sizes.append(lo.size)
+        return batch(f, lo, hi, order)
+
+    monkeypatch.setattr(quadrature, "_batch_panel_values", counted)
+    centre, width = 0.3, 0.01
+
+    def bump(x):
+        return np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+    value = quadrature.panel_integrate(bump, 0.0, 1.0, weight=bump)
+    exact = width * math.sqrt(0.5 * math.pi) * (math.erf((1.0 - centre) / (width * math.sqrt(2.0)))
+                                                + math.erf(centre / (width * math.sqrt(2.0))))
+    assert abs(value - exact) <= 1e-12
+    assert sizes[:2] == [1, 1] and len(sizes) > 2 and set(sizes[2:]) == {2}
 
 
 def test_tabulated_copy_of_gaussian():
