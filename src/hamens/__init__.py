@@ -13,8 +13,7 @@ from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial, expectation_quadrature)
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMoments,
                       DumbbellAngular, KneadedCardioidAngular, SphereAngular,
-                      TabulatedAngular, directional_moments,
-                      directional_moments_quadrature)
+                      TabulatedAngular, directional_moments_quadrature)
 from .ensemble import load_angular_table, load_radial_table
 from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
 from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
@@ -32,7 +31,7 @@ __all__ = [
     "ExponentialCutoffRadial", "ReciprocalSquareRadial", "TabulatedRadial",
     "expectation_quadrature", "AngularModel", "SphereAngular", "BagelAngular",
     "DumbbellAngular", "CardioidAngular", "KneadedCardioidAngular", "TabulatedAngular",
-    "DirectionalMoments", "directional_moments", "directional_moments_quadrature",
+    "DirectionalMoments", "directional_moments_quadrature",
     "load_radial_table", "load_angular_table", "MapFamily",
     "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
     "PoleError", "RateTrajectory", "isotropic_rate",

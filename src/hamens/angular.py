@@ -10,9 +10,10 @@ class of the ensemble.  Built-ins, ordered by decreasing symmetry:
 * kneaded cardioid  Theta = (1-cos theta)(1+a cos 2phi)/4pi (xz/yz reflections only)
 
 What the dynamics consumes are the first moments <n_j> and the symmetric
-second-moment matrix <n_j n_k>; all built-ins have these in closed form,
-with the product quadrature kept as an independent oracle.  A tabulated
-model supports arbitrary densities given on a rectangular (theta, phi) grid.
+second-moment matrix <n_j n_k>, which each model states in `moments()`: the
+built-ins in closed form, a tabulated model (arbitrary densities given on a
+rectangular (theta, phi) grid) as exact sums over its grid.  The product
+quadrature of the density is kept as an independent oracle.
 """
 
 from __future__ import annotations
@@ -61,19 +62,18 @@ class DirectionalMoments:
 
 
 class AngularModel:
-    """Base class for solid-angle densities."""
+    """Base class for solid-angle densities; each model states its exact
+    directional moments in `moments()`."""
 
     def density(self, theta, phi):
+        """Theta(theta, phi), in a shape that broadcasts against both arguments."""
         raise NotImplementedError
 
     def mass(self) -> float:
         """Total solid-angle mass of the density."""
         return 1.0
 
-    def first_moment(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def second_moment(self) -> np.ndarray:
+    def moments(self) -> DirectionalMoments:
         raise NotImplementedError
 
 
@@ -82,13 +82,10 @@ class SphereAngular(AngularModel):
     """Uniform direction: every axis equally likely."""
 
     def density(self, theta, phi):
-        return np.broadcast_to(1.0 / _FOUR_PI, np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return 1.0 / _FOUR_PI
 
-    def first_moment(self):
-        return np.zeros(3)
-
-    def second_moment(self):
-        return np.eye(3) / 3.0
+    def moments(self):
+        return DirectionalMoments(np.zeros(3), np.eye(3) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -96,14 +93,10 @@ class BagelAngular(AngularModel):
     """Equatorial ring profile, sin(theta)/pi^2; axes avoid the poles."""
 
     def density(self, theta, phi):
-        return np.broadcast_to(np.sin(theta) / math.pi ** 2,
-                               np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return np.sin(theta) / math.pi ** 2
 
-    def first_moment(self):
-        return np.zeros(3)
-
-    def second_moment(self):
-        return np.diag([3.0 / 8.0, 3.0 / 8.0, 1.0 / 4.0])
+    def moments(self):
+        return DirectionalMoments(np.zeros(3), np.diag([3.0 / 8.0, 3.0 / 8.0, 1.0 / 4.0]))
 
 
 @dataclass(frozen=True)
@@ -111,14 +104,10 @@ class DumbbellAngular(AngularModel):
     """Polar lobes, 3 cos^2(theta)/4pi; axes cluster near +-z."""
 
     def density(self, theta, phi):
-        return np.broadcast_to(3.0 * np.cos(theta) ** 2 / _FOUR_PI,
-                               np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return 3.0 * np.cos(theta) ** 2 / _FOUR_PI
 
-    def first_moment(self):
-        return np.zeros(3)
-
-    def second_moment(self):
-        return np.diag([0.2, 0.2, 0.6])
+    def moments(self):
+        return DirectionalMoments(np.zeros(3), np.diag([0.2, 0.2, 0.6]))
 
 
 @dataclass(frozen=True)
@@ -130,14 +119,10 @@ class CardioidAngular(AngularModel):
     """
 
     def density(self, theta, phi):
-        return np.broadcast_to((1.0 - np.cos(theta)) / _FOUR_PI,
-                               np.broadcast_shapes(np.shape(theta), np.shape(phi)))
+        return (1.0 - np.cos(theta)) / _FOUR_PI
 
-    def first_moment(self):
-        return np.array([0.0, 0.0, -1.0 / 3.0])
-
-    def second_moment(self):
-        return np.eye(3) / 3.0
+    def moments(self):
+        return DirectionalMoments([0.0, 0.0, -1.0 / 3.0], np.eye(3) / 3.0)
 
 
 @dataclass(frozen=True)
@@ -159,11 +144,9 @@ class KneadedCardioidAngular(AngularModel):
     def density(self, theta, phi):
         return (1.0 - np.cos(theta)) * (1.0 + self.a * np.cos(2.0 * np.asarray(phi))) / _FOUR_PI
 
-    def first_moment(self):
-        return np.array([0.0, 0.0, -1.0 / 3.0])
-
-    def second_moment(self):
-        return np.diag([(2.0 + self.a) / 6.0, (2.0 - self.a) / 6.0, 1.0 / 3.0])
+    def moments(self):
+        return DirectionalMoments([0.0, 0.0, -1.0 / 3.0],
+                                  np.diag([(2.0 + self.a) / 6.0, (2.0 - self.a) / 6.0, 1.0 / 3.0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +221,8 @@ class TabulatedAngular(AngularModel):
     def mass(self) -> float:
         return self._mass
 
-    def first_moment(self):
-        return self._first
-
-    def second_moment(self):
-        return self._second
+    def moments(self):
+        return DirectionalMoments(self._first, self._second)
 
 
 def _hat_weights(grid, side):
@@ -270,11 +250,6 @@ def _theta_cell_cdf(x, a0, b, s, c):
     sh, ch = np.sin(0.5 * x), np.cos(0.5 * x)
     sin_x, vers = 2.0 * sh * ch, 2.0 * sh * sh
     return a0 * (s * sin_x + c * vers) + b * (s * (x * sin_x - vers) + c * (sin_x - x * (1.0 - vers)))
-
-
-def directional_moments(model: AngularModel) -> DirectionalMoments:
-    """Directional moments of a model: closed form for built-ins, quadrature otherwise."""
-    return DirectionalMoments(model.first_moment(), model.second_moment())
 
 
 def _axis(a, th, ph):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularModel, DirectionalMoments, directional_moments
+from .angular import AngularModel, DirectionalMoments
 from .radial import RadialModel
 from .su2 import DensityMatrix
 
@@ -57,7 +57,8 @@ class MapFamily:
 
     @classmethod
     def from_ensemble(cls, radial: RadialModel, angular: AngularModel) -> "MapFamily":
-        return cls(radial, angular, directional_moments(angular))
+        """The family of two models, with the moments the angular model states in `moments()`."""
+        return cls(radial, angular, angular.moments())
 
 
 def map_matrices(fam: MapFamily, t, derivative: bool = False):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hamens import TabulatedAngular
+from hamens import TabulatedAngular, TabulatedRadial
 
 #: polar angle and azimuth of the tilted symmetry axis m
 TILT = (0.7, 0.4)
@@ -51,6 +51,16 @@ def random_table(seed, n_theta, n_phi):
     ph = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 2 * math.pi, n_phi - 2)), [2 * math.pi]])
     vals = rng.random((n_theta, n_phi))
     return TabulatedAngular(th, ph, vals / TabulatedAngular(th, ph, vals).mass())
+
+
+def random_radial(seed, n):
+    """Unit-mass radial table of n nodes on random gaps; about half of the seeds
+    give a table that starts above omega = 0, where the weight jumps from 0."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0.1, 1.0) if rng.random() < 0.5 else 0.0
+    omega = start + np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, n - 1))])
+    density = rng.random(n)
+    return TabulatedRadial(omega, density / TabulatedRadial(omega, density).mass())
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMom
                     DumbbellAngular, ExponentialCutoffRadial, GaussianRadial,
                     KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
                     SphereAngular, anisotropic_rates, bloch_generators,
-                    choi_check, directional_moments, directional_moments_quadrature,
+                    choi_check, directional_moments_quadrature,
                     integrate_master, isotropic_rate, map_matrices, mc_trajectory,
                     pole_scan, purity_trajectory, SamplerConfig)
 from hamens.dynmap import bloch_trajectory, diagonal_components
@@ -43,7 +43,7 @@ def test_criterion_1_moment_tables():
     start = time.monotonic()
     worst = 0.0
     for model, first, second in ANGULAR_VALUES:
-        analytic = directional_moments(model)
+        analytic = model.moments()
         quad = directional_moments_quadrature(model)
         worst = max(worst,
                     float(np.max(np.abs(analytic.first - first))),

@@ -7,7 +7,7 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     KneadedCardioidAngular, SphereAngular, TabulatedAngular,
-                    directional_moments, directional_moments_quadrature)
+                    directional_moments_quadrature)
 from hamens.quadrature import sphere_integral
 
 from conftest import random_table
@@ -17,22 +17,22 @@ BUILTINS = [SphereAngular(), BagelAngular(), DumbbellAngular(), CardioidAngular(
 
 
 def test_known_moment_values():
-    m = directional_moments(SphereAngular())
+    m = SphereAngular().moments()
     assert np.allclose(m.second, np.eye(3) / 3.0)
     assert np.allclose(m.first, 0.0)
 
-    m = directional_moments(BagelAngular())
+    m = BagelAngular().moments()
     assert np.allclose(m.second, np.diag([3 / 8, 3 / 8, 1 / 4]))
     assert np.allclose(m.first, 0.0)
 
-    m = directional_moments(DumbbellAngular())
+    m = DumbbellAngular().moments()
     assert np.allclose(m.second, np.diag([1 / 5, 1 / 5, 3 / 5]))
 
-    m = directional_moments(CardioidAngular())
+    m = CardioidAngular().moments()
     assert np.allclose(m.first, [0.0, 0.0, -1 / 3])
     assert np.allclose(m.second, np.eye(3) / 3.0)
 
-    m = directional_moments(KneadedCardioidAngular(0.3))
+    m = KneadedCardioidAngular(0.3).moments()
     assert np.allclose(m.second, np.diag([2.3 / 6, 1.7 / 6, 1 / 3]))
     assert np.allclose(m.first, [0.0, 0.0, -1 / 3])
 
@@ -41,7 +41,7 @@ def test_known_moment_values():
                                               KneadedCardioidAngular(1.0)],
                          ids=lambda m: f"{type(m).__name__}{getattr(m, 'a', '')}")
 def test_quadrature_moments_match_analytic(model):
-    analytic = directional_moments(model)
+    analytic = model.moments()
     quad = directional_moments_quadrature(model)
     assert np.max(np.abs(analytic.second - quad.second)) < 1e-10
     assert np.max(np.abs(analytic.first - quad.first)) < 1e-10
@@ -57,14 +57,14 @@ def test_density_integrates_to_xi(model):
 
 def test_second_moment_trace_is_angular_mass():
     for model in BUILTINS:
-        m = directional_moments(model)
+        m = model.moments()
         assert np.trace(m.second) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kneaded_reduces_to_cardioid_at_zero_asymmetry():
     kn = KneadedCardioidAngular(0.0)
     ca = CardioidAngular()
-    mk, mc = directional_moments(kn), directional_moments(ca)
+    mk, mc = kn.moments(), ca.moments()
     assert np.array_equal(mk.second, mc.second)
     assert np.array_equal(mk.first, mc.first)
     th = np.linspace(0, math.pi, 45)[:, None]
@@ -74,8 +74,8 @@ def test_kneaded_reduces_to_cardioid_at_zero_asymmetry():
 
 def test_kneaded_moments_continuous_in_asymmetry():
     eps = 1e-9
-    m0 = directional_moments(KneadedCardioidAngular(0.0))
-    m1 = directional_moments(KneadedCardioidAngular(eps))
+    m0 = KneadedCardioidAngular(0.0).moments()
+    m1 = KneadedCardioidAngular(eps).moments()
     assert np.max(np.abs(m0.second - m1.second)) < 1e-9
 
 
@@ -106,8 +106,8 @@ def cardioid_table(n_theta=241, n_phi=121):
 
 def test_tabulated_angular_matches_source_moments():
     tab = cardioid_table()
-    m = directional_moments(tab)
-    ref = directional_moments(CardioidAngular())
+    m = tab.moments()
+    ref = CardioidAngular().moments()
     assert abs(tab.mass() - 1.0) < 1e-4
     assert np.max(np.abs(m.second - ref.second)) < 1e-4
     assert np.max(np.abs(m.first - ref.first)) < 1e-4
@@ -174,7 +174,7 @@ def test_tabulated_moments_match_a_2d_mpmath_referee(seed, n_theta, n_phi):
     mpmath = pytest.importorskip("mpmath")
     tab = random_table(seed, n_theta, n_phi)
     ref = referee_moments(tab, mpmath)
-    m = directional_moments(tab)
+    m = tab.moments()
     assert abs(m.second[0, 1]) > 1e-3
     assert abs(tab.mass() - ref[0]) <= 1e-13
     assert np.max(np.abs(m.first - ref[1:4])) <= 1e-13
@@ -188,4 +188,4 @@ def test_tabulated_moments_need_no_density_calls(monkeypatch):
 
     monkeypatch.setattr(TabulatedAngular, "density", forbidden)
     tab = random_table(7, 6, 9)
-    directional_moments(tab)
+    tab.moments()

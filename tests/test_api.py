@@ -8,11 +8,11 @@ import subprocess
 import sys
 
 import hamens
-from hamens import (BagelAngular, CardioidAngular, DumbbellAngular, ExponentialCutoffRadial,
-                    GaussianRadial, KneadedCardioidAngular, MapFamily, PoleError, RadialModel,
-                    RateTrajectory, ReciprocalSquareRadial, RunConfig, SphereAngular,
-                    TabulatedAngular, TabulatedRadial, dynmap, ensemble, generator, montecarlo,
-                    pole_scan, propagation, quadrature, radial, validation)
+from hamens import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
+                    ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular, MapFamily,
+                    PoleError, RadialModel, RateTrajectory, ReciprocalSquareRadial, RunConfig,
+                    SphereAngular, TabulatedAngular, TabulatedRadial, angular, dynmap, ensemble,
+                    generator, montecarlo, pole_scan, propagation, quadrature, radial, validation)
 from hamens.cli import build_parser
 
 from conftest import random_table
@@ -29,21 +29,26 @@ REMOVED = ("UnitVector", "MemberHamiltonian", "unitary_at", "evolve_single", "pu
            "_quadrature", "_integrate", "expectation", "_scalarize", "MCEstimate",
            "_tabulated_radial_quantile", "segment_cubics", "SeparableEnsemble", "build_ensemble",
            "scan_parameter", "build_radial", "build_angular", "StateTrajectory", "MAX_CHUNK",
-           "_positive_cutoff", "_panel_values", "_UNIT_CROSS")
+           "_positive_cutoff", "_panel_values", "_UNIT_CROSS", "first_moment", "second_moment",
+           "directional_moments")
 
 
 def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, dynmap, ensemble, generator, montecarlo, propagation, quadrature, radial,
-               validation, RadialModel, GaussianRadial, ExponentialCutoffRadial,
-               ReciprocalSquareRadial, TabulatedRadial, TabulatedAngular, RunConfig)
+    holders = (hamens, angular, dynmap, ensemble, generator, montecarlo, propagation, quadrature,
+               radial, validation, RadialModel, GaussianRadial, ExponentialCutoffRadial,
+               ReciprocalSquareRadial, TabulatedRadial, AngularModel, SphereAngular, BagelAngular,
+               DumbbellAngular, CardioidAngular, KneadedCardioidAngular, TabulatedAngular,
+               RunConfig)
     for name in REMOVED:
         for holder in holders:
             assert not hasattr(holder, name), (holder, name)
     # the base class keeps the weight and its support; each model has its own exact forms
     assert "mass" not in vars(RadialModel) and "expectations" not in vars(RadialModel)
+    # an angular model states its exact moments in one method that takes nothing
+    assert list(inspect.signature(AngularModel.moments).parameters) == ["self"]
     assert list(inspect.signature(pole_scan).parameters) == ["fam", "window"]
     # the closed forms take any shape of t and mark poles with NaN, with no scalar route
     assert list(inspect.signature(generator._guard).parameters) == ["denominator"]
@@ -98,8 +103,6 @@ def test_each_command_takes_only_the_options_it_reads():
 
 
 def test_builtin_constructors_run_no_quadrature(monkeypatch):
-    from hamens import angular
-
     def forbidden(*args, **kwargs):
         raise AssertionError("a constructor ran quadrature")
 

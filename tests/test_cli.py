@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hamens import (DensityMatrix, IntegrationError, PoleError, QuadratureError, TabulatedAngular,
-                    directional_moments, load_angular_table, load_radial_table, pole_scan)
+                    load_angular_table, load_radial_table, pole_scan)
 from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
 from hamens.validation import THRESHOLDS, builtin_families, check_roundtrip
@@ -943,7 +943,7 @@ n_points = 201
         assert outs[command].shape[0] == 201 and np.all(np.isfinite(outs[command]))
     table = load_config(cfg).build_family().angular
     assert isinstance(table, TabulatedAngular)
-    m = directional_moments(table)
+    m = table.moments()
     n, big_s = m.first, m.second
     cross = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     for i in (1, 73, 200):

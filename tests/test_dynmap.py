@@ -7,8 +7,8 @@ import pytest
 
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DumbbellAngular,
                     GaussianRadial, KneadedCardioidAngular, MapFamily, SamplerConfig,
-                    SphereAngular, choi_check, directional_moments,
-                    map_matrices, mc_average, purity_trajectory)
+                    SphereAngular, choi_check, map_matrices,
+                    mc_average, purity_trajectory)
 from hamens.dynmap import _cross_matrix, bloch_trajectory, diagonal_components
 from hamens.validation import builtin_families
 
@@ -283,7 +283,7 @@ def test_map_agrees_with_monte_carlo():
 def test_map_agrees_with_monte_carlo_on_tilted_table(tilted_table):
     # tilted first moment and off-diagonal second moments, in the lab frame
     fam = MapFamily.from_ensemble(GaussianRadial(), tilted_table)
-    second = directional_moments(tilted_table).second
+    second = tilted_table.moments().second
     assert np.max(np.abs(second - np.diag(np.diag(second)))) > 0.05
     rho0 = DensityMatrix([0.3, -0.5, 0.6])
     mean, stderr = mc_average(fam, rho0, 1.0, SamplerConfig(seed=5, n_samples=40000))

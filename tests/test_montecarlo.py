@@ -10,7 +10,7 @@ from scipy.stats import kstest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, ReciprocalSquareRadial, SamplerConfig,
-                    SphereAngular, TabulatedAngular, TabulatedRadial, directional_moments,
+                    SphereAngular, TabulatedAngular, TabulatedRadial,
                     map_matrices, mc_average, mc_trajectory, sample_angular, sample_radial)
 from hamens.montecarlo import CHUNK, _NEWTON_CAP, _mc_pairs, _newton_cdf, chunk_stream
 from hamens.validation import builtin_families
@@ -25,7 +25,7 @@ def moment_zscores(model, seed, n=200000, moments=None):
     """First and second sampled moments against the analytic values, in sigmas."""
     rng = chunk_stream(seed, 0)
     axes = sample_angular(model, rng, n)
-    m = moments or directional_moments(model)
+    m = moments or model.moments()
     scores = []
     for j in range(3):
         sample = axes[j]
@@ -247,7 +247,7 @@ def test_tabulated_angular_sampler():
     ph = np.linspace(0, 2 * math.pi, 241)
     vals = (1 - np.cos(th))[:, None] * (1 + 0.3 * np.cos(2 * ph))[None, :] / (4 * math.pi)
     fine = TabulatedAngular(th, ph, vals)
-    coarse = directional_moments(TABLE_COARSE)
+    coarse = TABLE_COARSE.moments()
     assert abs(coarse.second[0, 1]) > 1e-3
     # both are exact to rounding
     exact = table_moments(TABLE_COARSE)
