@@ -7,21 +7,20 @@ cross-check everything against an independent Monte-Carlo sampler and the
 master-equation integrator.
 """
 
-from .su2 import DensityMatrix
 from .quadrature import QuadratureError
 from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial, expectation_quadrature)
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMoments,
                       DumbbellAngular, KneadedCardioidAngular, SphereAngular,
                       TabulatedAngular, directional_moments_quadrature)
-from .ensemble import load_angular_table, load_radial_table
-from .dynmap import MapFamily, bloch_trajectory, choi_check, map_matrices, purity_trajectory
+from .dynmap import (DensityMatrix, MapFamily, bloch_trajectory, choi_check, map_matrices,
+                     purity_trajectory)
 from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
                         bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
                         pole_scan, rate_trajectory)
 from .montecarlo import SamplerConfig, mc_average, mc_trajectory, sample_angular, sample_radial
 from .propagation import IntegrationError, integrate_master
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_angular_table, load_config, load_radial_table
 from .validation import CheckResult, run_checks
 
 __version__ = "0.1.0"

@@ -4,14 +4,20 @@ Sections: radial, angular, state, grid, mc, scan.  Unknown sections,
 unknown keys and malformed values are hard errors, so a typo cannot silently
 change a run.  All times in a config are in units of 1/omega_c.  Only
 `validate` reads [mc] and only `scan` reads [scan] (its one key, values,
-lists the asymmetries a to sweep), but every command checks them at load.
-A tabulated radial or angular part must have unit mass, each within 1e-9:
-int P(omega) omega^2 domega = 1 and int Theta dOmega = 1.
+lists the asymmetries a in [0, 1] to sweep), but every command checks them at load.
+
+The ensemble is separable, p(omega, theta, phi) = P(omega) Theta(theta, phi).
+A config names each factor by a kind: a built-in model of `RADIAL_KINDS` or
+`ANGULAR_KINDS`, or "tabulated" with a CSV table, loaded by
+`load_radial_table` or `load_angular_table`.  Each factor must have unit
+mass within 1e-9, int P(omega) omega^2 domega = 1 and int Theta dOmega = 1;
+`dynmap.MapFamily` checks both when it pairs them.
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import math
 import os
 import re
@@ -20,10 +26,85 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynmap import MapFamily
-from .ensemble import ANGULAR_KINDS, RADIAL_KINDS, load_angular_table, load_radial_table
+from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
+                      KneadedCardioidAngular, SphereAngular, TabulatedAngular)
+from .dynmap import DensityMatrix, MapFamily
 from .montecarlo import MAX_SAMPLES, SEED_LIMIT, SamplerConfig
-from .su2 import DensityMatrix
+from .radial import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
+                     TabulatedRadial)
+
+#: built-in radial models by config name; each takes omega_c
+RADIAL_KINDS = {"gaussian": GaussianRadial, "exp-cutoff": ExponentialCutoffRadial,
+                "reciprocal-square": ReciprocalSquareRadial}
+#: built-in angular models by config name; `angular_model` builds one
+ANGULAR_KINDS = {"sphere": SphereAngular, "bagel": BagelAngular, "dumbbell": DumbbellAngular,
+                 "cardioid": CardioidAngular, "kneaded": KneadedCardioidAngular}
+
+
+def angular_model(kind, asymmetry):
+    """The built-in angular model of a kind: "kneaded" takes the asymmetry a,
+    every other kind takes nothing."""
+    return ANGULAR_KINDS[kind](asymmetry) if kind == "kneaded" else ANGULAR_KINDS[kind]()
+
+
+def _read_csv(path, expected_headers):
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty table") from None
+        names = [h.strip() for h in header]
+        if names != list(expected_headers):
+            raise ValueError(
+                f"{path}: expected header {','.join(expected_headers)}, got {','.join(names)}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(expected_headers):
+                raise ValueError(f"{path}:{lineno}: expected {len(expected_headers)} columns")
+            try:
+                rows.append([float(c) for c in row])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric entry") from None
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    return np.asarray(rows, dtype=float)
+
+
+def load_radial_table(path) -> TabulatedRadial:
+    """Load a radial model from a two-column CSV (header 'omega,P').
+
+    A family built from it needs int P(omega) omega^2 domega = 1 within 1e-9.
+    """
+    data = _read_csv(path, ("omega", "P"))
+    return TabulatedRadial(omega=data[:, 0], density=data[:, 1])
+
+
+def load_angular_table(path) -> TabulatedAngular:
+    """Load an angular model from a three-column CSV (header 'theta,phi,Theta').
+
+    Rows must enumerate a rectangular grid; the order is free.  A family
+    built from it needs int Theta dOmega = 1 within 1e-9.
+    """
+    data = _read_csv(path, ("theta", "phi", "Theta"))
+    # before np.unique, which would count a NaN coordinate as one more grid line
+    if not np.isfinite(data[:, :2]).all():
+        raise ValueError(f"{path}: theta and phi must be finite")
+    thetas = np.unique(data[:, 0])
+    phis = np.unique(data[:, 1])
+    if thetas.size * phis.size != data.shape[0]:
+        raise ValueError(f"{path}: rows do not form a rectangular (theta, phi) grid")
+    ti = np.searchsorted(thetas, data[:, 0])
+    pi = np.searchsorted(phis, data[:, 1])
+    filled = np.zeros((thetas.size, phis.size), dtype=bool)
+    filled[ti, pi] = True
+    if not filled.all():
+        raise ValueError(f"{path}: duplicate or missing grid nodes")
+    values = np.zeros(filled.shape)
+    values[ti, pi] = data[:, 2]
+    return TabulatedAngular(theta=thetas, phi=phis, values=values)
 
 
 class ConfigError(Exception):
@@ -94,13 +175,11 @@ class RunConfig:
             radial = self._table("radial", load_radial_table, self.radial_table)
         else:
             radial = RADIAL_KINDS[self.radial_kind](self.omega_c)
-        kind = self.angular_kind
-        if kind == "tabulated":
+        if self.angular_kind == "tabulated":
             angular = self._table("angular", load_angular_table, self.angular_table)
-        elif kind == "kneaded":
-            angular = ANGULAR_KINDS[kind](self.asymmetry if asymmetry is None else asymmetry)
         else:
-            angular = ANGULAR_KINDS[kind]()
+            angular = angular_model(self.angular_kind,
+                                    self.asymmetry if asymmetry is None else asymmetry)
         try:
             return MapFamily.from_ensemble(radial, angular)
         except ValueError as err:
@@ -214,6 +293,8 @@ def load_config(path) -> RunConfig:
         errors.append("[mc] seed must lie in [0, 2**64)")
     if not 1 <= cfg.samples <= MAX_SAMPLES:
         errors.append(f"[mc] samples must lie in [1, {MAX_SAMPLES}]")
+    errors += [f"[scan] value {a!r} outside [0, 1]" for a in cfg.scan_values
+               if not 0.0 <= a <= 1.0]
     if not errors:
         # the grid runs to t_max / omega_c in absolute time, which can overflow or
         # underflow; its points increase strictly where its step is a normal float

@@ -37,10 +37,9 @@ import numpy as np
 
 from .angular import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular, TabulatedAngular, _theta_cell_cdf)
-from .dynmap import MapFamily
+from .dynmap import DensityMatrix, MapFamily
 from .radial import (ExponentialCutoffRadial, GaussianRadial, RadialModel,
                      ReciprocalSquareRadial, TabulatedRadial)
-from .su2 import DensityMatrix
 
 _TWO_PI = 2.0 * math.pi
 #: Philox keys are pairs of uint64 words, so seeds lie in [0, SEED_LIMIT)

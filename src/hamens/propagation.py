@@ -34,9 +34,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dynmap import DensityMatrix
 from .generator import PoleError
 from .quadrature import _gauss_nodes
-from .su2 import DensityMatrix
 
 #: collocation stages s (order 2s); intervals per round and output times per call,
 #: which bounds the memory of one generator call and solve (~21 KB per interval,

@@ -21,8 +21,8 @@ from itertools import groupby
 
 import numpy as np
 
+from .config import ANGULAR_KINDS, RADIAL_KINDS, angular_model
 from .dynmap import MapFamily, bloch_trajectory
-from .ensemble import ANGULAR_KINDS, RADIAL_KINDS
 from .generator import (_generators, anisotropic_rates, azimuthal_generator, bloch_generators,
                         isotropic_rate, offdiagonal_rate, pole_scan)
 from .montecarlo import _mc_pairs
@@ -32,6 +32,8 @@ from .radial import expectation_quadrature
 #: each check's report name and the largest metric it passes at, in report order
 THRESHOLDS = {"radial-closed-form-vs-quadrature": 1e-9, "mc-vs-map-stderr-units": 4.0,
               "extraction-vs-closed-forms": 1e-8, "integrator-roundtrip-trace-distance": 1e-6}
+#: the asymmetry a of the kneaded families when the config sets none
+DEFAULT_ASYMMETRY = 0.3
 
 
 @dataclass(frozen=True)
@@ -46,15 +48,10 @@ def builtin_radials(omega_c: float):
     return [(name, kind(omega_c)) for name, kind in RADIAL_KINDS.items()]
 
 
-def builtin_families(omega_c: float = 1.0, asymmetry: float = 0.3):
+def builtin_families(omega_c: float = 1.0, asymmetry: float = DEFAULT_ASYMMETRY):
     """All 15 (radial x angular) built-in pairs as map families."""
-    out = []
-    for rname, radial in builtin_radials(omega_c):
-        for aname, kind in ANGULAR_KINDS.items():
-            angular = kind(asymmetry) if aname == "kneaded" else kind()
-            fam = MapFamily.from_ensemble(radial, angular)
-            out.append((f"{rname}+{aname}", fam))
-    return out
+    return [(f"{rname}+{aname}", MapFamily.from_ensemble(radial, angular_model(aname, asymmetry)))
+            for rname, radial in builtin_radials(omega_c) for aname in ANGULAR_KINDS]
 
 
 def pole_free_times(times, poles, margin):
@@ -136,7 +133,7 @@ def check_roundtrip(fam, poles, rho0) -> float:
     return float(np.max(0.5 * np.linalg.norm(bloch - exact, axis=1)))
 
 
-def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = 0.3):
+def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = DEFAULT_ASYMMETRY):
     """Run every check; returns one CheckResult per check, in THRESHOLDS order."""
     metrics = np.array([check_radial_quadrature(omega_c), 0.0, 0.0, 0.0])
     families = builtin_families(omega_c, asymmetry)

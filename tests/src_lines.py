@@ -1,4 +1,5 @@
-"""Line counts of the package source: total lines and code lines, per file and summed.
+"""Line counts of the package source: total lines and code lines, per file and
+summed over the files counted, whose number the last line gives.
 
     python tests/src_lines.py [FILE ...]
 
@@ -29,7 +30,7 @@ def _docstring_lines(source: bytes) -> set:
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            first = node.body[0]
+            first = node.body[0] if node.body else None  # an empty module has no body
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
                 lines.update(range(first.lineno, first.end_lineno + 1))
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
         totals[0] += total
         totals[1] += code
         print(f"{os.path.basename(path)}: {total} lines, {code} code lines")
-    print(f"all: {totals[0]} lines, {totals[1]} code lines")
+    print(f"all: {len(paths)} files, {totals[0]} lines, {totals[1]} code lines")
     return 0
 
 

@@ -2,6 +2,7 @@
 and the benchmark tracer that wraps the package from outside."""
 
 import dataclasses
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -11,7 +12,7 @@ import hamens
 from hamens import (AngularModel, BagelAngular, CardioidAngular, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular, MapFamily,
                     PoleError, RadialModel, RateTrajectory, ReciprocalSquareRadial, RunConfig,
-                    SphereAngular, TabulatedAngular, TabulatedRadial, angular, dynmap, ensemble,
+                    SphereAngular, TabulatedAngular, TabulatedRadial, angular, config, dynmap,
                     generator, montecarlo, pole_scan, propagation, quadrature, radial, validation)
 from hamens.cli import build_parser
 
@@ -37,7 +38,7 @@ def test_every_export_resolves_once():
     assert len(hamens.__all__) == len(set(hamens.__all__))
     for name in hamens.__all__:
         assert hasattr(hamens, name), name
-    holders = (hamens, angular, dynmap, ensemble, generator, montecarlo, propagation, quadrature,
+    holders = (hamens, angular, config, dynmap, generator, montecarlo, propagation, quadrature,
                radial, validation, RadialModel, GaussianRadial, ExponentialCutoffRadial,
                ReciprocalSquareRadial, TabulatedRadial, AngularModel, SphereAngular, BagelAngular,
                DumbbellAngular, CardioidAngular, KneadedCardioidAngular, TabulatedAngular,
@@ -57,6 +58,16 @@ def test_every_export_resolves_once():
     assert not hasattr(PoleError("map not invertible"), "denominator")
     # a rate trajectory holds what its readers use, not its time grid
     assert [f.name for f in dataclasses.fields(RateTrajectory)] == ["rates", "poles"]
+
+
+def test_folded_modules_are_gone():
+    # the Bloch-vector state lives with the map that acts on it, and the
+    # model registries and table loaders with the config that names them
+    for name in ("hamens.su2", "hamens.ensemble"):
+        assert importlib.util.find_spec(name) is None, name
+    assert hamens.DensityMatrix is dynmap.DensityMatrix
+    assert hamens.load_radial_table is config.load_radial_table
+    assert hamens.load_angular_table is config.load_angular_table
 
 
 def test_monte_carlo_surface():
@@ -88,7 +99,7 @@ def test_one_family_object():
     assert isinstance(vars(MapFamily)["from_ensemble"], classmethod)
     assert [f.name for f in dataclasses.fields(fam)] == ["radial", "angular", "moments"]
     assert list(inspect.signature(RunConfig.build_family).parameters) == ["self", "asymmetry"]
-    assert sorted(ensemble.RADIAL_KINDS) == ["exp-cutoff", "gaussian", "reciprocal-square"]
+    assert sorted(config.RADIAL_KINDS) == ["exp-cutoff", "gaussian", "reciprocal-square"]
 
 
 def test_each_command_takes_only_the_options_it_reads():

@@ -543,6 +543,22 @@ def test_scan_refuses_values_that_share_a_file_name(tmp_path, capsys, values):
     assert list(out_dir.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "validate", "scan"])
+def test_scan_values_outside_the_unit_interval_are_refused_at_load(tmp_path, capsys, command):
+    # every command checks [scan] at load, not only the one that reads it
+    cfg = write_config(tmp_path, SCAN_CFG.replace("values = 0 0.1 0.3", "values = 2 -1"))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main([command, "--config", cfg, "--out", str(out_dir / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: [scan] value 2.0 outside [0, 1]; [scan] value -1.0 outside [0, 1]"]
+    assert captured.out == ""
+    assert list(out_dir.iterdir()) == []
+    with pytest.raises(ConfigError, match=r"^\[scan\] value 2\.0 outside"):
+        load_config(cfg)
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""Separable ensembles: unit-mass factors, CSV table loading."""
+"""Separable ensembles: unit-mass factors, the built-in kinds, CSV table loading."""
 
 import math
 
 import numpy as np
 import pytest
 
-from hamens import (GaussianRadial, MapFamily, SphereAngular, TabulatedAngular, TabulatedRadial,
-                    load_angular_table, load_radial_table)
+from hamens import (GaussianRadial, KneadedCardioidAngular, MapFamily, SphereAngular,
+                    TabulatedAngular, TabulatedRadial, load_angular_table, load_radial_table)
+from hamens.config import ANGULAR_KINDS, RunConfig, angular_model
 from hamens.validation import builtin_families
 
 from conftest import TABLES_WITH_X
@@ -15,6 +16,22 @@ from conftest import TABLES_WITH_X
 def test_builtin_pairs_are_jointly_normalized():
     for name, fam in builtin_families(omega_c=2.0):
         assert fam.radial.mass() == 1.0 and fam.angular.mass() == 1.0, name
+
+
+def test_only_the_kneaded_kind_takes_the_asymmetry():
+    # one rule serves the config and the validation families
+    for kind, cls in ANGULAR_KINDS.items():
+        model = angular_model(kind, 0.7)
+        assert type(model) is cls
+        if kind == "kneaded":
+            assert model.a == 0.7
+    kneaded = RunConfig(angular_kind="kneaded", asymmetry=0.2)
+    assert kneaded.build_family().angular.a == 0.2
+    assert kneaded.build_family(asymmetry=0.9).angular.a == 0.9
+    by_name = dict(builtin_families(asymmetry=0.4))
+    assert by_name["gaussian+kneaded"].angular.a == 0.4
+    assert type(by_name["gaussian+bagel"].angular) is ANGULAR_KINDS["bagel"]
+    assert isinstance(by_name["exp-cutoff+kneaded"].angular, KneadedCardioidAngular)
 
 
 def test_joint_normalization_rejects_mismatch():

@@ -15,6 +15,11 @@ longer grids wait for a scan that is complete on any window.  The two
 refused grid ends (an overflowing and a subnormal step) exceed that bound, but
 load refuses them before any scan.
 
+`scan` runs on kneaded configs with a drawn [scan] section: a value outside
+[0, 1] is refused by every command, and two values that share a per-value
+file name by `scan` alone.  With exit 0 its summary has one row per value,
+and each row's pole count is the number of poles its per-value file lists.
+
 Draws come from `np.random.default_rng(seed)` over a fixed seed range, not
 from hypothesis, so a case depends on its seed alone.
 """
@@ -31,7 +36,10 @@ from hamens.config import load_config
 from conftest import random_radial, random_table
 
 SEEDS = range(64)
+SCAN_SEEDS = range(24)
 COMMANDS = ("moments", "simulate", "rates")
+#: scan values on a grid of step 1/20, whose per-value file names differ
+SCAN_GRID = np.linspace(0.0, 1.0, 21)
 #: chance that a field takes one of its invalid values
 P_INVALID = 0.07
 
@@ -100,6 +108,10 @@ def _radial(draw):
     return ["kind = tabulated", f"table = {path.name}", f"omega_c = {table.omega_c!r}"]
 
 
+def _kneaded(draw):
+    return ["kind = kneaded", draw.pick(["a = 0", "a = 0.3", "a = 0.71", "a = 1"])]
+
+
 def _angular(draw):
     kind = draw.pick(["sphere", "bagel", "dumbbell", "cardioid", "kneaded", "table",
                       "sparse table"],
@@ -107,7 +119,7 @@ def _angular(draw):
                       "kind = donut", "kind = tabulated", "zero mass", "nan theta", "inf phi",
                       "nan density", "mass 2"])
     if kind == "kneaded":
-        return ["kind = kneaded", draw.pick(["a = 0", "a = 0.3", "a = 0.71", "a = 1"])]
+        return _kneaded(draw)
     if kind in ("sphere", "bagel", "dumbbell", "cardioid"):
         return [f"kind = {kind}"]
     if kind.startswith("kind = "):
@@ -146,7 +158,17 @@ def _grid(draw):
 def _extra(draw):
     return draw.pick(["", "[mc]\nseed = 7\nsamples = 1000", "[scan]\nvalues = 0.1, 0.5"],
                      ["[DEFAULT]\nseed = 1", "[output]\npath = x.csv", "[scan]\nparameter = a",
+                      "[scan]\nvalues = 0.5 1.5",
                       "[mc]\nseed = -5", "[mc]\nsamples = 0"])
+
+
+def _write_config(directory, sections, extra):
+    """Write the sections, then the extra text, to run.cfg; returns its path."""
+    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines if line) + "\n"
+                   for name, lines in sections.items())
+    path = directory / "run.cfg"
+    path.write_text(text + extra + "\n")
+    return str(path)
 
 
 def draw_config(seed, directory):
@@ -161,11 +183,36 @@ def draw_config(seed, directory):
         sections["radial"] = [line for line in sections["radial"] if not line.startswith("omega_c")]
         sections["radial"].append(f"omega_c = {scales[0]}")
         sections["grid"][0] = f"t_max = {scales[1]}"
-    text = "".join(f"[{name}]\n" + "".join(f"{line}\n" for line in lines if line) + "\n"
-                   for name, lines in sections.items())
-    path = directory / "run.cfg"
-    path.write_text(text + _extra(draw) + "\n")
-    return str(path), draw.invalid, draw.angular_table
+    return _write_config(directory, sections, _extra(draw)), draw.invalid, draw.angular_table
+
+
+def _scan(draw):
+    """[scan] values from `SCAN_GRID`; by chance with a value outside [0, 1]
+    mixed in (invalid for every command) or a pair of values whose file names
+    coincide (invalid for `scan` only).  Returns the section and whether a
+    pair collides."""
+    values = [repr(a) for a in draw.rng.choice(SCAN_GRID, int(draw.rng.integers(1, 5)),
+                                               replace=False).tolist()]
+    roll = draw.rng.random()
+    if roll < 0.25:
+        value = ("-0.25", "1.5", "1.0000001", "-1e-300")[int(draw.rng.integers(4))]
+        draw.invalid.append(f"[scan] {value}")
+        values.insert(int(draw.rng.integers(len(values) + 1)), value)
+    collides = 0.25 <= roll < 0.45
+    if collides:
+        values += ["0.1234567", "0.1234568"]
+    separator = (" ", ", ")[int(draw.rng.integers(2))]
+    return f"[scan]\nvalues = {separator.join(values)}", collides
+
+
+def draw_scan_config(seed, directory):
+    """The path of one drawn kneaded config with a [scan] section, the invalid
+    values it holds and whether two of its scan values collide."""
+    draw = Draw(seed, directory)
+    sections = {"radial": _radial(draw), "angular": _kneaded(draw), "state": _state(draw),
+                "grid": _grid(draw)}
+    scan, collides = _scan(draw)
+    return _write_config(directory, sections, scan), draw.invalid, collides
 
 
 def _cells(path):
@@ -214,3 +261,51 @@ def test_the_seeds_draw_both_outcomes(tmp_path):
         directory.mkdir()
         refused += bool(draw_config(seed, directory)[1])
     assert 10 <= refused <= len(SEEDS) - 10
+
+
+def _poles_listed(path):
+    with open(path) as handle:
+        line = next(line for line in handle if line.startswith("# poles:"))
+    poles = line[len("# poles:"):].split()
+    return 0 if poles == ["none"] else len(poles)
+
+
+@pytest.mark.parametrize("seed", SCAN_SEEDS)
+def test_scan_exits_0_or_2_and_counts_the_poles_it_lists(tmp_path, capsys, seed):
+    cfg, invalid, collides = draw_scan_config(seed, tmp_path)
+    for command in (*COMMANDS, "scan"):
+        out_dir = tmp_path / command
+        out_dir.mkdir()
+        code = main([command, "--config", cfg, "--out", str(out_dir / "out.csv")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        refused = bool(invalid) or (collides and command == "scan")
+        assert code == (2 if refused else 0), (command, invalid, collides, err)
+        if code == 2:
+            lines = err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (command, err)
+            assert list(out_dir.iterdir()) == []
+            continue
+        assert err == ""
+    if invalid or collides:
+        return
+    run = load_config(cfg)
+    header, rows = _cells(out_dir / "out.csv")
+    assert header == ["a", "max_abs_gamma_xy", "pole_count"]
+    assert [float(row[0]) for row in rows] == run.scan_values
+    assert len(list(out_dir.iterdir())) == 1 + len(rows)
+    for row in rows:
+        per_value = out_dir / f"out_a{float(row[0]):g}.csv"
+        assert len(_cells(per_value)[1]) == run.n_points
+        assert int(row[2]) == _poles_listed(per_value), row
+
+
+def test_the_scan_seeds_draw_every_outcome(tmp_path):
+    # valid lists, out-of-range values and colliding pairs, each more than once
+    outcomes = []
+    for seed in SCAN_SEEDS:
+        directory = tmp_path / str(seed)
+        directory.mkdir()
+        _, invalid, collides = draw_scan_config(seed, directory)
+        outcomes.append("invalid" if invalid else "collides" if collides else "valid")
+    assert min(outcomes.count(o) for o in ("invalid", "collides", "valid")) >= 2, outcomes

@@ -33,4 +33,15 @@ def test_counts_exclude_blanks_comments_and_docstrings(tmp_path, capsys):
     assert count(str(path)) == (21, 7)
     assert main([str(path)]) == 0
     assert capsys.readouterr().out == ("sample.py: 21 lines, 7 code lines\n"
-                                       "all: 21 lines, 7 code lines\n")
+                                       "all: 1 files, 21 lines, 7 code lines\n")
+
+
+def test_the_sum_names_the_number_of_files(tmp_path, capsys):
+    paths = []
+    for name in ("a.py", "b.py"):
+        paths.append(str(tmp_path / name))
+        (tmp_path / name).write_text(SAMPLE)
+    (tmp_path / "c.py").write_text("")
+    paths.append(str(tmp_path / "c.py"))
+    assert main(paths) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all: 3 files, 42 lines, 14 code lines"
