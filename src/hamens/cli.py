@@ -2,9 +2,11 @@
 
 Every command takes --config (a configuration file, see `config`) and --out;
 validate alone also takes --seed and --samples, which override its [mc]
-section.  Each emits CSV with a single header row, '#'-prefixed comment
-lines, 17-significant-digit floats and '\\n' line endings, so output is
-byte-stable for a fixed configuration.
+section (`SamplerConfig` checks the values either way).  Each command runs on
+the `RunConfig` that `load_config` built, so a config that one command
+refuses at load every command refuses.  Each emits CSV with a single header
+row, '#'-prefixed comment lines, 17-significant-digit floats and '\\n' line
+endings, so output is byte-stable for a fixed configuration.
 Exit codes: 0 success, 1 failed validation check, 2 configuration error, an
 unwritable --out (OSError) or an error the library reports (a ValueError, such
 as a pole or a bad table, a QuadratureError or an IntegrationError): one 'error:' line.
@@ -13,6 +15,7 @@ as a pole or a bad table, a QuadratureError or an IntegrationError): one 'error:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -59,7 +62,7 @@ def _moment_values(m):
 
 
 def cmd_moments(cfg, out_path):
-    fam = cfg.build_family()
+    fam = cfg.family
     tabulated = cfg.angular_kind == "tabulated"
     quad_m = fam.moments if tabulated else directional_moments_quadrature(fam.angular)
     analytic = [float("nan")] * 9 if tabulated else _moment_values(fam.moments)
@@ -72,9 +75,7 @@ def cmd_moments(cfg, out_path):
 
 
 def cmd_simulate(cfg, out_path):
-    fam = cfg.build_family()
-    rho0 = cfg.initial_state()
-    grid = cfg.time_grid()
+    fam, rho0, grid = cfg.family, cfg.rho0, cfg.grid
     bloch = bloch_trajectory(fam, rho0, grid)
     pur = purity_trajectory(fam, rho0, grid)
     lines = ["t,wc_t,r_x,r_y,r_z,purity", *_rows(grid, cfg.omega_c * grid, *bloch.T, pur)]
@@ -97,8 +98,7 @@ def _rates_lines(cfg, fam, grid):
 
 
 def cmd_rates(cfg, out_path):
-    fam = cfg.build_family()
-    lines, _ = _rates_lines(cfg, fam, cfg.time_grid())
+    lines, _ = _rates_lines(cfg, cfg.family, cfg.grid)
     _write_lines(lines, out_path)
     return 0
 
@@ -108,7 +108,7 @@ def cmd_validate(cfg, out_path, sampler):
         # one sample has no standard error to scale the MC check by
         raise ConfigError("validate needs at least 2 samples")
     asymmetry = DEFAULT_ASYMMETRY if cfg.asymmetry is None else cfg.asymmetry
-    results = run_checks(cfg.initial_state(), sampler, omega_c=cfg.omega_c, asymmetry=asymmetry)
+    results = run_checks(cfg.rho0, sampler, omega_c=cfg.omega_c, asymmetry=asymmetry)
     lines = ["check,metric,threshold,pass"]
     for res in results:
         lines.append(f"{res.check},{_fmt(res.metric)},{_fmt(res.threshold)},{int(res.passed)}")
@@ -128,7 +128,7 @@ def cmd_scan(cfg, out_path):
             raise ConfigError(f"[scan] values {names[f'{a:g}']!r} and {a!r} give the same "
                               f"file name suffix _a{a:g}")
         names[f"{a:g}"] = a
-    grid = cfg.time_grid()
+    grid = cfg.grid
     summary = ["a,max_abs_gamma_xy,pole_count"]
     for a in cfg.scan_values:
         fam = cfg.build_family(asymmetry=a)
@@ -177,8 +177,9 @@ def main(argv=None) -> int:
         if args.command == "rates":
             return cmd_rates(cfg, args.out)
         if args.command == "validate":
-            return cmd_validate(cfg, args.out,
-                                cfg.sampler_config(seed=args.seed, samples=args.samples))
+            flags = {"seed": args.seed, "n_samples": args.samples}
+            return cmd_validate(cfg, args.out, dataclasses.replace(
+                cfg.sampler, **{name: value for name, value in flags.items() if value is not None}))
         return cmd_scan(cfg, args.out)
     except (ConfigError, QuadratureError, IntegrationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

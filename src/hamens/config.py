@@ -12,6 +12,10 @@ A config names each factor by a kind: a built-in model of `RADIAL_KINDS` or
 `load_radial_table` or `load_angular_table`.  Each factor must have unit
 mass within 1e-9, int P(omega) omega^2 domega = 1 and int Theta dOmega = 1;
 `dynmap.MapFamily` checks both when it pairs them.
+
+`load_config` returns the built run, a `RunConfig`: every object a command
+uses is built there, once, by the class that owns its rules, so each table
+is read once and every command refuses the same configs.
 """
 
 from __future__ import annotations
@@ -22,14 +26,14 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .angular import (BagelAngular, CardioidAngular, DumbbellAngular,
                       KneadedCardioidAngular, SphereAngular, TabulatedAngular)
 from .dynmap import DensityMatrix, MapFamily
-from .montecarlo import MAX_SAMPLES, SEED_LIMIT, SamplerConfig
+from .montecarlo import SamplerConfig
 from .radial import (ExponentialCutoffRadial, GaussianRadial, ReciprocalSquareRadial,
                      TabulatedRadial)
 
@@ -143,59 +147,29 @@ def parse_angle(text: str) -> float:
         raise ConfigError(f"cannot parse angle {text!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Validated, typed view of a configuration file."""
+    """The built run of a configuration file: the family of its [radial] and
+    [angular] sections, the initial state, the read-only time grid in
+    absolute time and the [mc] sampler, with what the commands read besides
+    them: the time unit 1/omega_c, the angular kind, its asymmetry a (None
+    but for the kneaded kind) and the [scan] values."""
 
-    radial_kind: str = "gaussian"
-    omega_c: float = 1.0
-    radial_table: str | None = None
-    angular_kind: str = "sphere"
-    asymmetry: float | None = None
-    angular_table: str | None = None
-    theta0: float = 0.0
-    bloch: tuple | None = None
-    t_max: float = 10.0
-    n_points: int = 501
-    seed: int = 12345
-    samples: int = 100000
-    scan_values: list = field(default_factory=list)
-    base_dir: str = "."
-
-    # -- builders ------------------------------------------------------------
-    def _table(self, part, load, path):
-        try:  # an absolute path replaces base_dir in the join
-            return load(os.path.join(self.base_dir, path))
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"{part} table: {err}") from err
+    family: MapFamily
+    rho0: DensityMatrix
+    grid: np.ndarray
+    sampler: SamplerConfig
+    omega_c: float
+    angular_kind: str
+    asymmetry: float | None
+    scan_values: tuple
 
     def build_family(self, asymmetry=None) -> MapFamily:
-        """The family of the [radial] and [angular] sections (asymmetry overrides a)."""
-        if self.radial_kind == "tabulated":
-            radial = self._table("radial", load_radial_table, self.radial_table)
-        else:
-            radial = RADIAL_KINDS[self.radial_kind](self.omega_c)
-        if self.angular_kind == "tabulated":
-            angular = self._table("angular", load_angular_table, self.angular_table)
-        else:
-            angular = angular_model(self.angular_kind,
-                                    self.asymmetry if asymmetry is None else asymmetry)
-        try:
-            return MapFamily.from_ensemble(radial, angular)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    def initial_state(self) -> DensityMatrix:
-        if self.bloch is not None:
-            return DensityMatrix(np.asarray(self.bloch))
-        return DensityMatrix([math.sin(self.theta0), 0.0, math.cos(self.theta0)])
-
-    def time_grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_max / self.omega_c, self.n_points)
-
-    def sampler_config(self, seed=None, samples=None) -> SamplerConfig:
-        return SamplerConfig(seed=self.seed if seed is None else seed,
-                             n_samples=self.samples if samples is None else samples)
+        """The built family; with an asymmetry, its radial model paired with the
+        angular model of the config's kind at that asymmetry."""
+        if asymmetry is None:
+            return self.family
+        return MapFamily.from_ensemble(self.family.radial, angular_model(self.angular_kind, asymmetry))
 
 
 def _float_list(text: str):
@@ -205,7 +179,7 @@ def _float_list(text: str):
     return [_finite(p) for p in parts]
 
 
-#: every [section] key, with the RunConfig field it sets and its parser
+#: every [section] key, with the name of the value it sets and its parser
 _SCHEMA = {
     ("radial", "kind"): ("radial_kind", str.strip),
     ("radial", "omega_c"): ("omega_c", _finite),
@@ -222,10 +196,34 @@ _SCHEMA = {
     ("scan", "values"): ("scan_values", _float_list),
 }
 _SECTIONS = {section for section, _ in _SCHEMA}
+#: the value of each key a config leaves out
+_DEFAULTS = {"radial_kind": "gaussian", "omega_c": 1.0, "radial_table": None,
+             "angular_kind": "sphere", "asymmetry": None, "angular_table": None,
+             "theta0": 0.0, "bloch": None, "t_max": 10.0, "n_points": 501,
+             "seed": 12345, "samples": 100000, "scan_values": ()}
+
+
+def _build(errors, prefix, make, *args):
+    """make(*args), or None with the ValueError or OSError it raised, after
+    prefix, added to errors."""
+    try:
+        return make(*args)
+    except (ValueError, OSError) as err:
+        errors.append(f"{prefix}{err}")
+        return None
 
 
 def load_config(path) -> RunConfig:
-    """Parse and validate a configuration file; raises ConfigError with diagnostics."""
+    """Parse a configuration file and build its run; raises ConfigError with
+    every fault found, in one message.
+
+    Config checks what it alone owns: sections and keys, kinds and table
+    paths, that a is given exactly for the kneaded kind, the time unit and
+    the grid, and the form of [state].  Each object is then built by the
+    class that owns its rules (`DensityMatrix`, `SamplerConfig`, the models
+    and table loaders, `MapFamily`), and each ValueError or OSError it raises
+    is one more fault.
+    """
     # no section name matches "", so [DEFAULT] is read as an ordinary section,
     # and refused as unknown, instead of having its keys copied into every other
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
@@ -239,8 +237,7 @@ def load_config(path) -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"config parse failure: {err}") from err
 
-    cfg = RunConfig(base_dir=os.path.dirname(os.path.abspath(path)))
-    errors = []
+    given, errors = dict(_DEFAULTS), []
     for section in parser.sections():
         if section not in _SECTIONS:
             errors.append(f"unknown section [{section}]")
@@ -252,59 +249,75 @@ def load_config(path) -> RunConfig:
             name, convert = _SCHEMA[section, key]
             raw = parser.get(section, key)
             try:
-                setattr(cfg, name, convert(raw))
+                given[name] = convert(raw)
             except ConfigError as err:
                 errors.append(f"[{section}] {key}: {err}")
             except ValueError:
                 errors.append(f"[{section}] {key}: cannot parse {raw!r}")
 
-    # cross-field validation
-    if cfg.bloch is not None:
-        if len(cfg.bloch) != 3:
-            errors.append("[state] bloch: need exactly three components")
-        elif parser.has_option("state", "theta0"):
-            errors.append("[state] give either theta0 or bloch, not both")
-        elif math.hypot(*cfg.bloch) > 1.0 + 1e-12:
-            errors.append("[state] bloch: the vector lies outside the unit ball")
-        cfg.bloch = tuple(cfg.bloch)
+    state = given["bloch"]
+    if state is None:
+        state = [math.sin(given["theta0"]), 0.0, math.cos(given["theta0"])]
+    elif len(state) != 3:
+        errors.append("[state] bloch: need exactly three components")
+        state = None
+    elif parser.has_option("state", "theta0"):
+        errors.append("[state] give either theta0 or bloch, not both")
+        state = None
+    radial_kind, radial_table = given["radial_kind"], given["radial_table"]
+    angular_kind, angular_table, a = given["angular_kind"], given["angular_table"], given["asymmetry"]
     radial_kinds, angular_kinds = (*RADIAL_KINDS, "tabulated"), (*ANGULAR_KINDS, "tabulated")
-    if cfg.radial_kind not in radial_kinds:
+    if radial_kind not in radial_kinds:
         errors.append(f"[radial] kind must be one of {', '.join(radial_kinds)}")
-    elif cfg.radial_kind == "tabulated" and not cfg.radial_table:
+    elif radial_kind == "tabulated" and not radial_table:
         errors.append("[radial] tabulated kind needs a table path")
-    if cfg.angular_kind not in angular_kinds:
+    if angular_kind not in angular_kinds:
         errors.append(f"[angular] kind must be one of {', '.join(angular_kinds)}")
-    elif cfg.angular_kind == "tabulated" and not cfg.angular_table:
+    elif angular_kind == "tabulated" and not angular_table:
         errors.append("[angular] tabulated kind needs a table path")
-    if cfg.angular_kind == "kneaded":
-        if cfg.asymmetry is None:
-            errors.append("[angular] kneaded kind needs the asymmetry key a")
-        elif not 0.0 <= cfg.asymmetry <= 1.0:
-            errors.append("[angular] a must lie in [0, 1]")
-    elif cfg.asymmetry is not None:
+    elif angular_kind == "kneaded" and a is None:
+        errors.append("[angular] kneaded kind needs the asymmetry key a")
+    if angular_kind != "kneaded" and a is not None:
         errors.append("[angular] key 'a' only applies to the kneaded kind")
-    if not cfg.omega_c > 0.0:
+    omega_c, t_max, n_points = given["omega_c"], given["t_max"], given["n_points"]
+    before = len(errors)
+    if not omega_c > 0.0:
         errors.append("[radial] omega_c must be positive")
-    if not 2 <= cfg.n_points <= MAX_GRID_POINTS:
+    if not 2 <= n_points <= MAX_GRID_POINTS:
         errors.append(f"[grid] n_points must lie in [2, {MAX_GRID_POINTS}]")
-    if not cfg.t_max > 0.0:
+    if not t_max > 0.0:
         errors.append("[grid] t_max must be positive")
-    if not 0 <= cfg.seed < SEED_LIMIT:
-        errors.append("[mc] seed must lie in [0, 2**64)")
-    if not 1 <= cfg.samples <= MAX_SAMPLES:
-        errors.append(f"[mc] samples must lie in [1, {MAX_SAMPLES}]")
-    errors += [f"[scan] value {a!r} outside [0, 1]" for a in cfg.scan_values
-               if not 0.0 <= a <= 1.0]
-    if not errors:
+    if len(errors) == before:
         # the grid runs to t_max / omega_c in absolute time, which can overflow or
         # underflow; its points increase strictly where its step is a normal float
-        end = cfg.t_max / cfg.omega_c
+        end = t_max / omega_c
         if not math.isfinite(end):
             errors.append(f"[grid] t_max / omega_c = {end!r} is not a finite time")
-        elif end / (cfg.n_points - 1) < sys.float_info.min:
+        elif end / (n_points - 1) < sys.float_info.min:
             errors.append(f"[grid] t_max / omega_c = {end!r} is too small for "
-                          f"{cfg.n_points} strictly increasing times")
+                          f"{n_points} strictly increasing times")
 
+    rho0 = None if state is None else _build(errors, "[state] ", DensityMatrix, state)
+    sampler = _build(errors, "[mc] ", SamplerConfig, given["seed"], given["samples"])
+    for value in given["scan_values"]:
+        _build(errors, "[scan] ", angular_model, "kneaded", value)
+    base_dir = os.path.dirname(os.path.abspath(path))  # an absolute table path replaces it
+    radial = angular = None
+    if radial_kind == "tabulated" and radial_table:
+        radial = _build(errors, "radial table: ", load_radial_table,
+                        os.path.join(base_dir, radial_table))
+    elif radial_kind in RADIAL_KINDS and omega_c > 0.0:
+        radial = RADIAL_KINDS[radial_kind](omega_c)
+    if angular_kind == "tabulated" and angular_table:
+        angular = _build(errors, "angular table: ", load_angular_table,
+                         os.path.join(base_dir, angular_table))
+    elif angular_kind in ANGULAR_KINDS and (angular_kind == "kneaded") == (a is not None):
+        angular = _build(errors, "[angular] ", angular_model, angular_kind, a)
+    family = None if radial is None or angular is None else _build(
+        errors, "", MapFamily.from_ensemble, radial, angular)
     if errors:
         raise ConfigError("; ".join(errors))
-    return cfg
+    grid = np.linspace(0.0, t_max / omega_c, n_points)
+    grid.setflags(write=False)
+    return RunConfig(family, rho0, grid, sampler, omega_c, angular_kind, a,
+                     tuple(given["scan_values"]))

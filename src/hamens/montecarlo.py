@@ -66,10 +66,13 @@ class SamplerConfig:
     n_samples: int
 
     def __post_init__(self):
+        faults = []
         if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+            faults.append(f"seed must lie in [0, 2**64), got {self.seed}")
         if not 1 <= self.n_samples <= MAX_SAMPLES:
-            raise ValueError(f"sample count must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
+            faults.append(f"samples must lie in [1, {MAX_SAMPLES}], got {self.n_samples}")
+        if faults:
+            raise ValueError("; ".join(faults))
 
 
 def chunk_stream(seed: int, index: int) -> np.random.Generator:

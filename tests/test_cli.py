@@ -195,9 +195,9 @@ def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
         "theta0 = 0", "bloch = 0.3 -0.5 0.6").replace("t_max = 10", "t_max = 4")
     cfg = write_config(tmp_path, body)
     run = load_config(cfg)
-    fam = run.build_family()
+    fam = run.family
     regular = np.array([abs(np.linalg.det(map_matrices(fam, t))) >= POLE_THRESHOLD
-                        for t in run.time_grid()])
+                        for t in run.grid])
     for command in ("simulate", "rates"):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 0
@@ -207,21 +207,62 @@ def test_simulate_and_rates_on_tilted_table(tmp_path, tilted_table):
         assert np.all(np.isfinite(values[regular]))
 
 
+@pytest.mark.parametrize("command", ["simulate", "validate"])
 @pytest.mark.parametrize("table, entry", [("radial", "nan"), ("angular", "inf")])
-def test_non_finite_table_entry_exits_2_with_one_line(tmp_path, capsys, table, entry):
+def test_non_finite_table_entry_exits_2_with_one_line(tmp_path, capsys, table, entry, command):
     # float() reads nan and inf; a NaN P used to pass every table check and
     # give all-NaN rows with exit 0
     (tmp_path / "table.csv").write_text(TABLES_WITH_X[table].replace("X", entry))
     kind = "kind = gaussian" if table == "radial" else "kind = sphere"
     cfg = write_config(tmp_path, SPHERE_CFG.replace(kind, "kind = tabulated\ntable = table.csv"))
     out = tmp_path / "out.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0] == f"error: {table} table: {table} table entries must be finite"
+    assert captured.out == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["moments", "simulate", "rates"])
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "validate", "scan"])
+@pytest.mark.parametrize("table", ["radial", "angular"])
+def test_missing_table_exits_2_with_one_line(tmp_path, capsys, table, command):
+    # validate, which runs on the built-in families, used to exit 0 here and
+    # write its CSV, because it never built the config's ensemble
+    kind = "kind = gaussian" if table == "radial" else "kind = sphere"
+    cfg = write_config(tmp_path, SPHERE_CFG.replace(kind, "kind = tabulated\ntable = missing.csv"))
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {table} table: ")
+    assert "missing.csv" in err[0]
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_scan_reads_its_radial_table_once(tmp_path, monkeypatch):
+    # scan pairs the one radial model built at load with each value's
+    # angular model; it used to read the table again for every value
+    import hamens.config as config
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return load_radial_table(path)
+
+    monkeypatch.setattr(config, "load_radial_table", counted)
+    (tmp_path / "radial.csv").write_text("omega,P\n0,3\n1,3\n")
+    body = SCAN_CFG.replace("kind = gaussian", "kind = tabulated\ntable = radial.csv").replace(
+        "n_points = 401", "n_points = 21")
+    cfg = write_config(tmp_path, body)
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "scan.csv")]) == 0
+    _, rows = read_csv(tmp_path / "scan.csv")
+    assert [row[0] for row in rows] == ["0", "0.10000000000000001", "0.29999999999999999"]
+    assert calls == [str(tmp_path / "radial.csv")]
+
+
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "validate"])
 def test_zero_mass_angular_table_exits_2_with_one_line(tmp_path, capsys, command):
     # moments used to print a zero quadrature column and NaN abs_diff with
     # exit 0, while the other commands refused the same table
@@ -231,12 +272,14 @@ def test_zero_mass_angular_table_exits_2_with_one_line(tmp_path, capsys, command
     cfg = write_config(tmp_path, SPHERE_CFG.replace("kind = sphere", "kind = tabulated\ntable = table.csv"))
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["error: angular table: angular table density must have positive mass"]
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [
+        "error: angular table: angular table density must have positive mass"]
+    assert captured.out == ""
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["moments", "simulate", "rates"])
+@pytest.mark.parametrize("command", ["moments", "simulate", "rates", "validate"])
 def test_split_table_pair_exits_2_with_one_line(tmp_path, capsys, command):
     # radial mass 0.5 times angular mass 2 is 1, but each factor must have
     # unit mass, in every command that builds the family; this pair used to
@@ -254,8 +297,9 @@ def test_split_table_pair_exits_2_with_one_line(tmp_path, capsys, command):
     assert angular_mass == pytest.approx(2.0, abs=1e-15)
     out = tmp_path / "out.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: radial mass must be 1, got {radial_mass!r}"]
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: radial mass must be 1, got {radial_mass!r}"]
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -494,7 +538,7 @@ def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", cfg, "--out", str(out)]) == 0
     run = load_config(cfg)
-    grid = run.time_grid()
+    grid = run.grid
     lines = ["a,max_abs_gamma_xy,pole_count"]
     for a in run.scan_values:
         fam = run.build_family(asymmetry=a)
@@ -552,10 +596,11 @@ def test_scan_values_outside_the_unit_interval_are_refused_at_load(tmp_path, cap
     assert main([command, "--config", cfg, "--out", str(out_dir / "out.csv")]) == 2
     captured = capsys.readouterr()
     assert captured.err.strip().splitlines() == [
-        "error: [scan] value 2.0 outside [0, 1]; [scan] value -1.0 outside [0, 1]"]
+        "error: [scan] lateral asymmetry must lie in [0, 1], got 2.0; "
+        "[scan] lateral asymmetry must lie in [0, 1], got -1.0"]
     assert captured.out == ""
     assert list(out_dir.iterdir()) == []
-    with pytest.raises(ConfigError, match=r"^\[scan\] value 2\.0 outside"):
+    with pytest.raises(ConfigError, match=r"^\[scan\] lateral asymmetry must lie in \[0, 1\], got 2\.0;"):
         load_config(cfg)
 
 
@@ -683,14 +728,19 @@ def test_seed_outside_uint64_is_rejected(tmp_path, capsys, command, body, extra)
 def test_sizes_beyond_their_caps_are_rejected(tmp_path, capsys, monkeypatch,
                                               command, n_points, mc, extra, key):
     # a size is checked before anything is computed: every stage that would
-    # allocate by it fails the test if reached
+    # allocate by it fails the test if reached, and so does a grid beyond its cap
     import hamens.cli as cli
-    from hamens.config import RunConfig
+    from hamens.config import MAX_GRID_POINTS
 
     def reached(*args, **kwargs):
         raise AssertionError("a size beyond its cap reached the computation")
 
-    monkeypatch.setattr(RunConfig, "time_grid", reached)
+    linspace = np.linspace
+
+    def grid(start, stop, num=50, **kwargs):
+        return reached() if num > MAX_GRID_POINTS else linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", grid)
     for stage in ("bloch_trajectory", "purity_trajectory", "rate_trajectory", "run_checks"):
         monkeypatch.setattr(cli, stage, reached)
     body = SPHERE_CFG.replace("n_points = 201", f"n_points = {n_points}")
@@ -726,7 +776,8 @@ def test_size_caps_admit_the_sizes_in_use(tmp_path):
     body += f"\n[mc]\nsamples = {MAX_SAMPLES}\n"
     cfg = load_config(write_config(tmp_path, body))
     # validate draws in chunks of the fixed size CHUNK
-    assert cfg.sampler_config().n_samples == MAX_SAMPLES and CHUNK == 4096
+    assert cfg.sampler.n_samples == MAX_SAMPLES and CHUNK == 4096
+    assert cfg.grid.size == MAX_GRID_POINTS
 
 
 def test_parse_angle_forms():
@@ -741,10 +792,11 @@ def test_parse_angle_forms():
 def test_load_config_defaults_and_overrides(tmp_path):
     cfg = load_config(write_config(tmp_path, SPHERE_CFG))
     assert cfg.omega_c == 1.0
-    assert cfg.samples == 100000
-    assert np.allclose(cfg.initial_state().bloch, [0, 0, 1])
-    grid = cfg.time_grid()
+    assert cfg.sampler.n_samples == 100000
+    assert np.allclose(cfg.rho0.bloch, [0, 0, 1])
+    grid = cfg.grid
     assert grid[0] == 0.0 and grid[-1] == pytest.approx(10.0)
+    assert not grid.flags.writeable
 
 
 def test_checked_in_figure_configs_load():
@@ -957,7 +1009,7 @@ n_points = 201
         _, rows = read_csv(out)
         outs[command] = np.array(rows, dtype=float)
         assert outs[command].shape[0] == 201 and np.all(np.isfinite(outs[command]))
-    table = load_config(cfg).build_family().angular
+    table = load_config(cfg).family.angular
     assert isinstance(table, TabulatedAngular)
     m = table.moments()
     n, big_s = m.first, m.second

@@ -7,7 +7,7 @@ import pytest
 
 from hamens import (GaussianRadial, KneadedCardioidAngular, MapFamily, SphereAngular,
                     TabulatedAngular, TabulatedRadial, load_angular_table, load_radial_table)
-from hamens.config import ANGULAR_KINDS, RunConfig, angular_model
+from hamens.config import ANGULAR_KINDS, angular_model, load_config
 from hamens.validation import builtin_families
 
 from conftest import TABLES_WITH_X
@@ -18,14 +18,15 @@ def test_builtin_pairs_are_jointly_normalized():
         assert fam.radial.mass() == 1.0 and fam.angular.mass() == 1.0, name
 
 
-def test_only_the_kneaded_kind_takes_the_asymmetry():
+def test_only_the_kneaded_kind_takes_the_asymmetry(tmp_path):
     # one rule serves the config and the validation families
     for kind, cls in ANGULAR_KINDS.items():
         model = angular_model(kind, 0.7)
         assert type(model) is cls
         if kind == "kneaded":
             assert model.a == 0.7
-    kneaded = RunConfig(angular_kind="kneaded", asymmetry=0.2)
+    (tmp_path / "kneaded.cfg").write_text("[angular]\nkind = kneaded\na = 0.2\n")
+    kneaded = load_config(tmp_path / "kneaded.cfg")
     assert kneaded.build_family().angular.a == 0.2
     assert kneaded.build_family(asymmetry=0.9).angular.a == 0.9
     by_name = dict(builtin_families(asymmetry=0.4))

@@ -2,11 +2,14 @@
 field from lists of valid and invalid values, random tables included.
 
 Every field value is either accepted by every command or refused by every
-command at load or when the family is built, so a config exits 0 exactly when
-it holds no invalid value, and 2 with one `error:` line otherwise.  With
-exit 0, `simulate` has no NaN and purity at most 1, `moments` has no NaN
-outside the columns a tabulated angular model leaves without a closed form,
-and the map is completely positive on the whole grid.
+command at load, where `load_config` builds the run, so a config exits 0
+exactly when it holds no invalid value, and 2 with one `error:` line
+otherwise.  The one exception is `validate` (run with --samples 2000), which
+may exit 1 on a valid config, because its 4-sigma Monte-Carlo gate can fail
+by chance.  With exit 0, `simulate` has no NaN and purity at most 1,
+`moments` has no NaN outside the columns a tabulated angular model leaves
+without a closed form, `validate` writes one passing row per check, and the
+map is completely positive on the whole grid.
 
 Accepted grids end at t_max <= 100 in units of 1/omega_c (for a radial table,
 omega_c is set to its last node): `generator.pole_scan` is complete on such
@@ -15,9 +18,9 @@ longer grids wait for a scan that is complete on any window.  The two
 refused grid ends (an overflowing and a subnormal step) exceed that bound, but
 load refuses them before any scan.
 
-`scan` runs on kneaded configs with a drawn [scan] section: a value outside
-[0, 1] is refused by every command, and two values that share a per-value
-file name by `scan` alone.  With exit 0 its summary has one row per value,
+`scan` runs, with the other four commands, on kneaded configs with a drawn
+[scan] section: a value outside [0, 1] is refused by every command, and two
+values that share a per-value file name by `scan` alone.  With exit 0 its summary has one row per value,
 and each row's pole count is the number of poles its per-value file lists.
 
 Draws come from `np.random.default_rng(seed)` over a fixed seed range, not
@@ -37,7 +40,9 @@ from conftest import random_radial, random_table
 
 SEEDS = range(64)
 SCAN_SEEDS = range(24)
-COMMANDS = ("moments", "simulate", "rates")
+COMMANDS = ("moments", "simulate", "rates", "validate")
+#: the arguments each command takes after --config and --out
+ARGUMENTS = {"validate": ["--samples", "2000"]}
 #: scan values on a grid of step 1/20, whose per-value file names differ
 SCAN_GRID = np.linspace(0.0, 1.0, 21)
 #: chance that a field takes one of its invalid values
@@ -227,10 +232,11 @@ def test_main_exits_0_or_2_and_writes_sound_outputs(tmp_path, capsys, seed):
     run = None if invalid else load_config(cfg)
     for command in COMMANDS:
         out = tmp_path / f"{command}.csv"
-        code = main([command, "--config", cfg, "--out", str(out)])
+        code = main([command, "--config", cfg, "--out", str(out), *ARGUMENTS.get(command, [])])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert code == (2 if invalid else 0), (command, invalid, err)
+        assert code == (2 if invalid else 0) or (command, code, invalid) == ("validate", 1, []), (
+            command, invalid, err)
         if code == 2:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (command, err)
@@ -238,8 +244,11 @@ def test_main_exits_0_or_2_and_writes_sound_outputs(tmp_path, capsys, seed):
             continue
         assert err == ""
         header, rows = _cells(out)
-        if command != "moments":
-            assert len(rows) == run.n_points
+        if command == "validate":
+            assert header == ["check", "metric", "threshold", "pass"] and len(rows) == 4
+            assert [row[3] for row in rows].count("0") == code
+        elif command != "moments":
+            assert len(rows) == run.grid.size
         if command == "simulate":
             values = np.array(rows, dtype=float)
             assert not np.isnan(values).any()
@@ -250,7 +259,7 @@ def test_main_exits_0_or_2_and_writes_sound_outputs(tmp_path, capsys, seed):
                     if not (angular_table and name in ("analytic", "abs_diff")):
                         assert not math.isnan(float(cell)), (row, name)
     if not invalid:
-        assert choi_check(map_matrices(run.build_family(), run.time_grid())).min() >= -1e-12
+        assert choi_check(map_matrices(run.family, run.grid)).min() >= -1e-12
 
 
 def test_the_seeds_draw_both_outcomes(tmp_path):
@@ -276,11 +285,13 @@ def test_scan_exits_0_or_2_and_counts_the_poles_it_lists(tmp_path, capsys, seed)
     for command in (*COMMANDS, "scan"):
         out_dir = tmp_path / command
         out_dir.mkdir()
-        code = main([command, "--config", cfg, "--out", str(out_dir / "out.csv")])
+        code = main([command, "--config", cfg, "--out", str(out_dir / "out.csv"),
+                     *ARGUMENTS.get(command, [])])
         err = capsys.readouterr().err
         assert "Traceback" not in err
         refused = bool(invalid) or (collides and command == "scan")
-        assert code == (2 if refused else 0), (command, invalid, collides, err)
+        assert code == (2 if refused else 0) or (command, code, refused) == ("validate", 1, False), (
+            command, invalid, collides, err)
         if code == 2:
             lines = err.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (command, err)
@@ -292,11 +303,11 @@ def test_scan_exits_0_or_2_and_counts_the_poles_it_lists(tmp_path, capsys, seed)
     run = load_config(cfg)
     header, rows = _cells(out_dir / "out.csv")
     assert header == ["a", "max_abs_gamma_xy", "pole_count"]
-    assert [float(row[0]) for row in rows] == run.scan_values
+    assert tuple(float(row[0]) for row in rows) == run.scan_values
     assert len(list(out_dir.iterdir())) == 1 + len(rows)
     for row in rows:
         per_value = out_dir / f"out_a{float(row[0]):g}.csv"
-        assert len(_cells(per_value)[1]) == run.n_points
+        assert len(_cells(per_value)[1]) == run.grid.size
         assert int(row[2]) == _poles_listed(per_value), row
 
 
