@@ -204,8 +204,8 @@ _DEFAULTS = {"radial_kind": "gaussian", "omega_c": 1.0, "radial_table": None,
 
 
 def _build(errors, prefix, make, *args):
-    """make(*args), or None with the ValueError or OSError it raised, after
-    prefix, added to errors."""
+    """make(*args); on a ValueError or OSError, append prefix and its text to
+    errors and return None."""
     try:
         return make(*args)
     except (ValueError, OSError) as err:
