@@ -15,9 +15,8 @@ from .angular import (AngularModel, BagelAngular, CardioidAngular, DirectionalMo
                       TabulatedAngular, directional_moments_quadrature)
 from .dynmap import (DensityMatrix, MapFamily, bloch_trajectory, choi_check, map_matrices,
                      purity_trajectory)
-from .generator import (PoleError, RateTrajectory, anisotropic_rates, azimuthal_generator,
-                        bloch_generators, extract_generator, isotropic_rate, offdiagonal_rate,
-                        pole_scan, rate_trajectory)
+from .generator import (PoleError, RateTrajectory, aligned_generator, bloch_generators,
+                        extract_generator, offdiagonal_rate, pole_scan, rate_trajectory)
 from .montecarlo import SamplerConfig, mc_average, mc_trajectory, sample_angular, sample_radial
 from .propagation import IntegrationError, integrate_master
 from .config import ConfigError, RunConfig, load_angular_table, load_config, load_radial_table
@@ -33,9 +32,8 @@ __all__ = [
     "DirectionalMoments", "directional_moments_quadrature",
     "load_radial_table", "load_angular_table", "MapFamily",
     "map_matrices", "purity_trajectory", "bloch_trajectory", "choi_check",
-    "PoleError", "RateTrajectory", "isotropic_rate",
-    "anisotropic_rates", "azimuthal_generator", "offdiagonal_rate", "extract_generator",
-    "bloch_generators",
+    "PoleError", "RateTrajectory", "aligned_generator", "offdiagonal_rate",
+    "extract_generator", "bloch_generators",
     "pole_scan", "rate_trajectory",
     "SamplerConfig", "mc_average", "mc_trajectory", "sample_radial", "sample_angular",
     "IntegrationError", "integrate_master",

@@ -12,7 +12,8 @@ Its diagonal entries for axis-aligned moments,
 
     f_j(t) = <cos omega t>_P (1 - S_jj) + S_jj ,
 
-feed the per-symmetry-class closed forms that serve as oracles.
+feed the closed-form generator of axis-aligned families (<n> along z, S
+diagonal), `generator.aligned_generator`, which serves as an oracle.
 
 A `MapFamily` is the ensemble itself: the radial model, the angular model
 and the lab-frame moments, each model checked at construction for unit mass.
@@ -101,7 +102,7 @@ def diagonal_components(fam: MapFamily, t):
     """(f, fdot, s, sdot) from one radial pass, elementwise over t: the three
     f_j(t) built from the diagonal of S, shape t.shape + (3,), their time
     derivatives, s = <sin omega t> and its derivative.  The closed-form
-    generators need all four."""
+    generator needs all four."""
     c, s, dc, ds = fam.radial.expectations(t, derivative=True)
     m2 = np.diag(fam.moments.second)
     f = np.asarray(c)[..., None] * (1.0 - m2) + m2

@@ -17,13 +17,14 @@ Note the explicit factor 1/2 on the dissipator: rates here are twice as
 small as in conventions that absorb it.  The reported level spacing
 omega_bar is h_z, the lab z-component of h.
 
-The split is evaluated over a whole time grid at once, in any frame.
-Closed forms per symmetry class (isotropic, anisotropic diagonal, azimuthal
-with level spacing, off-diagonal xy rate) are kept as vectorized oracles for
-it: each is elementwise over its times, of any shape, and gives NaN inside
-pole windows.  All time derivatives are closed-form; points where
-|det M| falls below POLE_THRESHOLD count as poles rather than being
-extrapolated."""
+The split is evaluated over a whole time grid at once, in any frame.  One
+closed form, `aligned_generator`, is kept as its oracle: for every family
+with <n> along z and a diagonal S (each built-in kind, and aligned tables)
+M is block diagonal, so an adjugate formula gives all of h and K
+elementwise over times of any shape, with no shared linear algebra and NaN
+inside pole windows.  `offdiagonal_rate` is its gamma_xy entry.  All time
+derivatives are closed-form; points where |det M| falls below
+POLE_THRESHOLD count as poles rather than being extrapolated."""
 
 from __future__ import annotations
 
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynmap import MapFamily, _cross_matrix, diagonal_components, map_matrices
-from .radial import RadialModel
 
 #: absolute bound below which a denominator, or det M, counts as a pole:
-#: the closed forms give NaN there (``_guard``), and ``bloch_generators`` and
+#: the closed form gives NaN there (``_guard``), and ``bloch_generators`` and
 #: ``extract_generator`` raise PoleError
 POLE_THRESHOLD = 1e-8
 
@@ -62,58 +62,49 @@ def _guard(denominator):
     return np.where(np.abs(denominator) < POLE_THRESHOLD, np.nan, denominator)
 
 
-def isotropic_rate(radial: RadialModel, t):
-    """Common decay rate of the three Pauli channels under full rotational symmetry.
+def aligned_generator(fam: MapFamily, t):
+    """Closed-form generator (h, K) of an axis-aligned family, of shapes
+    t.shape + (3,) and t.shape + (3, 3); ValueError for any other family.
 
-    gamma = -wdot / 2w for the mixing weight w = (2 <cos omega t> + 1)/3.
+    With <n> along z and S diagonal, M is block diagonal: the xy block
+    [[f_x, -a], [a, f_y]], a = <n_z> s, is inverted by its adjugate over
+    D = f_x f_y + <n_z>^2 s^2, and L_zz = fdot_z / f_z.  Then
+    h = (0, 0, anti_yx) and K = sym - tr(sym) I / 2, written elementwise.
+    h_z and gamma_xy are NaN where |D| < POLE_THRESHOLD, the diagonal of K
+    also where |f_z| < POLE_THRESHOLD.
     """
-    c, _, dc, _ = radial.expectations(t, derivative=True)
-    w = _guard((2.0 * c + 1.0) / 3.0)
-    return -dc / (3.0 * w)
-
-
-def anisotropic_rates(fam: MapFamily, t) -> np.ndarray:
-    """Per-axis rates for diagonal maps: gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k,
-    shape t.shape + (3,)."""
-    f, df, _, _ = diagonal_components(fam, t)
-    logd = df / (2.0 * _guard(f))
-    return 2.0 * logd - np.sum(logd, axis=-1, keepdims=True)
-
-
-def azimuthal_generator(fam: MapFamily, t):
-    """Generator (h, K) for azimuthally symmetric geometries (f_x = f_y), of
-    shapes t.shape + (3,) and t.shape + (3, 3).
-
-    The broken xy-reflection shows up as a first z-moment, which adds the
-    effective level spacing h_z and reshapes gamma_z; gamma_x = gamma_y stay
-    locked to f_z.
-    """
+    n, second = fam.moments.first, fam.moments.second
+    tilt = np.concatenate([n[:2], (second - np.diag(np.diag(second))).ravel()])
+    if not np.all(np.abs(tilt) <= 1e-12):
+        raise ValueError("closed form requires <n> along z and a diagonal second-moment matrix")
     f, df, s, ds = diagonal_components(fam, t)
-    fx, fz, dfx = f[..., 0], f[..., 2], df[..., 0]
-    if np.any(np.abs(fx - f[..., 1]) > 1e-10 * np.maximum(1.0, np.abs(fx))):
-        raise ValueError("azimuthal closed form requires equal x/y second moments")
-    nz = float(fam.moments.first[2])
-    d = _guard(fx * fx + nz * nz * s * s)
-    gx = -df[..., 2] / (2.0 * _guard(fz))
-    hz = nz * (fx * ds - dfx * s) / d
-    gz = -fx * dfx / d - gx - nz * nz * s * ds / d
+    (fx, fy, fz), (dfx, dfy, dfz) = np.moveaxis(f, -1, 0), np.moveaxis(df, -1, 0)
+    nz = float(n[2])
+    a, da = nz * s, nz * ds
+    d = _guard(fx * fy + nz * nz * s * s)
+    lxx, lyy, lzz = (dfx * fy + da * a) / d, (dfy * fx + da * a) / d, dfz / _guard(fz)
+    lxy, lyx = (dfx * a - da * fx) / d, (da * fy - dfy * a) / d
+    half_trace = 0.5 * (lxx + lyy + lzz)
+    hz = 0.5 * (lyx - lxy)
+    # gamma_xy keeps the order of operations that scan's summary was recorded with
+    kxy = nz * ((dfx - dfy) * s - (fx - fy) * ds) / (2.0 * d)
     zero = np.zeros_like(hz)
     h = np.stack([zero, zero, hz], axis=-1)
-    k = np.stack([gx, gx, gz], axis=-1)[..., None] * np.eye(3)
-    return h, k
+    k = np.stack([lxx - half_trace, kxy, zero, kxy, lyy - half_trace, zero,
+                  zero, zero, lzz - half_trace], axis=-1)
+    return h, k.reshape(np.shape(hz) + (3, 3))
 
 
 def offdiagonal_rate(fam: MapFamily, t):
-    """Coupled xy decay channel opened by azimuthal symmetry breaking.
+    """Coupled xy decay channel opened by azimuthal symmetry breaking, the
+    gamma_xy entry of `aligned_generator`:
 
     gamma_xy = <n_z> [ (fdot_x - fdot_y) s - (f_x - f_y) sdot ] / 2D with
     D = f_x f_y + <n_z>^2 s^2; swapping the x and y axes flips its sign.
-    Of t's shape, NaN where |D| < POLE_THRESHOLD.
+    Of t's shape, NaN where |D| < POLE_THRESHOLD; ValueError, as there, for
+    a family that is not axis-aligned.
     """
-    f, df, s, ds = diagonal_components(fam, t)
-    nz = float(fam.moments.first[2])
-    d = _guard(f[..., 0] * f[..., 1] + nz * nz * s * s)
-    return nz * ((df[..., 0] - df[..., 1]) * s - (f[..., 0] - f[..., 1]) * ds) / (2.0 * d)
+    return aligned_generator(fam, t)[1][..., 0, 1]
 
 
 def _split(m, dm):

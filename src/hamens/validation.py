@@ -5,7 +5,8 @@ each for poles once and runs three checks on them:
 
 * the exact map against the Monte-Carlo sampler (stderr-scaled), on the five
   families of each radial model at once,
-* the batched generator split against the per-symmetry-class closed forms,
+* the batched generator split against the closed form `aligned_generator`,
+  every entry of h and K,
 * master-equation integration against direct map application;
 
 and one check of the closed-form radial expectations against the quadrature
@@ -23,8 +24,7 @@ import numpy as np
 
 from .config import ANGULAR_KINDS, RADIAL_KINDS, angular_model
 from .dynmap import MapFamily, bloch_trajectory
-from .generator import (_generators, anisotropic_rates, azimuthal_generator, bloch_generators,
-                        isotropic_rate, offdiagonal_rate, pole_scan)
+from .generator import _generators, aligned_generator, bloch_generators, pole_scan
 from .montecarlo import _mc_pairs
 from .propagation import integrate_master
 from .radial import expectation_quadrature
@@ -95,29 +95,18 @@ def check_mc_vs_map(fams, rho0, cfg) -> float:
     return float(np.max(z))
 
 
-def check_extraction(name, fam, poles) -> float:
-    """The batched generator split vs the closed form of the angular kind
-    that ``name`` ends in, away from poles, in units of omega_c (rates scale
-    with it).
+def check_extraction(fam, poles) -> float:
+    """The batched generator split vs `aligned_generator`, every entry of h
+    and K, away from poles, in units of omega_c (rates scale with it).
 
     A closed form that is NaN where the split is regular fails the check.
     """
     omega_c = fam.radial.omega_c
     times = pole_free_times(np.linspace(0.05, 6.0, 80) / omega_c, poles, margin=0.1 / omega_c)
     ok, h, k = _generators(fam, times)
-    t, angular = times[ok], name.split("+")[1]
-    if angular == "sphere":
-        devs = [k - isotropic_rate(fam.radial, t)[:, None, None] * np.eye(3), h]
-    elif angular in ("bagel", "dumbbell"):
-        devs = [k - anisotropic_rates(fam, t)[..., None] * np.eye(3), h]
-    elif angular == "cardioid":
-        ref_h, ref_k = azimuthal_generator(fam, t)
-        devs = [k - ref_k, h - ref_h]
-    else:  # kneaded: the off-diagonal rate is the closed form on record
-        devs = [k[:, 0, 1] - offdiagonal_rate(fam, t)]
-    worst = 0.0
-    for dev in devs:
-        worst = np.max(np.abs(dev), initial=worst)
+    ref_h, ref_k = aligned_generator(fam, times[ok])
+    worst = np.maximum(np.max(np.abs(h - ref_h), initial=0.0),
+                       np.max(np.abs(k - ref_k), initial=0.0))
     return float(worst / omega_c)
 
 
@@ -140,9 +129,9 @@ def run_checks(rho0, cfg, omega_c: float = 1.0, asymmetry: float = DEFAULT_ASYMM
     # the families come radial model by radial model
     for _, group in groupby(families, key=lambda pair: pair[1].radial):
         metrics[1] = np.maximum(metrics[1], check_mc_vs_map([fam for _, fam in group], rho0, cfg))
-    for name, fam in families:
+    for _, fam in families:
         poles = pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
-        metrics[2:] = np.maximum(metrics[2:], [check_extraction(name, fam, poles),
+        metrics[2:] = np.maximum(metrics[2:], [check_extraction(fam, poles),
                                                check_roundtrip(fam, poles, rho0)])
     return [CheckResult(check, float(metric), threshold, bool(metric <= threshold))
             for (check, threshold), metric in zip(THRESHOLDS.items(), metrics)]

@@ -1,11 +1,13 @@
 """Inputs shared by several test modules."""
 
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from hamens import TabulatedAngular, TabulatedRadial
+from hamens import MapFamily, SphereAngular, TabulatedAngular, TabulatedRadial, aligned_generator
 
 #: polar angle and azimuth of the tilted symmetry axis m
 TILT = (0.7, 0.4)
@@ -44,6 +46,17 @@ def d_denominator(fam):
     return d
 
 
+def sphere_rate(radial, t):
+    """The common decay rate of the isotropic family of ``radial``: gamma_x of
+    `aligned_generator`, of t's shape."""
+    return aligned_generator(MapFamily.from_ensemble(radial, SphereAngular()), t)[1][..., 0, 0]
+
+
+def axis_rates(fam, t):
+    """(gamma_x, gamma_y, gamma_z) of `aligned_generator`, shape t.shape + (3,)."""
+    return np.diagonal(aligned_generator(fam, t)[1], axis1=-2, axis2=-1)
+
+
 def random_table(seed, n_theta, n_phi):
     """Normalized random table on random grids; its second moments have off-diagonal parts."""
     rng = np.random.default_rng(seed)
@@ -79,3 +92,15 @@ def tilted_table():
     nm = np.sin(th) * np.cos(ph) * m[0] + np.sin(th) * np.sin(ph) * m[1] + np.cos(th) * m[2]
     values = 3.0 * nm * nm * (1.0 + 0.5 * nm) / (4.0 * math.pi)
     return TabulatedAngular(theta, phi, values / TabulatedAngular(theta, phi, values).mass())
+
+
+@pytest.fixture(scope="session")
+def tabgen():
+    """The seeded table generator `bench/tabgen.py`, imported from its directory."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        import tabgen
+    finally:
+        sys.path.remove(bench)
+    return tabgen

@@ -4,8 +4,8 @@
 
 runs the golden runs (`record_golden._runs`) twice, each side in its own
 process with its own `src` on PYTHONPATH: once on this working tree, and once
-on REV, checked out with `git worktree add --detach` into a temporary
-directory that is removed on exit.  Both sides read the same inputs, this
+on REV, extracted from `git archive REV` into a temporary directory that is
+removed on exit, so the repository's `.git` is only read.  Both sides read the same inputs, this
 tree's configs and `bench/tabgen.py` tables, so a difference comes from the
 code.  For every file that differs it prints the largest relative and the
 largest absolute cell difference, how many rows moved and the first of them;
@@ -16,12 +16,14 @@ output matches, and exits 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
@@ -118,17 +120,15 @@ def main(argv=None) -> int:
     rev = parser.parse_args(argv).rev
     with tempfile.TemporaryDirectory(prefix="parent-diff-") as scratch:
         rev_tree = os.path.join(scratch, "rev")
-        added = subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", rev_tree, rev],
-                               capture_output=True, text=True)
-        if added.returncode != 0:
-            print(f"cannot check out {rev}: {added.stderr.strip()}", file=sys.stderr)
+        archive = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True)
+        if archive.returncode != 0:
+            print(f"cannot archive {rev}: {archive.stderr.decode().strip()}",
+                  file=sys.stderr)
             return 2
-        try:
-            _run_side(rev_tree, os.path.join(scratch, "old"))
-            _run_side(ROOT, os.path.join(scratch, "new"))
-        finally:
-            subprocess.run(["git", "-C", ROOT, "worktree", "remove", "--force", rev_tree],
-                           capture_output=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout), mode="r|") as tar:
+            tar.extractall(rev_tree, filter="data")
+        _run_side(rev_tree, os.path.join(scratch, "old"))
+        _run_side(ROOT, os.path.join(scratch, "new"))
         lines = compare(os.path.join(scratch, "old"), os.path.join(scratch, "new"))
         with open(os.path.join(scratch, "new", "runs.json")) as handle:
             runs = len(json.load(handle))

@@ -13,15 +13,15 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, DirectionalMoments,
                     DumbbellAngular, ExponentialCutoffRadial, GaussianRadial,
                     KneadedCardioidAngular, MapFamily, ReciprocalSquareRadial,
-                    SphereAngular, anisotropic_rates, bloch_generators,
+                    SphereAngular, bloch_generators,
                     choi_check, directional_moments_quadrature,
-                    integrate_master, isotropic_rate, map_matrices, mc_trajectory,
+                    integrate_master, map_matrices, mc_trajectory,
                     pole_scan, purity_trajectory, SamplerConfig)
 from hamens.dynmap import bloch_trajectory, diagonal_components
 from hamens.generator import _generators, _regular_split
 from hamens.validation import builtin_families, check_extraction, pole_free_times
 
-from conftest import d_denominator, sign_change_roots
+from conftest import axis_rates, d_denominator, sign_change_roots, sphere_rate
 
 ANGULAR_VALUES = [
     (SphereAngular(), np.zeros(3), np.diag([1 / 3, 1 / 3, 1 / 3])),
@@ -88,7 +88,7 @@ def test_criterion_3_closed_form_rates():
             fd = -(w(t + h) - w(t - h)) / (2 * h) / (2 * w(t))
             worst_fd = max(worst_fd,
                            abs(form(t) - fd) / abs(fd),
-                           abs(isotropic_rate(radial, t) - fd) / abs(fd))
+                           abs(sphere_rate(radial, t) - fd) / abs(fd))
 
     # per-axis closed forms against the general log-derivative expression
     worst_axis = 0.0
@@ -97,7 +97,7 @@ def test_criterion_3_closed_form_rates():
             fam = MapFamily.from_ensemble(radial, angular)
             ts = pole_free_times(np.linspace(0.05, 6.0, 120), pole_scan(fam, (0.05, 6.0)),
                                  margin=0.08)
-            rates = anisotropic_rates(fam, ts)
+            rates = axis_rates(fam, ts)
             f, df, _, _ = diagonal_components(fam, ts)
             general = np.stack([df[:, j] / (2 * f[:, j])
                                 - sum(df[:, k] / (2 * f[:, k]) for k in range(3) if k != j)
@@ -128,8 +128,8 @@ def test_criterion_4_monte_carlo_oracle():
 def test_criterion_5_generator_extraction():
     start = time.monotonic()
     worst = 0.0
-    for name, fam in builtin_families():
-        worst = np.maximum(worst, check_extraction(name, fam, pole_scan(fam, (1e-9, 6.0))))
+    for _, fam in builtin_families():
+        worst = np.maximum(worst, check_extraction(fam, pole_scan(fam, (1e-9, 6.0))))
     elapsed = time.monotonic() - start
     ok = worst < 1e-8 and elapsed < 10.0
     assert report(5, "extraction matches every closed-form rate and level spacing",
@@ -221,10 +221,10 @@ def test_criterion_10_reduction_limits():
     fam0 = MapFamily(fam_card.radial, fam_card.angular,
                      DirectionalMoments(np.zeros(3), fam_card.moments.second))
     h0, k0 = _regular_split(fam0, ts)
-    dev2 = max(float(np.max(np.abs(k0 - anisotropic_rates(fam0, ts)[..., None] * np.eye(3)))),
+    dev2 = max(float(np.max(np.abs(k0 - axis_rates(fam0, ts)[..., None] * np.eye(3)))),
                float(np.max(np.abs(h0))),
                float(np.max(np.abs(np.diagonal(k0, axis1=1, axis2=2)
-                                   - isotropic_rate(fam_card.radial, ts)[:, None]))))
+                                   - sphere_rate(fam_card.radial, ts)[:, None]))))
 
     # nearly equal second moments -> common rate
     eps = 1e-6
@@ -233,8 +233,8 @@ def test_criterion_10_reduction_limits():
                          DirectionalMoments(
                              np.zeros(3), np.diag([1 / 3 + eps, 1 / 3 - eps, 1 / 3])))
     ts = np.linspace(0.1, 1.5, 15)
-    dev3 = float(np.max(np.abs(anisotropic_rates(fam_pert, ts)
-                               - isotropic_rate(fam_sph.radial, ts)[:, None])))
+    dev3 = float(np.max(np.abs(axis_rates(fam_pert, ts)
+                               - sphere_rate(fam_sph.radial, ts)[:, None])))
 
     ok = dev1 < 1e-4 and dev2 < 1e-10 and dev3 < 1e-4
     assert report(10, "reduction limits across symmetry classes",

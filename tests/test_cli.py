@@ -375,30 +375,48 @@ def test_validate_at_large_cutoff_passes(tmp_path, capsys):
 
 
 def _nan_at_one_regular_point(monkeypatch):
-    # check_extraction evaluates the closed forms only where the split is
+    # check_extraction evaluates the closed form only where the split is
     # regular, so every time it passes is a regular point
     import hamens.validation as validation
-    rate = validation.isotropic_rate
+    closed_form = validation.aligned_generator
 
-    def patched(radial, t):
-        out = np.array(rate(radial, t))
-        out[out.size // 2] = np.nan
-        return out
+    def patched(fam, t):
+        h, k = closed_form(fam, t)
+        k = np.array(k)
+        k[k.shape[0] // 2, 0, 0] = np.nan
+        return h, k
 
-    monkeypatch.setattr(validation, "isotropic_rate", patched)
+    monkeypatch.setattr(validation, "aligned_generator", patched)
+
+
+def _swap_gamma_xy(monkeypatch):
+    # every kind but kneaded has gamma_x = gamma_y, so only a check of all
+    # of K (or the round trip) sees the swap
+    import hamens.generator as generator
+    split = generator._split
+
+    def swapped(m, dm):
+        h, k = split(m, dm)
+        k = k.copy()
+        k[..., [0, 1], [0, 1]] = k[..., [1, 0], [1, 0]]
+        return h, k
+
+    monkeypatch.setattr(generator, "_split", swapped)
 
 
 @pytest.mark.parametrize("mutation, omega_c", [(_flip_level_spacing, "1.0"),
                                                (_flip_level_spacing, "1e8"),
-                                               (_nan_at_one_regular_point, "1.0")],
-                         ids=["flipped-h", "flipped-h-large-cutoff", "nan-closed-form"])
+                                               (_nan_at_one_regular_point, "1.0"),
+                                               (_swap_gamma_xy, "1.0")],
+                         ids=["flipped-h", "flipped-h-large-cutoff", "nan-closed-form",
+                              "swapped-gamma-xy"])
 def test_extraction_check_catches_mutations(tmp_path, capsys, monkeypatch, mutation, omega_c):
     mutation(monkeypatch)
     cfg = validate_default_at(tmp_path, omega_c)
     assert main(["validate", "--config", cfg, "--samples", "2000"]) == 1
     metric, _, passed = validate_rows(capsys.readouterr().out)["extraction-vs-closed-forms"]
     assert passed == "0"
-    assert mutation is _flip_level_spacing or metric == "nan"
+    assert (metric == "nan") == (mutation is _nan_at_one_regular_point)
 
 
 def test_undetected_pole_exits_2_with_one_line(capsys, monkeypatch):
@@ -439,9 +457,9 @@ extraction-vs-closed-forms,{extraction},1e-08,1
 integrator-roundtrip-trace-distance,{roundtrip},9.9999999999999995e-07,1
 """
 #: the radial, extraction and round-trip cells at each cutoff frequency
-PINNED_CELLS = {"1.0": ("4.4408920985006262e-15", "1.9984014443252818e-15",
+PINNED_CELLS = {"1.0": ("4.4408920985006262e-15", "1.7763568394002505e-15",
                         "8.7694003603086982e-16"),
-                "1e8": ("4.1078251911130792e-15", "2.9802322387695311e-15",
+                "1e8": ("4.1078251911130792e-15", "2.384185791015625e-15",
                         "8.7814711166902399e-16")}
 
 

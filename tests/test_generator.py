@@ -8,15 +8,16 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DirectionalMoments, DumbbellAngular,
                     ExponentialCutoffRadial, GaussianRadial, KneadedCardioidAngular,
                     MapFamily, PoleError, ReciprocalSquareRadial,
-                    SphereAngular, TabulatedRadial, anisotropic_rates, azimuthal_generator,
-                    bloch_generators, extract_generator, isotropic_rate, map_matrices,
-                    offdiagonal_rate, pole_scan, rate_trajectory)
+                    SphereAngular, TabulatedAngular, TabulatedRadial, aligned_generator,
+                    bloch_generators, extract_generator, map_matrices, offdiagonal_rate, pole_scan,
+                    rate_trajectory)
 from hamens.dynmap import diagonal_components
-from hamens.generator import POLE_THRESHOLD, _determinant
+from hamens.generator import POLE_THRESHOLD, _determinant, _generators
 from hamens.radial import RadialModel, expectation_quadrature
 from hamens.validation import builtin_families, pole_free_times
 
-from conftest import d_denominator, random_table, sign_change_roots
+from conftest import (axis_rates, d_denominator, random_table, sign_change_roots,
+                      sphere_rate)
 
 
 def family(radial, angular):
@@ -86,15 +87,15 @@ def test_isotropic_rate_matches_reference_forms():
     for radial_cls, form in ISO_FORMS.items():
         r = radial_cls(1.0)
         for x in np.linspace(0.05, 1.5, 40):
-            assert isotropic_rate(r, x) == pytest.approx(form(x), abs=1e-12)
+            assert sphere_rate(r, x) == pytest.approx(form(x), abs=1e-12)
 
 
 def test_isotropic_rate_trivials():
-    assert isotropic_rate(GaussianRadial(), 0.0) == 0.0
+    assert sphere_rate(GaussianRadial(), 0.0) == 0.0
     # initial slope equals the squared cutoff
-    slopes = [isotropic_rate(GaussianRadial(2.0), t) / t for t in (1e-4, 2e-4)]
+    slopes = [sphere_rate(GaussianRadial(2.0), t) / t for t in (1e-4, 2e-4)]
     assert slopes[0] == pytest.approx(4.0, rel=1e-3)
-    assert isotropic_rate(ReciprocalSquareRadial(1.0), math.pi) == pytest.approx(1 / math.pi, rel=1e-12)
+    assert sphere_rate(ReciprocalSquareRadial(1.0), math.pi) == pytest.approx(1 / math.pi, rel=1e-12)
 
 
 def test_isotropic_rate_matches_finite_differences():
@@ -105,7 +106,7 @@ def test_isotropic_rate_matches_finite_differences():
         for t in np.linspace(0.01, 1.5, 60):
             w = lambda tt: (2 * r.expectations(tt)[0] + 1) / 3
             fd = -(w(t + h) - w(t - h)) / (2 * h) / (2 * w(t))
-            assert isotropic_rate(r, t) == pytest.approx(fd, rel=1e-6)
+            assert sphere_rate(r, t) == pytest.approx(fd, rel=1e-6)
 
 
 def test_anisotropic_rates_match_reference_forms():
@@ -114,24 +115,27 @@ def test_anisotropic_rates_match_reference_forms():
             fam = family(radial_cls(1.0), angular)
             xs = pole_free_times(np.linspace(0.05, 6.0, 90), pole_scan(fam, (0.05, 6.0)), margin=0.08)
             for x in xs:
-                gx, gy, gz = anisotropic_rates(fam, x)
+                gx, gy, gz = axis_rates(fam, x)
                 assert gy == pytest.approx(gx, abs=1e-14)
                 assert gx == pytest.approx(gx_form(x), abs=1e-10)
                 assert gz == pytest.approx(gz_aux(x) - gx_form(x), abs=1e-10)
 
 
 def test_anisotropic_reduces_to_isotropic_for_sphere():
+    # every axis decays at -wdot/2w for the mixing weight w = (2 <cos omega t> + 1)/3
     fam = family(GaussianRadial(), SphereAngular())
     for t in (0.3, 1.0, 2.7):
-        rates = anisotropic_rates(fam, t)
-        assert np.allclose(rates, isotropic_rate(fam.radial, t), atol=1e-14)
+        c, _, dc, _ = fam.radial.expectations(t, derivative=True)
+        h, k = aligned_generator(fam, t)
+        assert np.all(h == 0.0) and np.all(k[~np.eye(3, dtype=bool)] == 0.0)
+        assert np.allclose(np.diag(k), -dc / (2.0 * c + 1.0), atol=1e-14)
 
 
 def test_bagel_reciprocal_square_amplitude_ordering():
     # the wider equatorial moments make the transverse channel louder
     fam = family(ReciprocalSquareRadial(1.0), BagelAngular())
     xs = np.linspace(1e-3, 20.0, 40001)
-    rates = anisotropic_rates(fam, xs)
+    rates = axis_rates(fam, xs)
     assert np.max(np.abs(rates[:, 0])) > np.max(np.abs(rates[:, 2]))
 
 
@@ -140,27 +144,31 @@ def test_azimuthal_generator_initial_level_spacing():
     for radial_cls, mean in [(GaussianRadial, 2 * math.sqrt(2 / math.pi)),
                              (ExponentialCutoffRadial, 4.0)]:
         fam = family(radial_cls(1.0), CardioidAngular())
-        h, _ = azimuthal_generator(fam, 1e-12)
+        h, _ = aligned_generator(fam, 1e-12)
         oracle = expectation_quadrature(fam.radial, lambda x: x, 1.0)
         assert h[2] == pytest.approx(-mean / 3, rel=1e-9)
         assert h[2] == pytest.approx(-oracle / 3, rel=1e-9)
 
 
 def test_azimuthal_generator_reduces_when_reflection_symmetric():
+    # with no first moment: no level spacing, and the per-axis rates
+    # gamma_j = fdot_j/2f_j - sum_{k!=j} fdot_k/2f_k of the f_j alone
     for angular in (SphereAngular(), BagelAngular(), DumbbellAngular()):
         fam = family(GaussianRadial(), angular)
         for t in (0.4, 1.0):
-            h, k = azimuthal_generator(fam, t)
+            h, k = aligned_generator(fam, t)
+            f, df, _, _ = diagonal_components(fam, t)
+            logd = df / (2.0 * f)
             assert np.all(h == 0.0)
-            assert np.allclose(np.diag(k), anisotropic_rates(fam, t), atol=1e-12)
+            assert np.allclose(np.diag(k), 2.0 * logd - np.sum(logd), atol=1e-12)
 
 
 def test_azimuthal_generator_transverse_rates_match_spherical():
     # balanced second moments: gamma_x equals the fully symmetric rate
     fam = family(GaussianRadial(), CardioidAngular())
     for t in (0.3, 0.9, 2.0):
-        _, k = azimuthal_generator(fam, t)
-        assert k[0, 0] == pytest.approx(isotropic_rate(fam.radial, t), abs=1e-13)
+        _, k = aligned_generator(fam, t)
+        assert k[0, 0] == pytest.approx(sphere_rate(fam.radial, t), abs=1e-13)
 
 
 def test_offdiagonal_rate_vanishes_at_zero_asymmetry():
@@ -199,11 +207,11 @@ def test_offdiagonal_rate_on_an_array_equals_the_scalar_route(radial, a):
         assert np.all(np.isfinite(batched[:grid.size]))
 
 
-#: each closed form, as f(fam, t), with the geometries it is an oracle for
+#: entries of the closed form, as f(fam, t), with the geometries each is read on
 CLOSED_FORMS = {
-    "isotropic": (lambda fam, t: isotropic_rate(fam.radial, t), [SphereAngular()]),
-    "anisotropic": (anisotropic_rates, [BagelAngular(), DumbbellAngular()]),
-    "azimuthal": (azimuthal_generator, [CardioidAngular(), BagelAngular()]),
+    "isotropic": (lambda fam, t: sphere_rate(fam.radial, t), [SphereAngular()]),
+    "anisotropic": (axis_rates, [BagelAngular(), DumbbellAngular()]),
+    "azimuthal": (aligned_generator, [CardioidAngular(), BagelAngular()]),
     "offdiagonal": (offdiagonal_rate, [KneadedCardioidAngular(0.3)]),
 }
 
@@ -253,22 +261,37 @@ def test_diagonal_component_gap_is_linear_in_asymmetry():
 
 def test_extract_generator_matches_closed_forms_everywhere():
     for name, fam in builtin_families():
-        angular = name.split("+")[1]
         grid = pole_free_times(np.linspace(0.05, 6.0, 60), pole_scan(fam, (0.05, 6.0)), margin=0.1)
         for t in grid:
             h, k = extract_generator(fam, t)
+            ref_h, ref_k = aligned_generator(fam, t)
             assert np.max(np.abs(k - k.T)) < 1e-12
-            if angular == "sphere":
-                assert np.allclose(k, isotropic_rate(fam.radial, t) * np.eye(3), atol=1e-8)
+            assert np.allclose(k, ref_k, atol=1e-8), name
+            assert np.allclose(h, ref_h, atol=1e-8), name
+            if name.endswith("+sphere"):
+                assert np.allclose(k, ref_k[0, 0] * np.eye(3), atol=1e-8)
                 assert np.allclose(h, 0.0, atol=1e-10)
-            elif angular in ("bagel", "dumbbell"):
-                assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-8)
-            elif angular == "cardioid":
-                ref_h, ref_k = azimuthal_generator(fam, t)
-                assert np.allclose(k, ref_k, atol=1e-8)
-                assert np.allclose(h, ref_h, atol=1e-8)
-            else:
-                assert k[0, 1] == pytest.approx(offdiagonal_rate(fam, t), abs=1e-8)
+
+
+def test_extraction_matches_the_closed_form_on_aligned_tables(tabgen, tilted_table):
+    # every entry of h and K on each seeded aligned table (<n> along z and S
+    # diagonal to 6.3e-17); the largest difference measured is 3.4e-16 omega_c
+    for variant in range(tabgen.VARIANTS):
+        inputs = tabgen.make_inputs(variant)
+        radial = TabulatedRadial(*inputs["radial"])
+        fam = family(radial, TabulatedAngular(*inputs["aligned"]))
+        omega_c = radial.omega_c
+        poles = pole_scan(fam, (1e-9 / omega_c, 6.0 / omega_c))
+        times = pole_free_times(np.linspace(0.05, 6.0, 80) / omega_c, poles, margin=0.1 / omega_c)
+        ok, h, k = _generators(fam, times)
+        assert ok.all(), variant
+        ref_h, ref_k = aligned_generator(fam, times)
+        assert np.max(np.abs(h - ref_h)) <= 2e-15 * omega_c, variant
+        assert np.max(np.abs(k - ref_k)) <= 2e-15 * omega_c, variant
+        with pytest.raises(ValueError, match="diagonal second-moment matrix"):
+            aligned_generator(family(radial, TabulatedAngular(*inputs["tilted"])), times)
+    with pytest.raises(ValueError, match="diagonal second-moment matrix"):
+        aligned_generator(family(GaussianRadial(), tilted_table), np.linspace(0.1, 1.0, 5))
 
 
 def test_extract_generator_kneaded_example_point():
@@ -301,10 +324,10 @@ def test_reduction_zeroed_first_moment_gives_diagonal_rates():
     for t in (0.3, 1.2):
         h, k = extract_generator(fam, t)
         assert np.all(h == 0.0)
-        assert np.allclose(k, np.diag(anisotropic_rates(fam, t)), atol=1e-12)
+        assert np.allclose(k, np.diag(axis_rates(fam, t)), atol=1e-12)
         # balanced moments: this is the fully symmetric rate again
         assert np.allclose(np.diag(k),
-                           isotropic_rate(base.radial, t), atol=1e-12)
+                           sphere_rate(base.radial, t), atol=1e-12)
 
 
 def test_reduction_nearly_equal_moments_to_isotropic():
@@ -314,8 +337,8 @@ def test_reduction_nearly_equal_moments_to_isotropic():
     fam = MapFamily(base.radial, base.angular,
                     DirectionalMoments(np.zeros(3), second))
     for t in (0.4, 1.0):
-        rates = anisotropic_rates(fam, t)
-        assert np.max(np.abs(rates - isotropic_rate(base.radial, t))) < 1e-4
+        rates = axis_rates(fam, t)
+        assert np.max(np.abs(rates - sphere_rate(base.radial, t))) < 1e-4
 
 
 def test_map_derivatives_match_finite_differences():
@@ -587,7 +610,7 @@ def test_rates_raise_inside_pole_window():
     # the closed form marks the pole with NaN; the batched split raises
     fam = family(GaussianRadial(), BagelAngular())
     pole = pole_scan(fam, (1e-6, 3.0))[0]
-    assert np.isnan(anisotropic_rates(fam, np.array([pole]))).all()
+    assert np.isnan(axis_rates(fam, np.array([pole]))).all()
     with pytest.raises(PoleError):
         extract_generator(fam, pole)
 

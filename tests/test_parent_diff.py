@@ -1,9 +1,12 @@
 """The comparison of `parent_diff.py` on two small hand-made output trees."""
 
 import json
+import os
+import subprocess
 
 import numpy as np
 
+import parent_diff
 from parent_diff import compare
 
 
@@ -55,3 +58,25 @@ def test_compare_takes_each_largest_difference_over_all_cells(tmp_path):
     # a cell that is a number on one side only counts as an infinite difference
     new = write_tree(tmp_path / "nan", {"rates a": (0, {"out.csv": "t,g\n0,nan\n1,1000.0\n"})})
     assert compare(old, new)[0].endswith("largest relative cell difference inf, largest absolute inf")
+
+
+def test_main_reads_the_revision_from_git_archive(monkeypatch, capsys):
+    # both sides stubbed: main extracts HEAD, and .git gains no worktree
+    def worktrees():
+        return subprocess.run(["git", "-C", parent_diff.ROOT, "worktree", "list", "--porcelain"],
+                              capture_output=True, text=True, check=True).stdout
+
+    extracted = []
+
+    def stub_side(tree, out_dir):
+        extracted.append(os.path.isfile(os.path.join(tree, "src", "hamens", "__init__.py")))
+        os.makedirs(out_dir)
+        with open(os.path.join(out_dir, "runs.json"), "w") as handle:
+            json.dump({}, handle)
+
+    before = worktrees()
+    monkeypatch.setattr(parent_diff, "_run_side", stub_side)
+    assert parent_diff.main(["HEAD"]) == 0
+    assert extracted == [True, True]
+    assert worktrees() == before
+    assert capsys.readouterr().out.splitlines()[-1] == "no output differs"

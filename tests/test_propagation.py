@@ -7,11 +7,13 @@ import pytest
 from hamens import (BagelAngular, CardioidAngular, DensityMatrix, ExponentialCutoffRadial,
                     GaussianRadial, IntegrationError, MapFamily,
                     ReciprocalSquareRadial, SphereAngular,
-                    bloch_generators, integrate_master, isotropic_rate, map_matrices, pole_scan)
+                    bloch_generators, integrate_master, map_matrices, pole_scan)
 from hamens import propagation
 from hamens.dynmap import bloch_trajectory
 from hamens.generator import POLE_THRESHOLD
 from hamens.validation import builtin_families
+
+from conftest import sphere_rate
 
 PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -87,7 +89,7 @@ def test_purity_revival_follows_rate_sign():
         pur = 0.5 * (1 + np.sum(bloch ** 2, axis=1))
         dpur = np.diff(pur)
         mids = 0.5 * (t_eval[1:] + t_eval[:-1])
-        rates = isotropic_rate(radial, mids)
+        rates = sphere_rate(radial, mids)
         mask = np.abs(rates) > 1e-3
         assert np.all(np.sign(dpur[mask]) == -np.sign(rates[mask]))
 
