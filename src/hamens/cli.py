@@ -6,7 +6,10 @@ section (`SamplerConfig` checks the values either way).  Each command runs on
 the `RunConfig` that `load_config` built, so a config that one command
 refuses at load every command refuses.  Each emits CSV with a single header
 row, '#'-prefixed comment lines, 17-significant-digit floats and '\\n' line
-endings, so output is byte-stable for a fixed configuration.
+endings, so output is byte-stable for a fixed configuration.  Every number
+has one route: rates and scan write the batched generator split
+(`rate_trajectory`), and scan's summary is read from the per-value rates it
+has just written, not from a closed form.
 Exit codes: 0 success, 1 failed validation check, 2 configuration error, an
 unwritable --out (OSError) or an error the library reports (a ValueError, such
 as a pole or a bad table, a QuadratureError or an IntegrationError): one 'error:' line.
@@ -24,7 +27,7 @@ import numpy as np
 from .angular import directional_moments_quadrature
 from .config import ConfigError, load_config
 from .dynmap import bloch_trajectory, purity_trajectory
-from .generator import offdiagonal_rate, rate_trajectory
+from .generator import rate_trajectory
 from .propagation import IntegrationError
 from .quadrature import QuadratureError
 from .validation import DEFAULT_ASYMMETRY, run_checks
@@ -117,6 +120,9 @@ def cmd_validate(cfg, out_path, sampler):
 
 
 def cmd_scan(cfg, out_path):
+    """One rates file per [scan] value a, named with the suffix _a{a:g}, and
+    a summary row per value: a, the largest |gamma_xy| of that file over
+    t > 0 (NaN rows, inside pole windows, skipped) and its pole count."""
     if cfg.angular_kind != "kneaded":
         raise ConfigError("[scan] over 'a' needs [angular] kind = kneaded")
     if not cfg.scan_values:
@@ -136,9 +142,7 @@ def cmd_scan(cfg, out_path):
         if out_path:
             stem, ext = os.path.splitext(out_path)
             _write_lines(lines, f"{stem}_a{a:g}{ext}")
-        # closed-form route: exactly zero at a = 0, not extraction roundoff;
-        # NaN marks the points inside the pole window of its denominator
-        gxy = np.abs(offdiagonal_rate(fam, grid[1:]))
+        gxy = np.abs(traj.rates["gamma_xy"][1:])
         gxy = gxy[~np.isnan(gxy)]
         max_gxy = float(np.max(gxy)) if gxy.size else float("nan")
         summary.append(f"{_fmt(a)},{_fmt(max_gxy)},{len(traj.poles)}")

@@ -17,14 +17,16 @@ Note the explicit factor 1/2 on the dissipator: rates here are twice as
 small as in conventions that absorb it.  The reported level spacing
 omega_bar is h_z, the lab z-component of h.
 
-The split is evaluated over a whole time grid at once, in any frame.  One
-closed form, `aligned_generator`, is kept as its oracle: for every family
-with <n> along z and a diagonal S (each built-in kind, and aligned tables)
-M is block diagonal, so an adjugate formula gives all of h and K
-elementwise over times of any shape, with no shared linear algebra and NaN
-inside pole windows.  `offdiagonal_rate` is its gamma_xy entry.  All time
-derivatives are closed-form; points where |det M| falls below
-POLE_THRESHOLD count as poles rather than being extrapolated."""
+The split is evaluated over a whole time grid at once, in any frame, with M
+inverted by its adjugate elementwise, so the entries that a family's
+symmetry makes zero in L are exactly zero.  One closed form,
+`aligned_generator`, is kept as its oracle: for every family with <n> along
+z and a diagonal S (each built-in kind, and aligned tables) M is block
+diagonal, so the 2x2 adjugate of its xy block gives all of h and K
+elementwise over times of any shape, with no 3x3 product and NaN inside pole
+windows.  `offdiagonal_rate` is its gamma_xy entry.  All time derivatives
+are closed-form; points where |det M| falls below POLE_THRESHOLD count as
+poles rather than being extrapolated."""
 
 from __future__ import annotations
 
@@ -86,8 +88,7 @@ def aligned_generator(fam: MapFamily, t):
     lxy, lyx = (dfx * a - da * fx) / d, (da * fy - dfy * a) / d
     half_trace = 0.5 * (lxx + lyy + lzz)
     hz = 0.5 * (lyx - lxy)
-    # gamma_xy keeps the order of operations that scan's summary was recorded with
-    kxy = nz * ((dfx - dfy) * s - (fx - fy) * ds) / (2.0 * d)
+    kxy = 0.5 * (lxy + lyx)
     zero = np.zeros_like(hz)
     h = np.stack([zero, zero, hz], axis=-1)
     k = np.stack([lxx - half_trace, kxy, zero, kxy, lyy - half_trace, zero,
@@ -103,13 +104,17 @@ def offdiagonal_rate(fam: MapFamily, t):
     D = f_x f_y + <n_z>^2 s^2; swapping the x and y axes flips its sign.
     Of t's shape, NaN where |D| < POLE_THRESHOLD; ValueError, as there, for
     a family that is not axis-aligned.
+
+    No package code calls it; bench/tracer.py wraps it by name.
     """
     return aligned_generator(fam, t)[1][..., 0, 1]
 
 
-def _split(m, dm):
-    """Level-spacing vectors h and Kossakowski matrices K of L = Mdot M^-1 (stacked)."""
-    ell = dm @ np.linalg.inv(m)
+def _split(dm, inv):
+    """Level-spacing vectors h and Kossakowski matrices K of L = Mdot M^-1
+    (stacked), the product written as a sum of elementwise products."""
+    # summed from 0, so a sum of signed zeros (Mdot at t = 0) reads 0, not -0
+    ell = sum(dm[..., :, j, None] * inv[..., None, j, :] for j in range(3))
     ell_t = np.swapaxes(ell, -1, -2)
     sym = 0.5 * (ell + ell_t)
     anti = 0.5 * (ell - ell_t)
@@ -119,10 +124,18 @@ def _split(m, dm):
 
 
 def _generators(fam: MapFamily, grid: np.ndarray):
-    """Regular-point mask (|det M| >= POLE_THRESHOLD) and the split at those points."""
+    """Regular-point mask (|det M| >= POLE_THRESHOLD) and the split at those points.
+
+    M^-1 = adj(M) / det M elementwise: the columns of adj M are the cross
+    products of the rows of M, and det M is row 0 dotted with column 0.  With
+    no LU pivoting or BLAS kernel, every entry that a family's symmetry makes
+    zero in L, or equal to another, comes out exactly so."""
     m, dm = map_matrices(fam, grid, derivative=True)
-    ok = np.abs(np.linalg.det(m)) >= POLE_THRESHOLD
-    h, k = _split(m[ok], dm[ok])
+    r0, r1, r2 = np.moveaxis(m, -2, 0)
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    det = np.sum(m[..., 0, :] * adj[..., 0], axis=-1)
+    ok = np.abs(det) >= POLE_THRESHOLD
+    h, k = _split(dm[ok], adj[ok] / det[ok, None, None])
     return ok, h, k
 
 

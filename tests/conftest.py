@@ -46,6 +46,25 @@ def d_denominator(fam):
     return d
 
 
+def scan_file_maxima(out):
+    """(max_abs_gamma_xy cell, largest |gamma_xy| of its per-value file) for
+    each row of the scan summary at ``out``.  The maximum runs over the file's
+    rows with t > 0 and gamma_xy not NaN, and is written as %.17g, like every
+    CLI cell; "nan" when no row is left."""
+    stem, ext = os.path.splitext(str(out))
+    with open(out) as handle:
+        summary = [line.rstrip("\n").split(",") for line in handle][1:]
+    pairs = []
+    for a, cell, _ in summary:
+        with open(f"{stem}_a{float(a):g}{ext}") as handle:
+            rows = [line.rstrip("\n").split(",") for line in handle if not line.startswith("#")]
+        column = rows[0].index("gamma_xy")
+        values = [abs(float(row[column])) for row in rows[1:] if float(row[0]) > 0.0]
+        values = [value for value in values if not math.isnan(value)]
+        pairs.append((cell, format(max(values), ".17g") if values else "nan"))
+    return pairs
+
+
 def sphere_rate(radial, t):
     """The common decay rate of the isotropic family of ``radial``: gamma_x of
     `aligned_generator`, of t's shape."""

@@ -1,6 +1,7 @@
 """Public surface: what `hamens` exports, constructors that compute nothing,
 and the benchmark tracer that wraps the package from outside."""
 
+import ast
 import dataclasses
 import importlib.util
 import inspect
@@ -138,6 +139,24 @@ def test_bench_tracer_installs_on_the_package():
     proc = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "bench")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_names_no_closed_form_and_the_split_inverts_by_hand():
+    # the closed forms are oracles of validation and the tests, and the split
+    # inverts M by its adjugate, with no LAPACK inverse or determinant
+    with open(os.path.join(ROOT, "src", "hamens", "cli.py")) as handle:
+        cli = ast.parse(handle.read())
+    names = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(cli) if isinstance(node, (ast.Import, ast.ImportFrom))
+              for alias in node.names}
+    assert not names & {"aligned_generator", "offdiagonal_rate", "diagonal_components"}
+    assert [[alias.name for alias in node.names] for node in ast.walk(cli)
+            if isinstance(node, ast.ImportFrom) and node.module == "generator"] == [["rate_trajectory"]]
+    with open(os.path.join(ROOT, "src", "hamens", "generator.py")) as handle:
+        split = ast.parse(handle.read())
+    calls = {ast.unparse(node.func) for node in ast.walk(split) if isinstance(node, ast.Call)}
+    assert not calls & {"np.linalg.inv", "np.linalg.det", "numpy.linalg.inv", "numpy.linalg.det"}
 
 
 def test_cli_import_leaves_out_dop853_and_numpy_polynomial():

@@ -1,8 +1,10 @@
 """Command-line interface: output formats, exit codes, byte stability."""
 
 import csv
+import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -15,7 +17,7 @@ from hamens.cli import main
 from hamens.config import ConfigError, load_config, parse_angle
 from hamens.validation import THRESHOLDS, builtin_families, check_roundtrip
 
-from conftest import TABLES_WITH_X, d_denominator, sign_change_roots
+from conftest import TABLES_WITH_X, d_denominator, scan_file_maxima, sign_change_roots
 
 
 def write_config(tmp_path, body, name="run.cfg"):
@@ -167,7 +169,7 @@ def test_rates_kneaded_zero_asymmetry_has_no_xy_channel(tmp_path):
     main(["rates", "--config", cfg, "--out", str(out)])
     _, rows = read_csv(out)
     gxy = np.array([float(r[5]) for r in rows])
-    assert np.max(np.abs(gxy[np.isfinite(gxy)])) < 1e-14
+    assert np.isfinite(gxy).any() and np.all(gxy[np.isfinite(gxy)] == 0.0)
 
 
 def test_rates_kneaded_gaussian_pole_flags(tmp_path):
@@ -340,8 +342,8 @@ def _flip_level_spacing(monkeypatch):
     import hamens.generator as generator
     split = generator._split
 
-    def flipped(m, dm):
-        h, k = split(m, dm)
+    def flipped(dm, inv):
+        h, k = split(dm, inv)
         return -h, k
 
     monkeypatch.setattr(generator, "_split", flipped)
@@ -395,8 +397,8 @@ def _swap_gamma_xy(monkeypatch):
     import hamens.generator as generator
     split = generator._split
 
-    def swapped(m, dm):
-        h, k = split(m, dm)
+    def swapped(dm, inv):
+        h, k = split(dm, inv)
         k = k.copy()
         k[..., [0, 1], [0, 1]] = k[..., [1, 0], [1, 0]]
         return h, k
@@ -457,7 +459,7 @@ extraction-vs-closed-forms,{extraction},1e-08,1
 integrator-roundtrip-trace-distance,{roundtrip},9.9999999999999995e-07,1
 """
 #: the radial, extraction and round-trip cells at each cutoff frequency
-PINNED_CELLS = {"1.0": ("4.4408920985006262e-15", "1.7763568394002505e-15",
+PINNED_CELLS = {"1.0": ("4.4408920985006262e-15", "2.2204460492503131e-15",
                         "8.7694003603086982e-16"),
                 "1e8": ("4.1078251911130792e-15", "2.384185791015625e-15",
                         "8.7814711166902399e-16")}
@@ -548,7 +550,9 @@ def test_scan_pole_counts_exp_cutoff(tmp_path):
 @pytest.mark.parametrize("kind, values", [("gaussian", "0 0.1 0.3 0.9"),
                                            ("exp-cutoff", "0.3 0.9")])
 def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
-    from hamens.generator import offdiagonal_rate
+    # the split is elementwise over the grid, so one time at a time gives the
+    # batched gamma_xy bit for bit; a NaN row (pole window) is skipped
+    from hamens.generator import _generators
 
     body = SCAN_CFG.replace("kind = gaussian", f"kind = {kind}").replace(
         "values = 0 0.1 0.3", f"values = {values}")
@@ -562,12 +566,13 @@ def test_scan_summary_equals_a_per_point_reference_loop(tmp_path, kind, values):
         fam = run.build_family(asymmetry=a)
         gxy = []
         for t in grid[1:]:
-            value = offdiagonal_rate(fam, np.array([t]))[0]
-            if not np.isnan(value):
-                gxy.append(abs(value))
+            ok, _, k = _generators(fam, np.array([t]))
+            if ok[0]:
+                gxy.append(abs(k[0, 0, 1]))
         poles = sign_change_roots(d_denominator(fam), 1e-9, float(grid[-1]))
         lines.append(f"{a:.17g},{max(gxy):.17g},{len(poles)}")
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert all(cell == largest for cell, largest in scan_file_maxima(out))
 
 
 def test_scan_per_value_names_take_the_extension_from_the_basename(tmp_path):
@@ -838,6 +843,57 @@ def test_python_dash_m_writes_the_same_bytes_as_main(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-m", "hamens", "simulate", "--config", config],
                           capture_output=True, env=env, check=True)
     assert proc.stdout == expected.encode()
+
+
+#: runs whose bytes must not depend on the OpenBLAS core: the split (rates),
+#: the scan summary read from it, and every validate row
+_CORE_FREE_RUNS = (("rates", "fig7_kneaded_gaussian.cfg"), ("scan", "fig7_kneaded_gaussian.cfg"),
+                   ("validate", "validate_default.cfg", "--samples", "2000", "--seed", "5"))
+
+_RUN_UNDER_CORE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from record_golden import blas_core
+from hamens.cli import main
+print(*[main(argv) for argv in json.loads(sys.argv[2])], blas_core())
+"""
+
+
+def _outputs(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 core")
+def test_rates_scan_and_validate_bytes_do_not_depend_on_the_blas_core(tmp_path):
+    # Prescott runs on any x86-64 CPU and has other kernels than the core
+    # OpenBLAS picks for a recent one; the core is read at load, so the
+    # Prescott runs are made in a child process
+    from record_golden import blas_core
+
+    core = blas_core()
+    if core in ("unknown", "Prescott", "Katmai"):
+        pytest.skip(f"numpy's OpenBLAS core here is {core!r}")
+    tests = os.path.dirname(os.path.abspath(__file__))
+    configs = os.path.join(tests, "..", "configs")
+    argvs = {}
+    for side in ("here", "prescott"):
+        (tmp_path / side).mkdir()
+        argvs[side] = [[command, "--config", os.path.join(configs, config),
+                        "--out", str(tmp_path / side / f"{command}.csv"), *rest]
+                       for command, config, *rest in _CORE_FREE_RUNS]
+    codes = [str(main(argv)) for argv in argvs["here"]]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(tests, "..", "src"), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _RUN_UNDER_CORE, tests,
+                           json.dumps(argvs["prescott"])],
+                          capture_output=True, env=env, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # OpenBLAS names its Prescott kernels after an older core ("Katmai")
+    *child_codes, child_core = proc.stdout.split()
+    assert child_codes == codes and child_core != core
+    assert len(_outputs(tmp_path / "here")) == 8
+    assert _outputs(tmp_path / "prescott") == _outputs(tmp_path / "here")
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def test_azimuthal_generator_transverse_rates_match_spherical():
 def test_offdiagonal_rate_vanishes_at_zero_asymmetry():
     fam = family(GaussianRadial(), KneadedCardioidAngular(0.0))
     for t in np.linspace(0.1, 6.0, 30):
-        assert offdiagonal_rate(fam, t) == pytest.approx(0.0, abs=1e-15)
+        assert offdiagonal_rate(fam, t) == 0.0
 
 
 def test_offdiagonal_rate_linear_in_small_asymmetry():
@@ -292,6 +292,32 @@ def test_extraction_matches_the_closed_form_on_aligned_tables(tabgen, tilted_tab
             aligned_generator(family(radial, TabulatedAngular(*inputs["tilted"])), times)
     with pytest.raises(ValueError, match="diagonal second-moment matrix"):
         aligned_generator(family(GaussianRadial(), tilted_table), np.linspace(0.1, 1.0, 5))
+
+
+#: the six built-in kinds, kneaded at a = 0 (reflection-symmetric like the
+#: rest) and at a = 0.3 (which opens the xy channel)
+SYMMETRY_KINDS = {"sphere": SphereAngular(), "bagel": BagelAngular(),
+                  "dumbbell": DumbbellAngular(), "cardioid": CardioidAngular(),
+                  "kneaded-0": KneadedCardioidAngular(0.0),
+                  "kneaded-0.3": KneadedCardioidAngular(0.3)}
+
+
+@pytest.mark.parametrize("kind", SYMMETRY_KINDS)
+@pytest.mark.parametrize("radial", [GaussianRadial(), ExponentialCutoffRadial(),
+                                    ReciprocalSquareRadial(), GaussianRadial(1e8)],
+                         ids=["gaussian", "exp-cutoff", "reciprocal-square", "gaussian-1e8"])
+def test_split_keeps_symmetry_zeros_exact(kind, radial):
+    # M^-1 = adj(M) / det M elementwise: with <n> along z and S diagonal, the
+    # entries of L that vanish by symmetry vanish exactly, and with
+    # S_xx = S_yy, K_xy = 0 and K_xx = K_yy exactly, not to LAPACK roundoff
+    fam = family(radial, SYMMETRY_KINDS[kind])
+    ok, h, k = _generators(fam, np.linspace(0.0, 10.0 / radial.omega_c, 2001))
+    assert ok.any()
+    assert np.all(h[:, :2] == 0.0)
+    assert np.all(k[:, :2, 2] == 0.0) and np.all(k[:, 2, :2] == 0.0)
+    if kind != "kneaded-0.3":
+        assert np.all(k[:, 0, 1] == 0.0) and np.all(k[:, 1, 0] == 0.0)
+        assert np.array_equal(k[:, 0, 0], k[:, 1, 1])
 
 
 def test_extract_generator_kneaded_example_point():

@@ -21,7 +21,8 @@ load refuses them before any scan.
 `scan` runs, with the other four commands, on kneaded configs with a drawn
 [scan] section: a value outside [0, 1] is refused by every command, and two
 values that share a per-value file name by `scan` alone.  With exit 0 its summary has one row per value,
-and each row's pole count is the number of poles its per-value file lists.
+each row's pole count is the number of poles its per-value file lists, and
+its max_abs_gamma_xy cell is the largest |gamma_xy| in that file (t > 0).
 
 Draws come from `np.random.default_rng(seed)` over a fixed seed range, not
 from hypothesis, so a case depends on its seed alone.
@@ -36,7 +37,7 @@ from hamens import TabulatedAngular, TabulatedRadial, choi_check, map_matrices
 from hamens.cli import main
 from hamens.config import load_config
 
-from conftest import random_radial, random_table
+from conftest import random_radial, random_table, scan_file_maxima
 
 SEEDS = range(64)
 SCAN_SEEDS = range(24)
@@ -309,6 +310,9 @@ def test_scan_exits_0_or_2_and_counts_the_poles_it_lists(tmp_path, capsys, seed)
         per_value = out_dir / f"out_a{float(row[0]):g}.csv"
         assert len(_cells(per_value)[1]) == run.grid.size
         assert int(row[2]) == _poles_listed(per_value), row
+    # each summary cell is the largest |gamma_xy| of the file it summarises
+    for cell, largest in scan_file_maxima(out_dir / "out.csv"):
+        assert cell == largest
 
 
 def test_the_scan_seeds_draw_every_outcome(tmp_path):
